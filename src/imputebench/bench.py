@@ -113,13 +113,19 @@ class ExperimentConfig:
     dataset: str | None = None  # CSV path, echoed into reports
 
     def __post_init__(self):
-        if not self.methods:
-            raise ValueError("config needs at least one method")
+        if not self.methods or not self.rates:
+            raise ValueError("config needs at least one method and one rate")
         if self.folds < 2 or self.repeats < 1:
             raise ValueError("folds must be >= 2 and repeats >= 1")
-        for r in self.rates:
+        for r in (*self.rates, self.post_rate):
             if not 0.0 < r < 1.0:
                 raise ValueError(f"rate {r} outside (0, 1)")
+        if self.auroc_average not in ("macro", "micro"):
+            raise ValueError(f"unknown auroc_average {self.auroc_average!r}")
+        if self.forest_trees < 1 or self.smote_k < 1:
+            raise ValueError("forest_trees and smote_k must be >= 1")
+        if self.forest_max_depth is not None and self.forest_max_depth < 1:
+            raise ValueError("forest_max_depth must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -149,49 +155,10 @@ class MetricsReport:
 
     def aggregate(self):
         """Mean/std of each metric per (method, rate), in stable order."""
-        rows = []
-        seen = []
-        for rec in self.records:
-            key = (rec.method, rec.rate)
-            if key not in seen:
-                seen.append(key)
-        for method, rate in seen:
-            sel = [r for r in self.records if r.method == method and r.rate == rate]
-            rmses = np.array([r.rmse for r in sel])
-            aurocs = np.array([r.auroc for r in sel])
-            rows.append(
-                {
-                    "method": method,
-                    "rate": rate,
-                    "n_runs": len(sel),
-                    "rmse_mean": float(rmses.mean()),
-                    "rmse_std": float(rmses.std()),
-                    "auroc_mean": float(aurocs.mean()),
-                    "auroc_std": float(aurocs.std()),
-                }
-            )
-        return rows
+        return _group_stats(self.records, ("rmse", "auroc"))
 
     def f1_aggregate(self):
-        rows = []
-        seen = []
-        for rec in self.f1_records:
-            key = (rec.method, rec.rate)
-            if key not in seen:
-                seen.append(key)
-        for method, rate in seen:
-            sel = [r for r in self.f1_records if r.method == method and r.rate == rate]
-            scores = np.array([r.f1 for r in sel])
-            rows.append(
-                {
-                    "method": method,
-                    "rate": rate,
-                    "n_runs": len(sel),
-                    "f1_mean": float(scores.mean()),
-                    "f1_std": float(scores.std()),
-                }
-            )
-        return rows
+        return _group_stats(self.f1_records, ("f1",))
 
     def to_json(self, path) -> None:
         doc = {
@@ -212,6 +179,26 @@ class MetricsReport:
             [F1Record(**r) for r in doc["f1_records"]],
             doc["config"],
         )
+
+
+def _group_stats(records, metrics) -> list:
+    """Run count plus mean/std of each metric per (method, rate).
+
+    Groups appear in first-seen order and keep their records' order, so the
+    float reductions match a plain filter over the record list.
+    """
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.method, rec.rate), []).append(rec)
+    rows = []
+    for (method, rate), sel in groups.items():
+        row = {"method": method, "rate": rate, "n_runs": len(sel)}
+        for metric in metrics:
+            values = np.array([getattr(r, metric) for r in sel])
+            row[f"{metric}_mean"] = float(values.mean())
+            row[f"{metric}_std"] = float(values.std())
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .imputers import (
-    ImputationResult,
-    Imputer,
-    _finish,
-    column_stats,
-    denorm_grid,
-    knn_fill,
-)
-from .nn import Adam, LayerSpec, MixedLossSpec, Network, mixed_loss
+from .imputers import ImputationResult, Imputer, _finish, column_stats, knn_fill
+from .missingness import drop_cells
+from .nn import Adam, LayerSpec, MixedLossSpec, Network, _activate, mixed_loss
 from .seeding import derive_seed, make_rng
-from .tabular import MixedTable, Schema, fit_normalizer, normalize
+from .tabular import MixedTable, Schema, denormalize, fit_normalizer, normalize
 
 __all__ = [
     "RotationSchedule",
@@ -157,15 +151,11 @@ class GainConfig:
             raise ValueError("alpha must be >= 0")
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def _map_outputs(raw: np.ndarray, cat_idx: np.ndarray) -> np.ndarray:
     """Column-wise output head: sigmoid on categoricals, identity elsewhere."""
     out = raw.copy()
     if cat_idx.size:
-        out[:, cat_idx] = _sigmoid(raw[:, cat_idx])
+        out[:, cat_idx] = _activate("sigmoid", raw[:, cat_idx])
     return out
 
 
@@ -175,19 +165,6 @@ def _map_grad(mapped: np.ndarray, grad: np.ndarray, cat_idx: np.ndarray) -> np.n
         s = mapped[:, cat_idx]
         g[:, cat_idx] = grad[:, cat_idx] * s * (1.0 - s)
     return g
-
-
-def _exact_corrupt(values: np.ndarray, rate: float, rng: np.random.Generator):
-    """Set round(rate * n) cells per column to NaN; returns (values, mask)."""
-    n = values.shape[0]
-    count = int(round(rate * n))
-    out = values.copy()
-    mask = np.ones_like(values)
-    for j in range(values.shape[1]):
-        rows = rng.choice(n, size=count, replace=False)
-        out[rows, j] = np.nan
-        mask[rows, j] = 0.0
-    return out, mask
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator, min_size: int = 2):
@@ -201,7 +178,14 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator, min_size: int = 
 
 
 class _DeepImputer(Imputer):
-    """Shared normalization / completion plumbing for the deep methods."""
+    """Shared config / normalization / completion plumbing for the deep methods."""
+
+    config_type: type
+
+    def __init__(self, schema: Schema, seed: int = 0, config=None, **overrides):
+        super().__init__(schema, seed)
+        self.config = replace(config or self.config_type(), **overrides)
+        self.name = self.config.variant
 
     def _prepare_training_matrix(self, train: MixedTable) -> np.ndarray:
         self._check_schema(train)
@@ -218,17 +202,21 @@ class _DeepImputer(Imputer):
             self.schema.numerical_indices, self.schema.categorical_indices, weights
         )
 
+    def _result(self, target: MixedTable, out_raw: np.ndarray) -> ImputationResult:
+        """Map raw network outputs (normalized units) into an ImputationResult."""
+        num, cat = self.schema.numerical_indices, self.schema.categorical_indices
+        scores = _map_outputs(out_raw, cat)
+        filled = scores.copy()
+        filled[:, num] = np.clip(scores[:, num], 0.0, 1.0)
+        filled[:, cat] = scores[:, cat] >= 0.5
+        filled_raw = denormalize(MixedTable(self.schema, filled), self.params_).values
+        return _finish(target, filled_raw, scores, self.params_)
+
 
 class DaeImputer(_DeepImputer):
     """Denoising-autoencoder imputer (variants naa and inaa)."""
 
-    def __init__(self, schema: Schema, seed: int = 0, config: DaeConfig | None = None, **overrides):
-        super().__init__(schema, seed)
-        config = config or DaeConfig()
-        if overrides:
-            config = replace(config, **overrides)
-        self.config = config
-        self.name = config.variant
+    config_type = DaeConfig
 
     def _build_network(self, n_features: int) -> Network:
         if self.config.variant == "naa":
@@ -254,10 +242,10 @@ class DaeImputer(_DeepImputer):
         for epoch in range(cfg.epochs):
             if cfg.variant == "naa":
                 if pre is None:
-                    corrupted, _ = _exact_corrupt(clean, cfg.corruption_rate, corrupt_rng)
+                    corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
                     pre, _, _ = knn_fill(corrupted, corrupted, 5, self.schema, self.norm_stats_)
             elif epoch % cfg.rotation.period == 0:
-                corrupted, _ = _exact_corrupt(clean, cfg.corruption_rate, corrupt_rng)
+                corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
                 pre = rotator.preimpute(corrupted, self.schema, self.norm_stats_, epoch)
             epoch_loss = 0.0
             for rows in _batches(n, cfg.batch_size, batch_rng, min_size=1):
@@ -278,23 +266,13 @@ class DaeImputer(_DeepImputer):
         target_norm = normalize(target, self.params_).values
         pre, _, _ = knn_fill(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
         out_raw, _ = self.net_.forward(pre, train=False)
-        out = _map_outputs(out_raw, self.schema.categorical_indices)
-        num_idx = self.schema.numerical_indices
-        out[:, num_idx] = np.clip(out[:, num_idx], 0.0, 1.0)
-        filled_raw = denorm_grid(out, self.params_)
-        return _finish(target, filled_raw, out, self.params_)
+        return self._result(target, out_raw)
 
 
 class GainImputer(_DeepImputer):
     """Adversarial imputer (variants gain and igain)."""
 
-    def __init__(self, schema: Schema, seed: int = 0, config: GainConfig | None = None, **overrides):
-        super().__init__(schema, seed)
-        config = config or GainConfig()
-        if overrides:
-            config = replace(config, **overrides)
-        self.config = config
-        self.name = config.variant
+    config_type = GainConfig
 
     def _build_networks(self, c: int):
         bn = self.config.variant == "igain"
@@ -340,7 +318,8 @@ class GainImputer(_DeepImputer):
         filled_all = mask_all = None
         for epoch in range(cfg.epochs):
             if cfg.variant == "igain" and epoch % cfg.rotation.period == 0:
-                corrupted, mask_all = _exact_corrupt(clean, cfg.corruption_rate, corrupt_rng)
+                corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
+                mask_all = (~np.isnan(corrupted)).astype(float)
                 filled_all = rotator.preimpute(
                     corrupted, self.schema, self.norm_stats_, epoch
                 )
@@ -418,8 +397,4 @@ class GainImputer(_DeepImputer):
                 self.norm_stats_,
             )
         out_raw, _ = self.gen_.forward(np.concatenate([pre, mask], axis=1), train=False)
-        out = _map_outputs(out_raw, self.schema.categorical_indices)
-        num_idx = self.schema.numerical_indices
-        out[:, num_idx] = np.clip(out[:, num_idx], 0.0, 1.0)
-        filled_raw = denorm_grid(out, self.params_)
-        return _finish(target, filled_raw, out, self.params_)
+        return self._result(target, out_raw)

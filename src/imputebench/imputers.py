@@ -19,6 +19,8 @@ from .tabular import (
     NormParams,
     Schema,
     clip_to_fitted,
+    combine_imputed,
+    denormalize,
     fit_normalizer,
     normalize,
 )
@@ -64,37 +66,23 @@ class Imputer:
 
 
 def _finish(
-    target: MixedTable,
-    filled: np.ndarray,
-    cat_scores: np.ndarray,
-    params: NormParams | None = None,
+    target: MixedTable, filled: np.ndarray, cat_scores: np.ndarray, params: NormParams
 ) -> ImputationResult:
-    """Assemble an ImputationResult from a filled value grid.
+    """Assemble an ImputationResult from a filled value grid in data units.
 
-    Observed cells are restored from the target verbatim; categorical
-    cells are re-thresholded from the score grid so hard value and score
-    always agree (score >= 0.5 maps to 1). Numerical cells are clipped to
-    the fitted range when normalization params are supplied.
+    Categorical cells are re-thresholded from the score grid so hard value
+    and score always agree (score >= 0.5 maps to 1); numerical cells are
+    clipped to the fitted range. Observed cells are then restored from the
+    target verbatim, so clipping never alters them.
     """
-    schema = target.schema
     mask = target.mask()
-    cat = schema.categorical_indices
+    cat = target.schema.categorical_indices
+    filled = filled.copy()
+    filled[:, cat] = cat_scores[:, cat] >= 0.5
     scores = np.full_like(filled, np.nan)
-    if cat.size:
-        filled[:, cat] = (cat_scores[:, cat] >= 0.5).astype(float)
-        scores[:, cat] = cat_scores[:, cat]
-    if params is not None:
-        # clip imputed numerical values to the fitted range; observed cells
-        # are merged afterwards and therefore never altered
-        filled = clip_to_fitted(MixedTable(schema, filled), params).values
-    values = np.where(mask == 1, target.values, filled)
-    if cat.size:
-        scores[:, cat] = np.where(
-            mask[:, cat] == 1, target.values[:, cat], scores[:, cat]
-        )
-    if np.isnan(values).any():
-        raise ValueError("imputation left missing cells")
-    return ImputationResult(MixedTable(schema, values), scores)
+    scores[:, cat] = np.where(mask[:, cat] == 1, target.values[:, cat], cat_scores[:, cat])
+    clipped = clip_to_fitted(MixedTable(target.schema, filled), params)
+    return ImputationResult(combine_imputed(target, mask, clipped), scores)
 
 
 @dataclass(frozen=True)
@@ -102,10 +90,7 @@ class ColumnStats:
     """Training-column fallbacks: means, modes, and positive fractions."""
 
     mean: np.ndarray  # per column (categoricals included, as positive fraction)
-    mode: np.ndarray
-
-    def fill_value(self, j: int, categorical: bool) -> float:
-        return self.mode[j] if categorical else self.mean[j]
+    mode: np.ndarray  # fill value: the mode for categoricals, the mean otherwise
 
 
 def column_stats(values: np.ndarray, schema: Schema) -> ColumnStats:
@@ -199,7 +184,7 @@ def knn_fill(
         for j in missing:
             candidates = order[obs_train[order, j] & np.isfinite(dist[order])]
             if candidates.size == 0:
-                value = stats.fill_value(j, j in cat)
+                value = stats.mode[j]
                 score = stats.mean[j]
                 fallbacks += 1
             else:
@@ -215,15 +200,6 @@ def knn_fill(
             if j in cat:
                 cat_scores[i, j] = score
     return filled, cat_scores, fallbacks
-
-
-def denorm_grid(grid: np.ndarray, params: NormParams) -> np.ndarray:
-    """Undo min-max scaling on a plain value grid (numerical columns only)."""
-    out = grid.copy()
-    idx = params.numerical_indices
-    out[:, idx] = out[:, idx] * params.span + params.col_min
-    out[:, idx[params.constant]] = params.col_min[params.constant]
-    return out
 
 
 class KnnImputer(Imputer):
@@ -249,7 +225,7 @@ class KnnImputer(Imputer):
         filled, cat_scores, self.last_fallbacks_ = knn_fill(
             self.train_norm_, target_norm, self.k, self.schema, self.norm_stats_
         )
-        filled_raw = denorm_grid(filled, self.params_)
+        filled_raw = denormalize(MixedTable(self.schema, filled), self.params_).values
         return _finish(target, filled_raw, cat_scores, self.params_)
 
 
@@ -290,8 +266,7 @@ class MissForestImputer(Imputer):
         )
 
     def _config_for(self, j: int):
-        cat = set(self.schema.categorical_indices.tolist())
-        return self.cls_config if j in cat else self.reg_config
+        return self.cls_config if j in self.schema.categorical_indices else self.reg_config
 
     def _fit_column_forest(self, values: np.ndarray, observed_rows, j: int, tag):
         other = np.delete(np.arange(values.shape[1]), j)
@@ -341,9 +316,8 @@ class MissForestImputer(Imputer):
         cat = self.schema.categorical_indices
         # initial fill from training statistics; constant scores to match
         for j in range(values.shape[1]):
-            fill = self.stats_.fill_value(j, j in set(cat.tolist()))
-            values[~observed[:, j], j] = fill
-            if j in set(cat.tolist()):
+            values[~observed[:, j], j] = self.stats_.mode[j]
+            if j in cat:
                 self._scores[~observed[:, j], j] = self.stats_.mean[j]
         missing_counts = (~observed).sum(axis=0)
         columns = [j for j in np.argsort(missing_counts, kind="stable") if missing_counts[j] > 0]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy.stats import rankdata
 
@@ -98,16 +96,6 @@ def categorical_auroc(
     else:
         value = auroc(np.concatenate(pooled_scores), np.concatenate(pooled_labels))
     return value, per_column
-
-
-def safe_categorical_auroc(truth, scores, mask, average="macro") -> float:
-    """Aggregate-reporter variant: substitutes 0.5 when undefined."""
-    try:
-        value, _ = categorical_auroc(truth, scores, mask, average)
-        return value
-    except UndefinedMetricError as exc:
-        warnings.warn(f"AUROC undefined ({exc}); reporting 0.5", stacklevel=2)
-        return 0.5
 
 
 def f1(predictions, labels) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 from .seeding import make_rng
 from .tabular import MixedTable
 
-__all__ = ["MissSpec", "FoldAssignment", "inject_mcar", "assign_folds"]
+__all__ = ["MissSpec", "FoldAssignment", "drop_cells", "inject_mcar", "assign_folds"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,22 @@ class FoldAssignment:
         return np.flatnonzero(self.assignment != fold)
 
 
+def drop_cells(values: np.ndarray, rate: float, rng: np.random.Generator, skip=()):
+    """Copy of `values` with exactly round(rate * n_rows) cells per column set to NaN.
+
+    Each column draws its rows uniformly without replacement from `rng`, in
+    column order; column positions in `skip` are left untouched and draw
+    nothing, so the stream depends only on the shape, rate and skip set.
+    """
+    n = values.shape[0]
+    count = int(round(rate * n))
+    out = values.copy()
+    for j in range(values.shape[1]):
+        if j not in skip:
+            out[rng.choice(n, size=count, replace=False), j] = np.nan
+    return out
+
+
 def inject_mcar(
     table: MixedTable, spec: MissSpec, exclude=()
 ) -> tuple[MixedTable, np.ndarray]:
@@ -49,19 +65,10 @@ def inject_mcar(
     """
     if not table.is_complete:
         raise ValueError("inject_mcar requires a complete table")
-    n = table.n_rows
-    count = int(round(spec.rate * n))
-    rng = make_rng(spec.seed, "mcar")
     skip = {table.schema.index_of(name) for name in exclude}
-    values = table.values.copy()
-    mask = np.ones_like(values, dtype=np.int8)
-    for j in range(table.n_cols):
-        if j in skip:
-            continue
-        rows = rng.choice(n, size=count, replace=False)
-        values[rows, j] = np.nan
-        mask[rows, j] = 0
-    return table.with_values(values), mask
+    values = drop_cells(table.values, spec.rate, make_rng(spec.seed, "mcar"), skip)
+    corrupted = table.with_values(values)
+    return corrupted, corrupted.mask()
 
 
 def assign_folds(n_rows: int, k: int, seed: int) -> FoldAssignment:

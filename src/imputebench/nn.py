@@ -8,7 +8,6 @@ adversarial imputers.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,14 +21,10 @@ __all__ = [
     "Adam",
     "MixedLossSpec",
     "mixed_loss",
-    "save_network",
-    "load_network",
 ]
 
 BN_EPS = 1e-8
 CLAMP_EPS = 1e-7
-
-SERIALIZATION_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -285,34 +280,3 @@ def mixed_loss(pred: np.ndarray, target: np.ndarray, spec: MixedLossSpec):
                 inside, wc * (p - t) / (p * (1.0 - p)) / total, 0.0
             )
     return float(loss), grad
-
-
-def save_network(net: Network, path) -> None:
-    """Flat versioned dump sufficient to reproduce inference bit-for-bit."""
-    header = {
-        "version": SERIALIZATION_VERSION,
-        "input_width": net.input_width,
-        "bn_momentum": net.bn_momentum,
-        "specs": [
-            {"width": s.width, "activation": s.activation, "batch_norm": s.batch_norm}
-            for s in net.specs
-        ],
-    }
-    arrays = {"__header__": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-    for i, layer in enumerate(net.layers):
-        for key, value in layer.items():
-            arrays[f"layer{i}.{key}"] = value
-    np.savez(path, **arrays)
-
-
-def load_network(path) -> Network:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["__header__"]).decode())
-        if header["version"] != SERIALIZATION_VERSION:
-            raise ValueError(f"unsupported network dump version {header['version']}")
-        specs = [LayerSpec(**s) for s in header["specs"]]
-        net = Network(header["input_width"], specs, bn_momentum=header["bn_momentum"])
-        for i, layer in enumerate(net.layers):
-            for key in list(layer):
-                layer[key] = data[f"layer{i}.{key}"].copy()
-    return net

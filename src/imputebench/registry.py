@@ -2,35 +2,21 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from .deep_imputers import DaeConfig, DaeImputer, GainConfig, GainImputer
 from .imputers import Imputer, KnnImputer, MissForestImputer, SimpleImputer
 from .tabular import Schema
 
 __all__ = ["METHOD_NAMES", "make_imputer", "register_imputer"]
 
-
-def _dae(variant):
-    def factory(schema, seed, **overrides):
-        return DaeImputer(schema, seed, DaeConfig(variant=variant), **overrides)
-
-    return factory
-
-
-def _gain(variant):
-    def factory(schema, seed, **overrides):
-        return GainImputer(schema, seed, GainConfig(variant=variant), **overrides)
-
-    return factory
-
-
+# name -> factory(schema, seed, **overrides)
 _FACTORIES = {
-    "simple": lambda schema, seed, **kw: SimpleImputer(schema, seed, **kw),
-    "knn": lambda schema, seed, **kw: KnnImputer(schema, seed, **kw),
-    "missforest": lambda schema, seed, **kw: MissForestImputer(schema, seed, **kw),
-    "naa": _dae("naa"),
-    "inaa": _dae("inaa"),
-    "gain": _gain("gain"),
-    "igain": _gain("igain"),
+    "simple": SimpleImputer,
+    "knn": KnnImputer,
+    "missforest": MissForestImputer,
+    **{v: partial(DaeImputer, config=DaeConfig(variant=v)) for v in ("naa", "inaa")},
+    **{v: partial(GainImputer, config=GainConfig(variant=v)) for v in ("gain", "igain")},
 }
 
 METHOD_NAMES = tuple(_FACTORIES)

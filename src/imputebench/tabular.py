@@ -60,8 +60,18 @@ class Column:
     kind: ColumnKind
 
 
+def _kind_indices(columns, kind: ColumnKind) -> np.ndarray:
+    """Read-only positions of the columns of one kind."""
+    idx = np.array([i for i, c in enumerate(columns) if c.kind is kind], dtype=int)
+    idx.flags.writeable = False
+    return idx
+
+
 class Schema:
-    """Ordered column declarations plus an optional binary label column."""
+    """Ordered column declarations plus an optional binary label column.
+
+    `numerical_indices` and `categorical_indices` are built once, read-only.
+    """
 
     def __init__(self, columns, label: str | None = None):
         columns = tuple(columns)
@@ -74,6 +84,8 @@ class Schema:
             raise SchemaError(f"label column {label!r} not in schema")
         self.columns = columns
         self.label = label
+        self.numerical_indices = _kind_indices(columns, ColumnKind.NUMERICAL)
+        self.categorical_indices = _kind_indices(columns, ColumnKind.CATEGORICAL_BINARY)
 
     @property
     def names(self) -> list[str]:
@@ -88,20 +100,6 @@ class Schema:
             if c.name == name:
                 return i
         raise SchemaError(f"no column named {name!r}")
-
-    @property
-    def numerical_indices(self) -> np.ndarray:
-        return np.array(
-            [i for i, c in enumerate(self.columns) if c.kind is ColumnKind.NUMERICAL],
-            dtype=int,
-        )
-
-    @property
-    def categorical_indices(self) -> np.ndarray:
-        return np.array(
-            [i for i, c in enumerate(self.columns) if c.kind is ColumnKind.CATEGORICAL_BINARY],
-            dtype=int,
-        )
 
     @property
     def label_index(self) -> int | None:
@@ -254,7 +252,8 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
 
     The header must contain every schema column (order-insensitive; extra
     columns are ignored). Empty fields, or the configured missing token,
-    denote missing cells.
+    denote missing cells; any other field must be a finite number, so a
+    literal `nan` or `inf` is a ParseError rather than a silent value.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -279,10 +278,12 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
                 try:
                     out[j] = float(field)
                 except ValueError:
+                    out[j] = np.nan
+                if not np.isfinite(out[j]):
                     raise ParseError(
-                        f"{path}: row {r + 1}, column "
-                        f"{schema.columns[j].name!r}: cannot parse {field!r}"
-                    ) from None
+                        f"{path}: row {r + 1}, column {schema.columns[j].name!r}: "
+                        f"cannot parse {field!r} as a finite number"
+                    )
             rows.append(out)
     values = np.array(rows).reshape(len(rows), schema.n_cols)
     return MixedTable(schema, values)

@@ -76,6 +76,18 @@ def test_config_validation():
         ExperimentConfig(methods=["simple"], folds=1)
     with pytest.raises(ValueError):
         ExperimentConfig(methods=["simple"], rates=(0.0,))
+    bad_fields = [
+        {"auroc_average": "weighted"},
+        {"post_rate": 0.0},
+        {"post_rate": 1.0},
+        {"forest_trees": 0},
+        {"smote_k": 0},
+        {"rates": ()},
+        {"forest_max_depth": 0},
+    ]
+    for bad in bad_fields:
+        with pytest.raises(ValueError):
+            ExperimentConfig(methods=["simple"], **bad)
     cfg = ExperimentConfig(methods=["nope"], repeats=1)
     t = generate_synthetic(SyntheticSpec(mixed_schema(2, 1), identity_corr(3)), 30, seed=5)
     with pytest.raises(ValueError, match="unknown"):

@@ -282,6 +282,21 @@ def test_contract_incomplete_training_fold(name):
     assert not np.isnan(result.table.values).any()
 
 
+@pytest.mark.parametrize("name", ["knn", "naa", "gain"])
+def test_constant_training_column_imputes_its_value(name):
+    # methods that denormalize a normalized grid must map a constant
+    # column back to exactly its single training value
+    schema = mixed_schema(2, 1)
+    train_values = random_table(schema, 30, seed=85).values.copy()
+    train_values[:, 1] = 7.25
+    train = MixedTable(schema, train_values)
+    corrupted, mask = inject_mcar(random_table(schema, 12, seed=86), MissSpec(0.3, 8))
+    result = build(name, schema, seed=2).fit(train).impute(corrupted)
+    holes = mask[:, 1] == 0
+    assert holes.any()
+    assert np.all(result.table.values[holes, 1] == 7.25)
+
+
 def test_schema_mismatch_rejected():
     schema = mixed_schema(2, 1)
     other = mixed_schema(3, 1)

@@ -6,9 +6,7 @@ from imputebench.nn import (
     LayerSpec,
     MixedLossSpec,
     Network,
-    load_network,
     mixed_loss,
-    save_network,
 )
 
 from conftest import make_rng
@@ -242,15 +240,3 @@ def test_mixed_loss_finite_differences(seed):
             worst = max(worst, rel_err(grad[i, j], (lp - lm) / (2 * h)))
     assert worst < 1e-4
 
-
-def test_network_serialization_round_trip(tmp_path):
-    rng = make_rng(77)
-    net = Network(3, [LayerSpec(4, "relu", batch_norm=True), LayerSpec(2, "sigmoid")], seed=8)
-    X = rng.uniform(-1, 1, size=(10, 3))
-    net.forward(X, train=True)
-    path = tmp_path / "net.npz"
-    save_network(net, path)
-    loaded = load_network(path)
-    a, _ = net.forward(X, train=False)
-    b, _ = loaded.forward(X, train=False)
-    assert np.array_equal(a, b)

@@ -29,6 +29,11 @@ def test_framingham_schema_shape():
     assert FRAMINGHAM_SCHEMA.numerical_indices.size == 8
     assert FRAMINGHAM_SCHEMA.categorical_indices.size == 7
     assert FRAMINGHAM_SCHEMA.label == "CVD"
+    # built once and shared, so callers must not be able to mutate them
+    assert FRAMINGHAM_SCHEMA.numerical_indices is FRAMINGHAM_SCHEMA.numerical_indices
+    for idx in (FRAMINGHAM_SCHEMA.numerical_indices, FRAMINGHAM_SCHEMA.categorical_indices):
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = 99
 
 
 def test_schema_rejects_duplicates_and_empty():
@@ -76,6 +81,14 @@ def test_load_csv_errors(tmp_path):
     missing_col.write_text("Glucose\n100\n")
     with pytest.raises(SchemaError, match="Sex"):
         load_csv(missing_col, schema)
+    # a non-finite literal is neither a missing cell nor a value
+    for field in ("nan", "inf", "-inf"):
+        non_finite = tmp_path / f"{field}.csv"
+        non_finite.write_text(f"Glucose,Sex\n100,1\n{field},0\n")
+        with pytest.raises(ParseError, match="row 2, column 'Glucose'"):
+            load_csv(non_finite, schema)
+    # unless it is the declared missing token
+    assert np.isnan(load_csv(tmp_path / "nan.csv", schema, missing_token="nan").values[1, 0])
 
 
 def test_csv_round_trip(tmp_path):
