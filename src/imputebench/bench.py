@@ -185,7 +185,8 @@ def _group_stats(records, metrics) -> list:
     """Run count plus mean/std of each metric per (method, rate).
 
     Groups appear in first-seen order and keep their records' order, so the
-    float reductions match a plain filter over the record list.
+    float reductions match a plain filter over the record list. A metric
+    reduces over its defined (non-NaN) values; with none it is NaN.
     """
     groups = {}
     for rec in records:
@@ -195,14 +196,24 @@ def _group_stats(records, metrics) -> list:
         row = {"method": method, "rate": rate, "n_runs": len(sel)}
         for metric in metrics:
             values = np.array([getattr(r, metric) for r in sel])
-            row[f"{metric}_mean"] = float(values.mean())
-            row[f"{metric}_std"] = float(values.std())
+            values = values[~np.isnan(values)]
+            row[f"{metric}_mean"] = float(values.mean()) if values.size else np.nan
+            row[f"{metric}_std"] = float(values.std()) if values.size else np.nan
         rows.append(row)
     return rows
 
 
 # ---------------------------------------------------------------------------
 # imputation experiment
+
+
+def _defined_or_nan(name, metric, *args) -> float:
+    """`metric(*args)`, or NaN with a warning where the metric is undefined."""
+    try:
+        return metric(*args)
+    except UndefinedMetricError as exc:
+        warnings.warn(f"{name} undefined ({exc}); recorded as NaN")
+        return np.nan
 
 
 def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> MetricsReport:
@@ -232,14 +243,14 @@ def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> Me
                     )
                     imputer.fit(train_tbl)
                     result = imputer.impute(test_tbl)
-                    rmse = normalized_rmse(truth_test, result.table, mask_test, params)
-                    try:
-                        auroc_value, _ = categorical_auroc(
-                            truth_test, result.scores, mask_test, config.auroc_average
-                        )
-                    except UndefinedMetricError as exc:
-                        warnings.warn(f"AUROC undefined ({exc}); reporting 0.5")
-                        auroc_value = 0.5
+                    rmse = _defined_or_nan(
+                        "nRMSE", normalized_rmse, truth_test, result.table, mask_test, params
+                    )
+                    auroc_value = _defined_or_nan(
+                        "AUROC",
+                        lambda *a: categorical_auroc(*a)[0],
+                        truth_test, result.scores, mask_test, config.auroc_average,
+                    )
                     records.append(
                         RunRecord(method, rate, repeat, fold, rmse, auroc_value)
                     )

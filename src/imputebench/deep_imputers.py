@@ -63,14 +63,12 @@ class RotationSchedule:
 
 
 class RotatingPreimputer:
-    """Caches the pre-imputed training matrix between rotation epochs."""
+    """KNN self-imputation with a k drawn anew on each call (see `RotationSchedule`)."""
 
     def __init__(self, schedule: RotationSchedule, seed: int):
         self.schedule = schedule
         self._rng = make_rng(seed, "rotate-k")
         self.used_ks: list[int] = []
-        self._cache_period = None
-        self._cache = None
         self.n_knn_calls = 0
 
     def _next_k(self) -> int:
@@ -86,20 +84,12 @@ class RotatingPreimputer:
         self.used_ks.append(k)
         return k
 
-    def preimpute(self, corrupted_norm: np.ndarray, schema: Schema, stats, epoch: int):
-        """KNN self-imputation of the corrupted matrix for this epoch.
-
-        A new k is drawn and the KNN run recomputed only at rotation
-        boundaries; in between the cached fill is returned unchanged.
-        """
-        period = epoch // self.schedule.period
-        if self._cache is None or period != self._cache_period:
-            k = self._next_k()
-            filled, _, _ = knn_fill(corrupted_norm, corrupted_norm, k, schema, stats)
-            self._cache = filled
-            self._cache_period = period
-            self.n_knn_calls += 1
-        return self._cache
+    def preimpute(self, corrupted_norm: np.ndarray, schema: Schema, stats):
+        """KNN self-imputation of the corrupted matrix; one call per rotation period."""
+        k = self._next_k()
+        filled, _, _ = knn_fill(corrupted_norm, corrupted_norm, k, schema, stats)
+        self.n_knn_calls += 1
+        return filled
 
 
 def make_hint(mask: np.ndarray, hint_rate: float, rng: np.random.Generator):
@@ -116,8 +106,11 @@ def make_hint(mask: np.ndarray, hint_rate: float, rng: np.random.Generator):
 
 
 @dataclass(frozen=True)
-class DaeConfig:
-    variant: str = "inaa"  # naa | inaa
+class _DeepConfig:
+    """Training settings shared by the DAE and GAIN families."""
+
+    variants = ()  # the accepted `variant` names, per family
+    variant: str = ""
     epochs: int = 200
     batch_size: int = 128
     corruption_rate: float = 0.2
@@ -125,26 +118,29 @@ class DaeConfig:
     rotation: RotationSchedule = field(default_factory=RotationSchedule)
 
     def __post_init__(self):
-        if self.variant not in ("naa", "inaa"):
-            raise ValueError(f"unknown DAE variant {self.variant!r}")
+        if self.variant not in self.variants:
+            raise ValueError(f"unknown variant {self.variant!r}, expected one of {self.variants}")
         if not 0.0 < self.corruption_rate < 1.0:
             raise ValueError("corruption_rate must be in (0, 1)")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
-class GainConfig:
-    variant: str = "igain"  # gain | igain
-    epochs: int = 200
-    batch_size: int = 128
-    corruption_rate: float = 0.2
+class DaeConfig(_DeepConfig):
+    variants = ("naa", "inaa")
+    variant: str = "inaa"
+
+
+@dataclass(frozen=True)
+class GainConfig(_DeepConfig):
+    variants = ("gain", "igain")
+    variant: str = "igain"
     hint_rate: float = 0.9
     alpha: float = 10.0
-    learning_rate: float = 1e-3
-    rotation: RotationSchedule = field(default_factory=RotationSchedule)
 
     def __post_init__(self):
-        if self.variant not in ("gain", "igain"):
-            raise ValueError(f"unknown GAIN variant {self.variant!r}")
+        super().__post_init__()
         if not 0.0 < self.hint_rate <= 1.0:
             raise ValueError("hint_rate must be in (0, 1]")
         if self.alpha < 0:
@@ -246,7 +242,7 @@ class DaeImputer(_DeepImputer):
                     pre, _, _ = knn_fill(corrupted, corrupted, 5, self.schema, self.norm_stats_)
             elif epoch % cfg.rotation.period == 0:
                 corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
-                pre = rotator.preimpute(corrupted, self.schema, self.norm_stats_, epoch)
+                pre = rotator.preimpute(corrupted, self.schema, self.norm_stats_)
             epoch_loss = 0.0
             for rows in _batches(n, cfg.batch_size, batch_rng, min_size=1):
                 out_raw, cache = self.net_.forward(pre[rows], train=True)
@@ -275,7 +271,6 @@ class GainImputer(_DeepImputer):
     config_type = GainConfig
 
     def _build_networks(self, c: int):
-        bn = self.config.variant == "igain"
         if self.config.variant == "gain":
             # 3 equal-width dense layers in both networks
             gen_specs = [
@@ -292,10 +287,10 @@ class GainImputer(_DeepImputer):
             # 5-layer undercomplete generator; discriminator mirrors the depth
             widths = [c, max(1, c // 2), max(1, c // 4), max(1, c // 2), c]
             gen_specs = [
-                LayerSpec(w, "relu", batch_norm=bn) for w in widths[:-1]
+                LayerSpec(w, "relu", batch_norm=True) for w in widths[:-1]
             ] + [LayerSpec(widths[-1], "linear")]
             disc_specs = [
-                LayerSpec(w, "relu", batch_norm=bn) for w in widths[:-1]
+                LayerSpec(w, "relu", batch_norm=True) for w in widths[:-1]
             ] + [LayerSpec(widths[-1], "sigmoid")]
         gen = Network(2 * c, gen_specs, seed=derive_seed(self.seed, "gen"))
         disc = Network(2 * c, disc_specs, seed=derive_seed(self.seed, "disc"))
@@ -320,9 +315,7 @@ class GainImputer(_DeepImputer):
             if cfg.variant == "igain" and epoch % cfg.rotation.period == 0:
                 corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
                 mask_all = (~np.isnan(corrupted)).astype(float)
-                filled_all = rotator.preimpute(
-                    corrupted, self.schema, self.norm_stats_, epoch
-                )
+                filled_all = rotator.preimpute(corrupted, self.schema, self.norm_stats_)
             for rows in _batches(n, cfg.batch_size, batch_rng):
                 target_batch = clean[rows]
                 if cfg.variant == "gain":

@@ -21,6 +21,7 @@ REGRESSION = "regression"
 CLASSIFICATION = "classification"
 
 _MIN_GAIN = 1e-12
+_MIN_SAMPLES_SPLIT = 2
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,11 @@ class TreeConfig:
 
     task: str = REGRESSION
     max_depth: int | None = None
-    min_samples_split: int = 2
     n_features_per_split: int | str = "all"  # "all", "sqrt", or a count
 
     def __post_init__(self):
         if self.task not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
 
     def features_per_split(self, n_features: int) -> int:
         rule = self.n_features_per_split
@@ -123,7 +121,7 @@ def _grow(X, y, config: TreeConfig, rng, depth: int) -> _Node:
     leaf_value = float(np.mean(y))
     n = y.size
     if (
-        n < config.min_samples_split
+        n < _MIN_SAMPLES_SPLIT
         or (config.max_depth is not None and depth >= config.max_depth)
         or np.all(y == y[0])
     ):

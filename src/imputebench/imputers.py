@@ -18,7 +18,6 @@ from .tabular import (
     MixedTable,
     NormParams,
     Schema,
-    clip_to_fitted,
     combine_imputed,
     denormalize,
     fit_normalizer,
@@ -77,12 +76,14 @@ def _finish(
     """
     mask = target.mask()
     cat = target.schema.categorical_indices
+    num = params.numerical_indices
     filled = filled.copy()
     filled[:, cat] = cat_scores[:, cat] >= 0.5
+    filled[:, num] = np.clip(filled[:, num], params.col_min, params.col_max)
     scores = np.full_like(filled, np.nan)
     scores[:, cat] = np.where(mask[:, cat] == 1, target.values[:, cat], cat_scores[:, cat])
-    clipped = clip_to_fitted(MixedTable(target.schema, filled), params)
-    return ImputationResult(combine_imputed(target, mask, clipped), scores)
+    imputed = MixedTable(target.schema, filled)
+    return ImputationResult(combine_imputed(target, mask, imputed), scores)
 
 
 @dataclass(frozen=True)
@@ -383,45 +384,18 @@ class MissForestImputer(Imputer):
         super().__init__(schema, seed)
         self.n_trees = n_trees
         self.max_iter = max_iter
-        self.reg_config = rf.TreeConfig(
-            task=rf.REGRESSION,
-            max_depth=max_depth,
-            n_features_per_split=n_features_per_split,
+        self.reg_config, self.cls_config = (
+            rf.TreeConfig(task=task, max_depth=max_depth, n_features_per_split=n_features_per_split)
+            for task in (rf.REGRESSION, rf.CLASSIFICATION)
         )
-        self.cls_config = rf.TreeConfig(
-            task=rf.CLASSIFICATION,
-            max_depth=max_depth,
-            n_features_per_split=n_features_per_split,
-        )
-
-    def _config_for(self, j: int):
-        return self.cls_config if j in self.schema.categorical_indices else self.reg_config
 
     def _fit_column_forest(self, values: np.ndarray, observed_rows, j: int, tag):
         other = np.delete(np.arange(values.shape[1]), j)
         X = values[np.ix_(observed_rows, other)]
         y = values[observed_rows, j]
         seed = derive_seed(self.seed, "missforest", tag, j)
-        return rf.fit_forest(X, y, self._config_for(j), self.n_trees, seed), other
-
-    def _sweep(self, values, observed, columns, forests=None, tag="fit"):
-        """One pass over incomplete columns; returns (values, forests used)."""
-        used = {}
-        for j in columns:
-            missing_rows = np.flatnonzero(~observed[:, j])
-            if forests is None:
-                model, other = self._fit_column_forest(
-                    values, np.flatnonzero(observed[:, j]), j, tag
-                )
-            else:
-                model, other = forests[j]
-            used[j] = (model, other)
-            pred = rf.predict_forest(model, values[np.ix_(missing_rows, other)])
-            if self._config_for(j) is self.cls_config:
-                self._scores[missing_rows, j] = pred
-                pred = (pred >= 0.5).astype(float)
-            values[missing_rows, j] = pred
-        return values, used
+        config = self.cls_config if j in self.schema.categorical_indices else self.reg_config
+        return rf.fit_forest(X, y, config, self.n_trees, seed), other
 
     def _deltas(self, new, old, observed):
         num = self.schema.numerical_indices
@@ -439,36 +413,38 @@ class MissForestImputer(Imputer):
         return d_num, d_cat
 
     def _iterate(self, target: MixedTable, forests, tag):
-        values = target.values.copy()
-        observed = ~np.isnan(values)
-        self._scores = np.full_like(values, np.nan)
-        cat = self.schema.categorical_indices
+        """Sweep until the stop rule fires; returns (values, class-1 scores)."""
+        observed = ~np.isnan(target.values)
+        is_cat = np.isin(np.arange(target.n_cols), self.schema.categorical_indices)
         # initial fill from training statistics; constant scores to match
-        for j in range(values.shape[1]):
-            values[~observed[:, j], j] = self.stats_.mode[j]
-            if j in cat:
-                self._scores[~observed[:, j], j] = self.stats_.mean[j]
+        values = np.where(observed, target.values, self.stats_.mode)
+        scores = np.where(~observed & is_cat, self.stats_.mean, np.nan)
         missing_counts = (~observed).sum(axis=0)
         columns = [j for j in np.argsort(missing_counts, kind="stable") if missing_counts[j] > 0]
-        if not columns:
-            return values, self._scores
         prev_d = (None, None)
         for it in range(self.max_iter):
-            before = values.copy()
-            before_scores = self._scores.copy()
-            values, _ = self._sweep(values, observed, columns, forests, f"{tag}{it}")
-            d_num, d_cat = self._deltas(values, before, observed)
-            num_up = prev_d[0] is not None and d_num is not None and d_num > prev_d[0]
-            cat_up = prev_d[1] is not None and d_cat is not None and d_cat > prev_d[1]
-            available = [x is not None for x in (d_num, d_cat)]
-            increased = [
-                up for up, avail in zip((num_up, cat_up), available) if avail
-            ]
-            if increased and all(increased):
+            before, before_scores = values.copy(), scores.copy()
+            for j in columns:
+                missing_rows = np.flatnonzero(~observed[:, j])
+                if forests is None:
+                    model, other = self._fit_column_forest(
+                        values, np.flatnonzero(observed[:, j]), j, f"{tag}{it}"
+                    )
+                else:
+                    model, other = forests[j]
+                pred = rf.predict_forest(model, values[np.ix_(missing_rows, other)])
+                if is_cat[j]:
+                    scores[missing_rows, j] = pred
+                    pred = (pred >= 0.5).astype(float)
+                values[missing_rows, j] = pred
+            d = self._deltas(values, before, observed)
+            # stop once every variable type with missing cells got worse
+            available = [(new, old) for new, old in zip(d, prev_d) if new is not None]
+            if available and all(old is not None and new > old for new, old in available):
                 # divergence: keep the iterate from before this sweep
                 return before, before_scores
-            prev_d = (d_num, d_cat)
-        return values, self._scores
+            prev_d = d
+        return values, scores
 
     def fit(self, train: MixedTable) -> "MissForestImputer":
         self._check_schema(train)
@@ -477,12 +453,10 @@ class MissForestImputer(Imputer):
         converged, _ = self._iterate(train, forests=None, tag="fit")
         # final forests for every column, trained on the converged iterate
         observed = ~np.isnan(train.values)
-        self.forests_ = {}
-        for j in range(train.n_cols):
-            rows = np.flatnonzero(observed[:, j])
-            complete = converged.copy()
-            complete[rows, j] = train.values[rows, j]
-            self.forests_[j] = self._fit_column_forest(complete, rows, j, "final")
+        self.forests_ = {
+            j: self._fit_column_forest(converged, np.flatnonzero(observed[:, j]), j, "final")
+            for j in range(train.n_cols)
+        }
         return self
 
     def impute(self, target: MixedTable) -> ImputationResult:

@@ -24,7 +24,11 @@ __all__ = [
 ]
 
 BN_EPS = 1e-8
+BN_MOMENTUM = 0.9
 CLAMP_EPS = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,9 @@ def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 class Network:
     """Stack of dense layers with optional per-layer batch normalization."""
 
-    def __init__(self, input_width: int, specs, seed: int = 0, bn_momentum: float = 0.9):
+    def __init__(self, input_width: int, specs, seed: int = 0):
         self.input_width = input_width
         self.specs = list(specs)
-        self.bn_momentum = bn_momentum
         self.layers = []
         rng = make_rng(seed, "init")
         fan_in = input_width
@@ -117,7 +120,7 @@ class Network:
                 if train:
                     mu = z.mean(axis=0)
                     var = z.var(axis=0)
-                    m = self.bn_momentum
+                    m = BN_MOMENTUM
                     layer["running_mean"] = m * layer["running_mean"] + (1 - m) * mu
                     layer["running_var"] = m * layer["running_var"] + (1 - m) * var
                 else:
@@ -185,12 +188,9 @@ class Network:
 class Adam:
     """Adam with bias correction over a network's parameter structure."""
 
-    def __init__(self, net: Network, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net: Network, lr=1e-3):
         self.net = net
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         params = net.parameters()
         self.m = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
@@ -199,7 +199,7 @@ class Adam:
     def step(self, grads):
         params = self.net.parameters()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
@@ -213,7 +213,7 @@ class Adam:
                 v[key] = b2 * v[key] + (1 - b2) * gk**2
                 m_hat = m[key] / correction1
                 v_hat = v[key] / correction2
-                value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         self.net.mark_updated()
 
 

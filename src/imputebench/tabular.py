@@ -33,7 +33,6 @@ __all__ = [
     "normalize",
     "denormalize",
     "combine_imputed",
-    "clip_to_fitted",
 ]
 
 
@@ -344,14 +343,6 @@ def denormalize(table: MixedTable, params: NormParams) -> MixedTable:
         np.nan,
         params.col_min[params.constant],
     )
-    return table.with_values(values)
-
-
-def clip_to_fitted(table: MixedTable, params: NormParams) -> MixedTable:
-    """Clip numerical cells to the fitted [min, max] range (data units)."""
-    values = table.values.copy()
-    idx = params.numerical_indices
-    values[:, idx] = np.clip(values[:, idx], params.col_min, params.col_max)
     return table.with_values(values)
 
 

@@ -4,6 +4,7 @@ import pytest
 from imputebench.bench import (
     ExperimentConfig,
     MetricsReport,
+    RunRecord,
     SyntheticSpec,
     emit_report,
     generate_synthetic,
@@ -121,6 +122,43 @@ def test_run_counts_and_aggregate_arithmetic():
         assert row["rmse_mean"] == pytest.approx(np.mean([r.rmse for r in sel]), abs=1e-12)
         assert row["rmse_std"] == pytest.approx(np.std([r.rmse for r in sel]), abs=1e-12)
         assert row["auroc_mean"] == pytest.approx(np.mean([r.auroc for r in sel]), abs=1e-12)
+
+
+def test_undefined_auroc_is_recorded_as_nan():
+    schema = mixed_schema(2, 1)
+    values = make_rng(21).uniform(0.0, 10.0, size=(40, 3))
+    values[:, 2] = 0.0  # the only categorical column is constant
+    cfg = ExperimentConfig(methods=["simple"], rates=(0.3,), folds=2, repeats=1, seed=4)
+    with pytest.warns(UserWarning, match="AUROC undefined .*recorded as NaN"):
+        report = run_imputation_experiment(MixedTable(schema, values), cfg)
+    assert all(np.isnan(r.auroc) and np.isfinite(r.rmse) for r in report.records)
+    (row,) = report.aggregate()
+    assert np.isnan(row["auroc_mean"]) and np.isnan(row["auroc_std"])
+    assert np.isfinite(row["rmse_mean"])
+
+
+def test_undefined_nrmse_is_recorded_as_nan(tmp_path):
+    schema = mixed_schema(0, 2)
+    values = make_rng(22).integers(0, 2, size=(40, 2)).astype(float)
+    cfg = ExperimentConfig(methods=["simple"], rates=(0.3,), folds=2, repeats=1, seed=5)
+    with pytest.warns(UserWarning, match="nRMSE undefined .*recorded as NaN"):
+        report = run_imputation_experiment(MixedTable(schema, values), cfg)
+    assert len(report.records) == 2
+    assert all(np.isnan(r.rmse) and 0.0 <= r.auroc <= 1.0 for r in report.records)
+    emit_report(report, tmp_path)
+    assert (tmp_path / "details.csv").read_text().splitlines()[1].split(",")[4] == "nan"
+
+
+def test_aggregate_reduces_over_defined_values_only():
+    records = [
+        RunRecord("m", 0.2, 0, fold, rmse, auroc)
+        for fold, (rmse, auroc) in enumerate([(0.1, 0.6), (0.3, np.nan), (0.5, 0.8)])
+    ]
+    (row,) = MetricsReport(records, [], {}).aggregate()
+    assert row["n_runs"] == 3
+    assert row["rmse_mean"] == np.mean([0.1, 0.3, 0.5])
+    assert row["auroc_mean"] == np.mean([0.6, 0.8])
+    assert row["auroc_std"] == np.std([0.6, 0.8])
 
 
 def test_experiment_determinism_byte_identical(tmp_path):

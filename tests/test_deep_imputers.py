@@ -25,32 +25,13 @@ def test_rotation_schedule_validation():
     assert RotationSchedule(k_min=3, k_max=15).median_k == 9
 
 
-def test_rotating_preimputer_caches_within_period():
-    schema = mixed_schema(2, 0)
-    rng = make_rng(1)
-    mat = rng.uniform(0.0, 1.0, size=(20, 2))
-    mat[rng.random(mat.shape) < 0.2] = np.nan
-    for j in range(2):
-        if np.isnan(mat[:, j]).all():
-            mat[0, j] = 0.5
-    stats = column_stats(mat, schema)
-    rot = RotatingPreimputer(RotationSchedule(period=10, k_min=3, k_max=4), seed=0)
-    first = rot.preimpute(mat, schema, stats, epoch=0)
-    for epoch in range(1, 10):
-        again = rot.preimpute(mat, schema, stats, epoch)
-        assert again is first
-    assert rot.n_knn_calls == 1
-    rot.preimpute(mat, schema, stats, epoch=10)
-    assert rot.n_knn_calls == 2
-
-
 def test_rotating_k_without_repetition_and_reset():
     rot = RotatingPreimputer(RotationSchedule(period=1, k_min=3, k_max=4), seed=5)
     schema = mixed_schema(1, 0)
     mat = np.array([[0.1], [0.9], [np.nan]])
     stats = column_stats(mat, schema)
-    for epoch in range(6):
-        rot.preimpute(mat, schema, stats, epoch)
+    for _ in range(6):
+        rot.preimpute(mat, schema, stats)
     # interval [3, 4] exhausts every 2 draws; history resets each time
     ks = rot.used_ks
     assert rot.n_knn_calls == 6
@@ -58,8 +39,8 @@ def test_rotating_k_without_repetition_and_reset():
     # draws come in no-repeat pairs
     history = []
     rot2 = RotatingPreimputer(RotationSchedule(period=1, k_min=3, k_max=4), seed=5)
-    for epoch in range(6):
-        rot2.preimpute(mat, schema, stats, epoch)
+    for _ in range(6):
+        rot2.preimpute(mat, schema, stats)
         history.append(rot2.used_ks[-1])
     assert sorted(history[0:2]) == [3, 4]
     assert sorted(history[2:4]) == [3, 4]
@@ -81,16 +62,24 @@ def test_make_hint_entries_and_rate():
 
 
 def test_dae_config_validation():
-    with pytest.raises(ValueError):
-        DaeConfig(variant="foo")
-    with pytest.raises(ValueError):
-        DaeConfig(corruption_rate=0.0)
-    with pytest.raises(ValueError):
-        GainConfig(variant="foo")
-    with pytest.raises(ValueError):
-        GainConfig(hint_rate=1.5)
-    with pytest.raises(ValueError):
-        GainConfig(alpha=-1.0)
+    bad = [
+        (DaeConfig, {"variant": "foo"}),
+        (DaeConfig, {"variant": "gain"}),
+        (DaeConfig, {"corruption_rate": 0.0}),
+        (DaeConfig, {"epochs": 0}),
+        (DaeConfig, {"batch_size": 0}),
+        (GainConfig, {"variant": "foo"}),
+        (GainConfig, {"variant": "naa"}),
+        (GainConfig, {"corruption_rate": 0.0}),
+        (GainConfig, {"corruption_rate": 1.5}),
+        (GainConfig, {"epochs": 0}),
+        (GainConfig, {"batch_size": 0}),
+        (GainConfig, {"hint_rate": 1.5}),
+        (GainConfig, {"alpha": -1.0}),
+    ]
+    for config_type, kwargs in bad:
+        with pytest.raises(ValueError):
+            config_type(**kwargs)
 
 
 @pytest.mark.parametrize("variant", ["naa", "inaa"])

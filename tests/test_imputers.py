@@ -213,24 +213,34 @@ def test_missforest_learns_linear_relation():
 
 
 def test_missforest_divergence_keeps_previous_iterate(monkeypatch):
-    schema = mixed_schema(2, 0)
+    schema = mixed_schema(2, 1)
     train = random_table(schema, 30, seed=53, missing_rate=0.2)
-    imp = MissForestImputer(schema, n_trees=5, max_iter=6, seed=2)
+
+    def iterate(max_iter):
+        imp = MissForestImputer(schema, n_trees=5, max_iter=max_iter, seed=2)
+        imp.stats_ = column_stats(train.values, schema)
+        return imp
+
+    after_one = iterate(1)._iterate(train, None, "fit")
+    after_two = iterate(2)._iterate(train, None, "fit")
+    # the second sweep moves the iterate, so keeping it would be visible
+    assert not np.array_equal(after_one[0], after_two[0])
+
+    imp = iterate(6)
     seen = []
     original = imp._deltas
 
-    def spy(new, old, observed):
-        d = original(new, old, observed)
-        seen.append(d)
-        return d
+    def rising(new, old, observed):
+        seen.append(original(new, old, observed))
+        return float(len(seen)), float(len(seen))  # both deltas rise every sweep
 
-    monkeypatch.setattr(imp, "_deltas", spy)
-    imp.fit(train)
-    # the stopping rule only ever compares successive recorded deltas
-    assert len(seen) >= 1
-    for d_num, d_cat in seen:
-        assert d_cat is None  # no categorical columns here
-        assert d_num is None or d_num >= 0.0
+    monkeypatch.setattr(imp, "_deltas", rising)
+    values, scores = imp._iterate(train, None, "fit")
+    # the rule fires after the second sweep and returns the first sweep's iterate
+    assert len(seen) == 2
+    assert all(d_num > 0.0 and d_cat is not None for d_num, d_cat in seen)
+    assert np.array_equal(values, after_one[0])
+    assert np.array_equal(scores, after_one[1], equal_nan=True)
 
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
