@@ -161,13 +161,14 @@ class MetricsReport:
         return _group_stats(self.f1_records, ("f1",))
 
     def to_json(self, path) -> None:
+        """Strict JSON: an undefined (NaN) metric is written as null."""
         doc = {
             "config": self.config,
-            "records": [asdict(r) for r in self.records],
-            "f1_records": [asdict(r) for r in self.f1_records],
+            "records": [_nan_to_null(asdict(r)) for r in self.records],
+            "f1_records": [_nan_to_null(asdict(r)) for r in self.f1_records],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, indent=1, allow_nan=False)
             fh.write("\n")
 
     @classmethod
@@ -175,10 +176,18 @@ class MetricsReport:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         return cls(
-            [RunRecord(**r) for r in doc["records"]],
-            [F1Record(**r) for r in doc["f1_records"]],
+            [RunRecord(**_null_to_nan(r)) for r in doc["records"]],
+            [F1Record(**_null_to_nan(r)) for r in doc["f1_records"]],
             doc["config"],
         )
+
+
+def _nan_to_null(row: dict) -> dict:
+    return {k: None if isinstance(v, float) and np.isnan(v) else v for k, v in row.items()}
+
+
+def _null_to_nan(row: dict) -> dict:
+    return {k: np.nan if v is None else v for k, v in row.items()}
 
 
 def _group_stats(records, metrics) -> list:

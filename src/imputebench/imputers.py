@@ -382,6 +382,10 @@ class MissForestImputer(Imputer):
         n_features_per_split="sqrt",
     ):
         super().__init__(schema, seed)
+        if n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         self.n_trees = n_trees
         self.max_iter = max_iter
         self.reg_config, self.cls_config = (

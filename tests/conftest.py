@@ -1,7 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
 from imputebench.tabular import Column, ColumnKind, MixedTable, Schema
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a
+    # property-test failure in CI reproduces locally
+    settings.register_profile("ci", derandomize=True, print_blob=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_rng(seed):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,29 @@ def test_undefined_nrmse_is_recorded_as_nan(tmp_path):
     assert all(np.isnan(r.rmse) and 0.0 <= r.auroc <= 1.0 for r in report.records)
     emit_report(report, tmp_path)
     assert (tmp_path / "details.csv").read_text().splitlines()[1].split(",")[4] == "nan"
+
+
+def test_report_json_writes_undefined_metrics_as_null(tmp_path):
+    schema = mixed_schema(0, 2)
+    values = make_rng(22).integers(0, 2, size=(40, 2)).astype(float)
+    cfg = ExperimentConfig(methods=["simple"], rates=(0.3,), folds=2, repeats=1, seed=5)
+    with pytest.warns(UserWarning, match="recorded as NaN"):
+        report = run_imputation_experiment(MixedTable(schema, values), cfg)
+    path = tmp_path / "report.json"
+    report.to_json(path)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert all(r["rmse"] is None for r in doc["records"])
+    loaded = MetricsReport.from_json(path)
+    assert all(np.isnan(r.rmse) for r in loaded.records)
+    assert [r.auroc for r in loaded.records] == [r.auroc for r in report.records]
+    emit_report(report, tmp_path / "a")
+    emit_report(loaded, tmp_path / "b")
+    for name in ("details.csv", "aggregate.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_aggregate_reduces_over_defined_values_only():

@@ -29,22 +29,27 @@ def brute_force_best_split(X, y, task):
     return best
 
 
+def is_leaf(tree, i):
+    return tree.left[i] == -1
+
+
 def test_constant_target_single_leaf():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([4.0, 4.0, 4.0])
     tree = rf.fit_tree(X, y, rf.TreeConfig(task=rf.REGRESSION))
-    assert tree.is_leaf
-    assert tree.value == 4.0
+    assert is_leaf(tree, 0)
+    assert tree.value[0] == 4.0
 
 
 def test_perfectly_separable_split():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     tree = rf.fit_tree(X, y, rf.TreeConfig(task=rf.CLASSIFICATION))
-    assert not tree.is_leaf
-    assert 2.0 < tree.threshold < 3.0
-    assert tree.left.is_leaf and tree.left.value == 0.0
-    assert tree.right.is_leaf and tree.right.value == 1.0
+    assert not is_leaf(tree, 0)
+    assert 2.0 < tree.threshold[0] < 3.0
+    left, right = tree.left[0], tree.right[0]
+    assert is_leaf(tree, left) and tree.value[left] == 0.0
+    assert is_leaf(tree, right) and tree.value[right] == 1.0
 
 
 def test_depth2_structure_matches_brute_force():
@@ -53,15 +58,15 @@ def test_depth2_structure_matches_brute_force():
     y = rng.uniform(0, 1, size=8)
     tree = rf.fit_tree(X, y, rf.TreeConfig(task=rf.REGRESSION, max_depth=2))
     _, j, thr = brute_force_best_split(X, y, rf.REGRESSION)
-    assert tree.feature == j
-    assert tree.threshold == pytest.approx(thr)
+    assert tree.feature[0] == j
+    assert tree.threshold[0] == pytest.approx(thr)
     left = X[:, j] <= thr
-    for node, rows in ((tree.left, left), (tree.right, ~left)):
-        if node.is_leaf:
+    for node, rows in ((tree.left[0], left), (tree.right[0], ~left)):
+        if is_leaf(tree, node):
             continue
         _, jj, tt = brute_force_best_split(X[rows], y[rows], rf.REGRESSION)
-        assert node.feature == jj
-        assert node.threshold == pytest.approx(tt)
+        assert tree.feature[node] == jj
+        assert tree.threshold[node] == pytest.approx(tt)
 
 
 def test_splits_never_increase_impurity():
@@ -76,7 +81,7 @@ def test_splits_never_increase_impurity():
         tree = rf.fit_tree(X, y, rf.TreeConfig(task=task, max_depth=4))
 
         def walk(node, rows):
-            if node.is_leaf:
+            if is_leaf(tree, node):
                 return
             def imp(v):
                 if task == rf.REGRESSION:
@@ -84,14 +89,14 @@ def test_splits_never_increase_impurity():
                 p = np.mean(v)
                 return 2 * p * (1 - p)
             yv = y[rows]
-            left = rows[X[rows, node.feature] <= node.threshold]
-            right = rows[X[rows, node.feature] > node.threshold]
+            left = rows[X[rows, tree.feature[node]] <= tree.threshold[node]]
+            right = rows[X[rows, tree.feature[node]] > tree.threshold[node]]
             child = (left.size * imp(y[left]) + right.size * imp(y[right])) / rows.size
             assert child <= imp(yv) + 1e-12
-            walk(node.left, left)
-            walk(node.right, right)
+            walk(tree.left[node], left)
+            walk(tree.right[node], right)
 
-        walk(tree, np.arange(60))
+        walk(0, np.arange(60))
 
 
 def test_errors():
@@ -162,3 +167,17 @@ def test_prediction_ranges():
     cls = rf.fit_forest(X, yc, rf.TreeConfig(task=rf.CLASSIFICATION), 10, seed=4)
     scores = rf.predict_forest(cls, X)
     assert scores.min() >= 0.0 and scores.max() <= 1.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_depth": 0}, "max_depth must be >= 1 or None"),
+        ({"max_depth": -1}, "max_depth must be >= 1 or None"),
+        ({"n_features_per_split": "bogus"}, "n_features_per_split must be 'all', 'sqrt'"),
+        ({"task": "ranking"}, "unknown task"),
+    ],
+)
+def test_tree_config_rejects_bad_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        rf.TreeConfig(**kwargs)

@@ -197,6 +197,21 @@ def test_missforest_no_missing_target_unchanged():
     assert np.array_equal(result.table.values, target.values)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"max_iter": -2}, "max_iter must be >= 1"),
+        ({"n_trees": 0}, "n_trees must be >= 1"),
+        ({"max_depth": 0}, "max_depth must be >= 1 or None"),
+        ({"n_features_per_split": "bogus"}, "n_features_per_split must be"),
+    ],
+)
+def test_missforest_rejects_bad_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MissForestImputer(mixed_schema(2, 1), **kwargs)
+
+
 def test_missforest_learns_linear_relation():
     schema = mixed_schema(2, 0)
     rng = make_rng(52)
@@ -222,7 +237,10 @@ def test_missforest_divergence_keeps_previous_iterate(monkeypatch):
         return imp
 
     after_one = iterate(1)._iterate(train, None, "fit")
-    after_two = iterate(2)._iterate(train, None, "fit")
+    two = iterate(2)
+    falling = iter([(1.0, 1.0), (0.5, 0.5)])  # the rule never fires
+    monkeypatch.setattr(two, "_deltas", lambda new, old, observed: next(falling))
+    after_two = two._iterate(train, None, "fit")
     # the second sweep moves the iterate, so keeping it would be visible
     assert not np.array_equal(after_one[0], after_two[0])
 
