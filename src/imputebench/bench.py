@@ -330,14 +330,12 @@ def predict_cv(
     return scores
 
 
-def run_post_imputation(
-    table: MixedTable, config: ExperimentConfig, rate: float | None = None
-) -> MetricsReport:
+def run_post_imputation(table: MixedTable, config: ExperimentConfig) -> MetricsReport:
     """Impute the full corrupted dataset per method, then CV-predict the label."""
     schema = table.schema
     if schema.label is None:
         raise ValueError("post-imputation prediction needs a label column")
-    rate = config.post_rate if rate is None else rate
+    rate = config.post_rate
     complete = complete_subset(table)
     f1_records = []
     for repeat in range(config.repeats):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -139,9 +140,11 @@ def cmd_bench(args) -> int:
 
 def cmd_predict(args) -> int:
     config = _build_config(args)
+    if args.rate is not None:
+        config = dataclasses.replace(config, post_rate=args.rate)
     schema = _load_schema_arg(args)
     table = _dataset_for_bench(args, schema)
-    report = run_post_imputation(table, config, rate=args.rate)
+    report = run_post_imputation(table, config)
     report.to_json(f"{args.out_dir}/report.json")
     files = emit_report(report, args.out_dir)
     for row in report.f1_aggregate():

@@ -25,7 +25,7 @@ import numpy as np
 
 from .imputers import ImputationResult, Imputer, _finish, column_stats, knn_fill
 from .missingness import drop_cells
-from .nn import Adam, LayerSpec, MixedLossSpec, Network, _activate, mixed_loss
+from .nn import Adam, LayerSpec, Network, _activate, mixed_loss
 from .seeding import derive_seed, make_rng
 from .tabular import MixedTable, Schema, denormalize, fit_normalizer, normalize
 
@@ -193,11 +193,6 @@ class _DeepImputer(Imputer):
             norm, _, _ = knn_fill(norm, norm, 5, self.schema, self.norm_stats_)
         return norm
 
-    def _loss_spec(self, weights=None) -> MixedLossSpec:
-        return MixedLossSpec(
-            self.schema.numerical_indices, self.schema.categorical_indices, weights
-        )
-
     def _result(self, target: MixedTable, out_raw: np.ndarray) -> ImputationResult:
         """Map raw network outputs (normalized units) into an ImputationResult."""
         num, cat = self.schema.numerical_indices, self.schema.categorical_indices
@@ -228,7 +223,6 @@ class DaeImputer(_DeepImputer):
         n, c = clean.shape
         self.net_ = self._build_network(c)
         optimizer = Adam(self.net_, lr=cfg.learning_rate)
-        spec = self._loss_spec()
         cat_idx = self.schema.categorical_indices
         corrupt_rng = make_rng(self.seed, "dae-corrupt")
         batch_rng = make_rng(self.seed, "dae-batches")
@@ -247,9 +241,9 @@ class DaeImputer(_DeepImputer):
             for rows in _batches(n, cfg.batch_size, batch_rng, min_size=1):
                 out_raw, cache = self.net_.forward(pre[rows], train=True)
                 out = _map_outputs(out_raw, cat_idx)
-                loss, grad = mixed_loss(out, clean[rows], spec)
-                grads, _ = self.net_.backward(cache, _map_grad(out, grad, cat_idx))
-                optimizer.step(grads)
+                loss, grad = mixed_loss(out, clean[rows], self.schema)
+                param_grad, _ = self.net_.backward(cache, _map_grad(out, grad, cat_idx))
+                optimizer.step(param_grad)
                 epoch_loss += loss * rows.size
             self.loss_history_.append(epoch_loss / n)
         self.train_ref_ = clean
@@ -304,7 +298,6 @@ class GainImputer(_DeepImputer):
         self.gen_, self.disc_ = self._build_networks(c)
         opt_g = Adam(self.gen_, lr=cfg.learning_rate)
         opt_d = Adam(self.disc_, lr=cfg.learning_rate)
-        spec_obs = self._loss_spec()
         corrupt_rng = make_rng(self.seed, "gain-corrupt")
         batch_rng = make_rng(self.seed, "gain-batches")
         hint_rng = make_rng(self.seed, "gain-hint")
@@ -325,13 +318,11 @@ class GainImputer(_DeepImputer):
                 else:
                     m = mask_all[rows]
                     xf = filled_all[rows]
-                self._train_step(
-                    xf, m, target_batch, cat_idx, spec_obs, opt_g, opt_d, hint_rng
-                )
+                self._train_step(xf, m, target_batch, cat_idx, opt_g, opt_d, hint_rng)
         self.train_ref_ = clean
         return self
 
-    def _train_step(self, xf, m, clean, cat_idx, spec, opt_g, opt_d, hint_rng):
+    def _train_step(self, xf, m, clean, cat_idx, opt_g, opt_d, hint_rng):
         cfg = self.config
         g_in = np.concatenate([xf, m], axis=1)
         g_raw, g_cache = self.gen_.forward(g_in, train=True)
@@ -339,23 +330,20 @@ class GainImputer(_DeepImputer):
         imputed = m * xf + (1.0 - m) * g_out
         h, b = make_hint(m, cfg.hint_rate, hint_rng)
         region = ~b  # cells whose status the discriminator must infer
+        d_in = np.concatenate([imputed, h], axis=1)
 
         if region.any():
-            d_out, d_cache = self.disc_.forward(
-                np.concatenate([imputed, h], axis=1), train=True
-            )
+            d_out, d_cache = self.disc_.forward(d_in, train=True)
             p = np.clip(d_out, CLIP_EPS, 1.0 - CLIP_EPS)
             d_grad = np.where(region, (p - m) / (p * (1.0 - p)) / region.sum(), 0.0)
-            d_grads, _ = self.disc_.backward(d_cache, d_grad)
-            opt_d.step(d_grads)
+            d_param_grad, _ = self.disc_.backward(d_cache, d_grad)
+            opt_d.step(d_param_grad)
 
         # generator step: adversarial term over corrupted cells + alpha * recon
         grad_gout = np.zeros_like(g_out)
         n_miss = (1.0 - m).sum()
         if region.any() and n_miss > 0:
-            d_out2, d_cache2 = self.disc_.forward(
-                np.concatenate([imputed, h], axis=1), train=True
-            )
+            d_out2, d_cache2 = self.disc_.forward(d_in, train=True)
             p2 = np.clip(d_out2, CLIP_EPS, 1.0 - CLIP_EPS)
             adv_grad = -(1.0 - m) / p2 / n_miss
             _, d_input_grad = self.disc_.backward(d_cache2, adv_grad)
@@ -364,13 +352,10 @@ class GainImputer(_DeepImputer):
             m_sum = max(m.sum(), 1.0)
             grad_rec = 2.0 * m * (g_out - clean) / m_sum
         else:
-            spec_m = MixedLossSpec(
-                spec.numerical_indices, spec.categorical_indices, weights=m
-            )
-            _, grad_rec = mixed_loss(g_out, clean, spec_m)
+            _, grad_rec = mixed_loss(g_out, clean, self.schema, m)
         grad_gout += cfg.alpha * grad_rec
-        g_grads, _ = self.gen_.backward(g_cache, _map_grad(g_out, grad_gout, cat_idx))
-        opt_g.step(g_grads)
+        g_param_grad, _ = self.gen_.backward(g_cache, _map_grad(g_out, grad_gout, cat_idx))
+        opt_g.step(g_param_grad)
 
     def impute(self, target: MixedTable) -> ImputationResult:
         self._check_schema(target)

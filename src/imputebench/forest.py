@@ -100,9 +100,7 @@ class Tree:
 @dataclass
 class ForestModel:
     trees: list
-    config: TreeConfig
     n_trees: int
-    seed: int
     n_features: int
 
 
@@ -429,7 +427,7 @@ def fit_forest(
             ]
         )
         trees += _grow(X, ranks, y, samples, [make_rng(s, "tree") for s in seeds], config)
-    return ForestModel(trees, config, n_trees, seed, n_features)
+    return ForestModel(trees, n_trees, n_features)
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:

@@ -352,7 +352,7 @@ class KnnImputer(Imputer):
     def impute(self, target: MixedTable) -> ImputationResult:
         self._check_schema(target)
         target_norm = normalize(target, self.params_).values
-        filled, cat_scores, self.last_fallbacks_ = knn_fill(
+        filled, cat_scores, _ = knn_fill(
             self.train_norm_, target_norm, self.k, self.schema, self.norm_stats_
         )
         filled_raw = denormalize(MixedTable(self.schema, filled), self.params_).values

@@ -9,7 +9,7 @@ adversarial imputers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "LayerSpec",
     "Network",
     "Adam",
-    "MixedLossSpec",
     "mixed_loss",
 ]
 
@@ -66,7 +65,13 @@ def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 class Network:
-    """Stack of dense layers with optional per-layer batch normalization."""
+    """Stack of dense layers with optional per-layer batch normalization.
+
+    Every trainable value lives in one float64 vector, `params`, laid out
+    layer by layer as W, b and, with batch norm, gamma and beta;
+    `layers[i]["W"]` and the others are views into it. The running
+    batch-norm statistics are separate arrays.
+    """
 
     def __init__(self, input_width: int, specs, seed: int = 0):
         self.input_width = input_width
@@ -83,23 +88,19 @@ class Network:
             if spec.batch_norm:
                 layer["gamma"] = np.ones(spec.width)
                 layer["beta"] = np.zeros(spec.width)
-                layer["running_mean"] = np.zeros(spec.width)
-                layer["running_var"] = np.ones(spec.width)
             self.layers.append(layer)
             fan_in = spec.width
         self.output_width = fan_in
-        self._version = 0
-
-    def parameters(self):
-        """Trainable arrays per layer (running statistics excluded)."""
-        out = []
+        self.params = np.concatenate([a.ravel() for layer in self.layers for a in layer.values()])
+        offset = 0
         for spec, layer in zip(self.specs, self.layers):
-            entry = {"W": layer["W"], "b": layer["b"]}
+            for key, a in layer.items():
+                layer[key] = self.params[offset : offset + a.size].reshape(a.shape)
+                offset += a.size
             if spec.batch_norm:
-                entry["gamma"] = layer["gamma"]
-                entry["beta"] = layer["beta"]
-            out.append(entry)
-        return out
+                layer["running_mean"] = np.zeros(spec.width)
+                layer["running_var"] = np.ones(spec.width)
+        self._version = 0
 
     def forward(self, batch: np.ndarray, train: bool):
         """Run the stack; returns (outputs, cache) for a later backward."""
@@ -141,7 +142,9 @@ class Network:
         return x, cache
 
     def backward(self, cache, loss_grad: np.ndarray):
-        """Gradients for all parameters plus the gradient w.r.t. the input.
+        """Returns (parameter gradient, input gradient).
+
+        The parameter gradient is one flat vector laid out like `params`.
 
         `loss_grad` is dLoss/dOutput for the forward pass that produced
         `cache`. Batch-norm backward differentiates through the batch
@@ -157,12 +160,11 @@ class Network:
             layer = self.layers[i]
             step = cache["steps"][i]
             dh = grad * _activate_grad(spec.activation, step["h"], step["a"])
-            entry = {}
+            norm_grads = []
             if spec.batch_norm:
                 xhat = step["xhat"]
                 inv_std = step["inv_std"]
-                entry["gamma"] = (dh * xhat).sum(axis=0)
-                entry["beta"] = dh.sum(axis=0)
+                norm_grads = [(dh * xhat).sum(axis=0), dh.sum(axis=0)]
                 dxhat = dh * layer["gamma"]
                 if cache["train"]:
                     m = dh.shape[0]
@@ -175,65 +177,42 @@ class Network:
                     dz = dxhat * inv_std
             else:
                 dz = dh
-            entry["W"] = step["x_in"].T @ dz
-            entry["b"] = dz.sum(axis=0)
-            grads[i] = entry
+            grads[i] = [step["x_in"].T @ dz, dz.sum(axis=0), *norm_grads]
             grad = dz @ layer["W"].T
-        return grads, grad
+        return np.concatenate([g.ravel() for entry in grads for g in entry]), grad
 
     def mark_updated(self):
         self._version += 1
 
 
 class Adam:
-    """Adam with bias correction over a network's parameter structure."""
+    """Adam with bias correction over a network's flat parameter vector."""
 
     def __init__(self, net: Network, lr=1e-3):
         self.net = net
         self.lr = lr
         self.t = 0
-        params = net.parameters()
-        self.m = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
-        self.v = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
 
-    def step(self, grads):
-        params = self.net.parameters()
+    def step(self, grad):
+        params = self.net.params
+        if grad.shape != params.shape:
+            raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            for key, value in p.items():
-                gk = g[key]
-                if gk.shape != value.shape:
-                    raise ValueError(
-                        f"gradient shape {gk.shape} != parameter shape {value.shape}"
-                    )
-                m[key] = b1 * m[key] + (1 - b1) * gk
-                v[key] = b2 * v[key] + (1 - b2) * gk**2
-                m_hat = m[key] / correction1
-                v_hat = v[key] / correction2
-                value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        self.m = b1 * self.m + (1 - b1) * grad
+        self.v = b2 * self.v + (1 - b2) * grad**2
+        m_hat = self.m / correction1
+        v_hat = self.v / correction2
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         self.net.mark_updated()
 
 
-@dataclass
-class MixedLossSpec:
-    """Which columns get the RMSE branch vs. the cross-entropy branch."""
-
-    numerical_indices: np.ndarray
-    categorical_indices: np.ndarray
-    weights: np.ndarray | None = None  # per-cell; defaults to all ones
-
-    def __post_init__(self):
-        num = set(np.asarray(self.numerical_indices, dtype=int).tolist())
-        cat = set(np.asarray(self.categorical_indices, dtype=int).tolist())
-        if num & cat:
-            raise ValueError("numerical and categorical index sets overlap")
-
-
-def mixed_loss(pred: np.ndarray, target: np.ndarray, spec: MixedLossSpec):
-    """RMSE over numerical cells plus mean BCE over categorical cells.
+def mixed_loss(pred: np.ndarray, target: np.ndarray, schema, weights=None):
+    """RMSE over the schema's numerical cells plus mean BCE over its categorical cells.
 
     Both branches honour the optional per-cell weight grid (used to
     restrict the loss to corrupted or observed cells). Returns the scalar
@@ -244,13 +223,13 @@ def mixed_loss(pred: np.ndarray, target: np.ndarray, spec: MixedLossSpec):
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError("pred and target shapes differ")
-    w = np.ones_like(pred) if spec.weights is None else np.asarray(spec.weights, float)
+    w = np.ones_like(pred) if weights is None else np.asarray(weights, float)
     if w.shape != pred.shape:
         raise ValueError("weight grid shape differs from pred")
     grad = np.zeros_like(pred)
     loss = 0.0
 
-    num = np.asarray(spec.numerical_indices, dtype=int)
+    num = schema.numerical_indices
     if num.size:
         wn = w[:, num]
         total = wn.sum()
@@ -264,7 +243,7 @@ def mixed_loss(pred: np.ndarray, target: np.ndarray, spec: MixedLossSpec):
             denom = max(rmse, 1e-12) * total
             grad[:, num] = wn * diff / denom
 
-    cat = np.asarray(spec.categorical_indices, dtype=int)
+    cat = schema.categorical_indices
     if cat.size:
         wc = w[:, cat]
         total = wc.sum()

@@ -15,30 +15,27 @@ def rel_err(a, b):
 
 
 def check_param_gradients(net, X, loss_of_output, train=True, tol=TOL, h=H):
-    """Compare analytic parameter gradients with central differences.
+    """Compare analytic parameter gradients with central differences,
+    one entry of the flat `net.params` vector at a time.
 
     `loss_of_output` maps network outputs to (loss, dloss/doutput).
     Returns the worst relative error seen.
     """
     out, cache = net.forward(X, train)
     _, grad_out = loss_of_output(out)
-    grads, _ = net.backward(cache, grad_out)
+    grad, _ = net.backward(cache, grad_out)
+    assert grad.shape == net.params.shape
     worst = 0.0
-    params = net.parameters()
-    for layer_p, layer_g in zip(params, grads):
-        for key, arr in layer_p.items():
-            g = layer_g[key]
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                lp, _ = loss_of_output(net.forward(X, train)[0])
-                arr[idx] = orig - h
-                lm, _ = loss_of_output(net.forward(X, train)[0])
-                arr[idx] = orig
-                numeric = (lp - lm) / (2 * h)
-                worst = max(worst, rel_err(g[idx], numeric))
+    params = net.params
+    for idx in range(params.size):
+        orig = params[idx]
+        params[idx] = orig + h
+        lp, _ = loss_of_output(net.forward(X, train)[0])
+        params[idx] = orig - h
+        lm, _ = loss_of_output(net.forward(X, train)[0])
+        params[idx] = orig
+        numeric = (lp - lm) / (2 * h)
+        worst = max(worst, rel_err(grad[idx], numeric))
     assert worst < tol, f"parameter gradient mismatch: rel err {worst:.3e}"
     return worst
 

@@ -16,7 +16,7 @@ from imputebench.deep_imputers import GainConfig, GainImputer, make_hint
 from imputebench.imputers import KnnImputer
 from imputebench.metrics import auroc, normalized_rmse
 from imputebench.missingness import MissSpec, inject_mcar
-from imputebench.nn import LayerSpec, MixedLossSpec, Network, mixed_loss
+from imputebench.nn import LayerSpec, Network, mixed_loss
 from imputebench.registry import METHOD_NAMES, make_imputer
 from imputebench.tabular import (
     FRAMINGHAM_SCHEMA,
@@ -141,7 +141,7 @@ def _gradcheck_instance(seed):
 
 def _mixed_loss_instance(seed):
     rng = make_rng(2000 + seed)
-    spec = MixedLossSpec(np.arange(3), np.arange(3, 6))
+    schema = mixed_schema(3, 3)
     pred = np.concatenate(
         [rng.uniform(-1, 1, size=(5, 3)), rng.uniform(0.1, 0.9, size=(5, 3))], axis=1
     )
@@ -149,16 +149,16 @@ def _mixed_loss_instance(seed):
         [rng.uniform(-1, 1, size=(5, 3)), rng.integers(0, 2, size=(5, 3)).astype(float)],
         axis=1,
     )
-    _, grad = mixed_loss(pred, target, spec)
+    _, grad = mixed_loss(pred, target, schema)
     h = 1e-6
     worst = 0.0
     for i in range(pred.shape[0]):
         for j in range(pred.shape[1]):
             orig = pred[i, j]
             pred[i, j] = orig + h
-            lp, _ = mixed_loss(pred, target, spec)
+            lp, _ = mixed_loss(pred, target, schema)
             pred[i, j] = orig - h
-            lm, _ = mixed_loss(pred, target, spec)
+            lm, _ = mixed_loss(pred, target, schema)
             pred[i, j] = orig
             worst = max(worst, rel_err(grad[i, j], (lp - lm) / (2 * h)))
     return worst
@@ -184,22 +184,20 @@ def _gain_composite_instance(seed):
 
     loss, g_cache, d_cache, d_out = composite_loss()
     _, d_input_grad = disc.backward(d_cache, 2.0 * (d_out - target))
-    g_grads, _ = gen.backward(g_cache, d_input_grad[:, :c] * (1.0 - m))
+    g_grad, _ = gen.backward(g_cache, d_input_grad[:, :c] * (1.0 - m))
+    assert g_grad.shape == gen.params.shape
 
     h = 1e-5
     worst = 0.0
-    for layer_p, layer_g in zip(gen.parameters(), g_grads):
-        for key, arr in layer_p.items():
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                lp = composite_loss()[0]
-                arr[idx] = orig - h
-                lm = composite_loss()[0]
-                arr[idx] = orig
-                worst = max(worst, rel_err(layer_g[key][idx], (lp - lm) / (2 * h)))
+    params = gen.params
+    for idx in range(params.size):
+        orig = params[idx]
+        params[idx] = orig + h
+        lp = composite_loss()[0]
+        params[idx] = orig - h
+        lm = composite_loss()[0]
+        params[idx] = orig
+        worst = max(worst, rel_err(g_grad[idx], (lp - lm) / (2 * h)))
     return worst
 
 

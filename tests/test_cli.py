@@ -157,6 +157,24 @@ def test_predict_subcommand(tmp_path, small_schema_file):
     assert len(lines) == 1 + 3
 
 
+def test_predict_rate_is_the_recorded_post_rate(tmp_path, small_schema_file):
+    _, schema_path = small_schema_file
+    out_dir = tmp_path / "pred"
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {"methods": ["simple"], "folds": 2, "repeats": 1, "forest_trees": 3}
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(
+        [
+            "predict", "--schema", schema_path, "--synthetic", "120",
+            "--config", str(cfg_path), "--rate", "0.3", "--out-dir", str(out_dir),
+        ]
+    )
+    assert code == 0
+    doc = json.loads((out_dir / "report.json").read_text())
+    assert doc["config"]["post_rate"] == 0.3
+    assert [r["rate"] for r in doc["f1_records"]] == [0.3, 0.3]
+
+
 def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
     _, schema_path = small_schema_file
     code = main(

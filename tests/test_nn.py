@@ -4,19 +4,25 @@ import pytest
 from imputebench.nn import (
     Adam,
     LayerSpec,
-    MixedLossSpec,
     Network,
     mixed_loss,
 )
 
-from conftest import make_rng
+from conftest import make_rng, mixed_schema
 from gradcheck import check_input_gradients, check_param_gradients, rel_err, squared_loss
+from nn_reference import ReferenceAdam, split_like
+
+
+def _param_arrays(net):
+    """Each layer's trainable arrays, in the order they sit in `params`."""
+    keys = ("W", "b", "gamma", "beta")
+    return [layer[key] for layer in net.layers for key in keys if key in layer]
 
 
 def test_identity_network():
     net = Network(3, [LayerSpec(3, "linear")], seed=0)
-    net.layers[0]["W"] = np.eye(3)
-    net.layers[0]["b"] = np.zeros(3)
+    net.layers[0]["W"][...] = np.eye(3)
+    net.layers[0]["b"][...] = 0.0
     net.mark_updated()
     X = make_rng(1).uniform(-1, 1, size=(5, 3))
     out, _ = net.forward(X, train=False)
@@ -84,10 +90,9 @@ def test_zero_loss_grad_gives_zero_gradients():
     net = Network(3, [LayerSpec(4, "tanh", batch_norm=True), LayerSpec(2, "linear")], seed=2)
     X = make_rng(4).uniform(-1, 1, size=(6, 3))
     out, cache = net.forward(X, train=True)
-    grads, grad_in = net.backward(cache, np.zeros_like(out))
-    for layer in grads:
-        for arr in layer.values():
-            assert np.all(arr == 0)
+    grad, grad_in = net.backward(cache, np.zeros_like(out))
+    assert grad.shape == net.params.shape
+    assert np.all(grad == 0)
     assert np.all(grad_in == 0)
 
 
@@ -100,10 +105,11 @@ def test_single_linear_unit_analytic_gradient():
     x = np.array([[2.0]])
     target = np.array([[1.0]])
     out, cache = net.forward(x, train=True)
-    grads, _ = net.backward(cache, 2.0 * (out - target))
+    grad, _ = net.backward(cache, 2.0 * (out - target))
     pred = w * 2.0 + 0.3
-    assert grads[0]["W"][0, 0] == pytest.approx(2.0 * (pred - 1.0) * 2.0)
-    assert grads[0]["b"][0] == pytest.approx(2.0 * (pred - 1.0))
+    dW, db = grad  # params is [W, b] for one 1 -> 1 layer
+    assert dW == pytest.approx(2.0 * (pred - 1.0) * 2.0)
+    assert db == pytest.approx(2.0 * (pred - 1.0))
 
 
 def test_stale_cache_rejected():
@@ -111,8 +117,8 @@ def test_stale_cache_rejected():
     X = np.ones((3, 2))
     out, cache = net.forward(X, train=True)
     opt = Adam(net)
-    grads, _ = net.backward(cache, np.ones_like(out))
-    opt.step(grads)
+    grad, _ = net.backward(cache, np.ones_like(out))
+    opt.step(grad)
     with pytest.raises(ValueError, match="stale"):
         net.backward(cache, np.ones_like(out))
 
@@ -143,22 +149,18 @@ def test_gradients_eval_mode():
 
 def test_adam_zero_gradient_noop():
     net = Network(2, [LayerSpec(2, "linear")], seed=3)
-    before = [{k: v.copy() for k, v in p.items()} for p in net.parameters()]
+    before = net.params.copy()
     opt = Adam(net)
-    zero = [{k: np.zeros_like(v) for k, v in p.items()} for p in net.parameters()]
-    opt.step(zero)
+    opt.step(np.zeros_like(net.params))
     assert opt.t == 1
-    for b, p in zip(before, net.parameters()):
-        for k in b:
-            assert np.array_equal(b[k], p[k])
+    assert np.array_equal(before, net.params)
 
 
 def test_adam_first_step_magnitude():
     net = Network(1, [LayerSpec(1, "linear")], seed=0)
     opt = Adam(net, lr=0.05)
     w0 = net.layers[0]["W"].copy()
-    grads = [{"W": np.array([[3.0]]), "b": np.array([-2.0])}]
-    opt.step(grads)
+    opt.step(np.array([3.0, -2.0]))  # [dW, db]
     # bias-corrected first step moves each parameter by ~lr against the sign
     assert net.layers[0]["W"][0, 0] == pytest.approx(w0[0, 0] - 0.05, abs=1e-6)
     assert net.layers[0]["b"][0] == pytest.approx(0.05, abs=1e-6)
@@ -172,40 +174,67 @@ def test_adam_scalar_convergence():
     opt = Adam(net, lr=0.1)
     for _ in range(100):
         x = net.layers[0]["W"][0, 0]
-        grads = [{"W": np.array([[2.0 * (x - 3.0)]]), "b": np.zeros(1)}]
-        opt.step(grads)
+        opt.step(np.array([2.0 * (x - 3.0), 0.0]))
     assert abs(net.layers[0]["W"][0, 0] - 3.0) < 0.05
 
 
 def test_adam_shape_mismatch():
     net = Network(2, [LayerSpec(2, "linear")], seed=0)
     opt = Adam(net)
-    with pytest.raises(ValueError):
-        opt.step([{"W": np.zeros((3, 3)), "b": np.zeros(2)}])
+    with pytest.raises(ValueError, match="shape"):
+        opt.step(np.zeros(net.params.size + 1))
+    with pytest.raises(ValueError, match="shape"):
+        opt.step(np.zeros((1, net.params.size)))
 
 
-def test_mixed_loss_spec_validation():
-    with pytest.raises(ValueError):
-        MixedLossSpec(np.array([0, 1]), np.array([1, 2]))
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_layer_arrays_are_views_of_params(batch_norm):
+    net = Network(3, [LayerSpec(4, "relu", batch_norm), LayerSpec(2, "linear")], seed=0)
+    arrays = _param_arrays(net)
+    assert len(arrays) == (6 if batch_norm else 4)
+    for a in arrays:
+        assert np.shares_memory(a, net.params)
+    assert sum(a.size for a in arrays) == net.params.size
+    if batch_norm:
+        assert not np.shares_memory(net.layers[0]["running_mean"], net.params)
+        assert not np.shares_memory(net.layers[0]["running_var"], net.params)
+
+
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_flat_adam_matches_per_array_reference(batch_norm):
+    rng = make_rng(40 + batch_norm)
+    specs = [LayerSpec(5, "tanh", batch_norm), LayerSpec(4, "relu", batch_norm)]
+    net = Network(3, specs + [LayerSpec(3, "linear")], seed=11)
+    arrays = [a.copy() for a in _param_arrays(net)]
+    opt = Adam(net, lr=0.01)
+    reference = ReferenceAdam(arrays, lr=0.01)
+    for _ in range(60):
+        X = rng.uniform(-1, 1, size=(8, 3))
+        out, cache = net.forward(X, train=True)
+        grad, _ = net.backward(cache, out - rng.uniform(-1, 1, size=out.shape))
+        opt.step(grad)
+        reference.step(split_like(grad, arrays))
+    for a, view in zip(arrays, _param_arrays(net), strict=True):
+        assert np.array_equal(a, view)
 
 
 def test_mixed_loss_values():
-    spec = MixedLossSpec(np.array([0]), np.array([], dtype=int))
-    value, grad = mixed_loss(np.array([[0.7]]), np.array([[0.4]]), spec)
+    value, grad = mixed_loss(np.array([[0.7]]), np.array([[0.4]]), mixed_schema(1, 0))
     assert value == pytest.approx(0.3)
     assert grad[0, 0] == pytest.approx(1.0)  # d|diff|/ddiff at rmse
 
-    spec2 = MixedLossSpec(np.array([0]), np.array([1]))
     pred = np.array([[0.4, 1.0 - 1e-7]])
     target = np.array([[0.4, 1.0]])
-    value, _ = mixed_loss(pred, target, spec2)
+    value, _ = mixed_loss(pred, target, mixed_schema(1, 1))
     assert value < 1e-6  # BCE floor at the clamp
 
 
 def test_mixed_loss_weighted_branch_warning():
-    spec = MixedLossSpec(np.array([0]), np.array([1]), weights=np.array([[0.0, 1.0]]))
     with pytest.warns(UserWarning, match="numerical"):
-        value, grad = mixed_loss(np.array([[0.9, 0.5]]), np.array([[0.1, 1.0]]), spec)
+        value, grad = mixed_loss(
+            np.array([[0.9, 0.5]]), np.array([[0.1, 1.0]]), mixed_schema(1, 1),
+            weights=np.array([[0.0, 1.0]]),
+        )
     assert grad[0, 0] == 0.0
     assert value == pytest.approx(-np.log(0.5))
 
@@ -214,7 +243,7 @@ def test_mixed_loss_weighted_branch_warning():
 def test_mixed_loss_finite_differences(seed):
     rng = make_rng(300 + seed)
     n_num, n_cat = 8, 7
-    spec = MixedLossSpec(np.arange(n_num), np.arange(n_num, n_num + n_cat))
+    schema = mixed_schema(n_num, n_cat)
     pred = np.concatenate(
         [rng.uniform(-1, 1, size=(8, n_num)), rng.uniform(0.05, 0.95, size=(8, n_cat))],
         axis=1,
@@ -225,17 +254,16 @@ def test_mixed_loss_finite_differences(seed):
     )
     weights = rng.integers(0, 2, size=pred.shape).astype(float)
     weights[0, :] = 1.0  # keep both branches populated
-    wspec = MixedLossSpec(spec.numerical_indices, spec.categorical_indices, weights)
-    _, grad = mixed_loss(pred, target, wspec)
+    _, grad = mixed_loss(pred, target, schema, weights)
     h = 1e-6
     worst = 0.0
     for i in range(pred.shape[0]):
         for j in range(pred.shape[1]):
             orig = pred[i, j]
             pred[i, j] = orig + h
-            lp, _ = mixed_loss(pred, target, wspec)
+            lp, _ = mixed_loss(pred, target, schema, weights)
             pred[i, j] = orig - h
-            lm, _ = mixed_loss(pred, target, wspec)
+            lm, _ = mixed_loss(pred, target, schema, weights)
             pred[i, j] = orig
             worst = max(worst, rel_err(grad[i, j], (lp - lm) / (2 * h)))
     assert worst < 1e-4
