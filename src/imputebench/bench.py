@@ -12,6 +12,7 @@ SMOTE-balanced training folds, scored by F1.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -115,6 +116,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods or not self.rates:
             raise ValueError("config needs at least one method and one rate")
+        for name, values in (("methods", self.methods), ("rates", self.rates)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated entry in {name} {list(values)}")
+        stray = sorted(set(self.method_overrides) - set(self.methods))
+        if stray:
+            raise ValueError(f"method_overrides for methods not in methods: {stray}")
         if self.folds < 2 or self.repeats < 1:
             raise ValueError("folds must be >= 2 and repeats >= 1")
         for r in (*self.rates, self.post_rate):
@@ -225,10 +232,15 @@ def _defined_or_nan(name, metric, *args) -> float:
         return np.nan
 
 
+def _check_methods(schema: Schema, config: ExperimentConfig) -> None:
+    """Build every configured imputer once, so a bad name or argument fails first."""
+    for name in config.methods:
+        make_imputer(name, schema, 0, **config.method_overrides.get(name, {}))
+
+
 def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> MetricsReport:
     """The corruption / 5-fold CV / repeats protocol on one dataset."""
-    for name in config.methods:
-        make_imputer(name, table.schema, 0, **config.method_overrides.get(name, {}))
+    _check_methods(table.schema, config)
     complete = complete_subset(table)
     n = complete.n_rows
     records = []
@@ -270,40 +282,29 @@ def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> Me
 # post-imputation prediction
 
 
-def predict_cv(
-    table: MixedTable,
-    seed: int,
-    folds: int = 5,
-    forest_trees: int = 100,
-    forest_max_depth: int | None = None,
-    smote_k: int = 5,
-) -> list:
-    """5-fold CV of a random-forest label predictor with SMOTE training folds.
+def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
+    """CV of a random-forest label predictor with SMOTE training folds.
 
     The table must be complete and its schema must designate a label
     column. Features are min-max normalized per training fold before SMOTE
-    distances and forest fitting. Returns the per-fold F1 scores.
+    distances and forest fitting. `config` supplies `folds`,
+    `forest_trees`, `forest_max_depth` and `smote_k`. Returns the
+    per-fold F1 scores.
     """
     schema = table.schema
     if schema.label is None:
         raise ValueError("schema designates no label column")
     label_j = schema.label_index
-    feature_idx = np.array([j for j in range(schema.n_cols) if j != label_j])
-    cat_local = np.array(
-        [
-            i
-            for i, j in enumerate(feature_idx)
-            if schema.columns[j].kind is ColumnKind.CATEGORICAL_BINARY
-        ]
-    )
-    assignment = assign_folds(table.n_rows, folds, derive_seed(seed, "predict-folds"))
+    feature_idx = np.delete(np.arange(schema.n_cols), label_j)
+    cat_local = np.flatnonzero(schema.is_categorical[feature_idx])
+    assignment = assign_folds(table.n_rows, config.folds, derive_seed(seed, "predict-folds"))
     tree_config = rf.TreeConfig(
         task=rf.CLASSIFICATION,
-        max_depth=forest_max_depth,
+        max_depth=config.forest_max_depth,
         n_features_per_split="sqrt",
     )
     scores = []
-    for fold in range(folds):
+    for fold in range(config.folds):
         train_rows = assignment.train_rows(fold)
         test_rows = assignment.fold_rows(fold)
         train_tbl = table.take(train_rows)
@@ -315,14 +316,14 @@ def predict_cv(
         X_bal, y_bal = smote(
             X_train,
             y_train,
-            SmoteConfig(k_neighbors=smote_k, seed=derive_seed(seed, "smote", fold)),
+            SmoteConfig(k_neighbors=config.smote_k, seed=derive_seed(seed, "smote", fold)),
             categorical_indices=cat_local,
         )
         model = rf.fit_forest(
             X_bal,
             y_bal,
             tree_config,
-            n_trees=forest_trees,
+            n_trees=config.forest_trees,
             seed=derive_seed(seed, "predict-forest", fold),
         )
         preds = (rf.predict_forest(model, X_test) >= 0.5).astype(float)
@@ -335,6 +336,7 @@ def run_post_imputation(table: MixedTable, config: ExperimentConfig) -> MetricsR
     schema = table.schema
     if schema.label is None:
         raise ValueError("post-imputation prediction needs a label column")
+    _check_methods(schema, config)
     rate = config.post_rate
     complete = complete_subset(table)
     f1_records = []
@@ -348,14 +350,7 @@ def run_post_imputation(table: MixedTable, config: ExperimentConfig) -> MetricsR
             )
             imputer.fit(corrupted)
             imputed = imputer.impute(corrupted).table
-            fold_scores = predict_cv(
-                imputed,
-                seed=derive_seed(config.seed, "post-cv", repeat),
-                folds=config.folds,
-                forest_trees=config.forest_trees,
-                forest_max_depth=config.forest_max_depth,
-                smote_k=config.smote_k,
-            )
+            fold_scores = predict_cv(imputed, derive_seed(config.seed, "post-cv", repeat), config)
             for fold, score in enumerate(fold_scores):
                 f1_records.append(F1Record(method, rate, repeat, fold, score))
     return MetricsReport([], f1_records, _config_echo(config))
@@ -371,81 +366,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, rows) -> None:
+    """A header of the first row's keys, then one line of values per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
 
 def emit_report(report: MetricsReport, out_dir) -> list:
     """Write detail, aggregate, and plot-series tables; returns file paths.
 
-    details.csv has one row per (method, rate, repeat, fold) run;
-    aggregate.csv one row per (method, rate). series_rmse.csv and
-    series_auroc.csv are plot-ready (rate as rows, one column per method);
-    f1.csv holds the post-imputation scores when present.
+    Each table's columns are its rows' fields: details.csv and
+    f1_details.csv hold one record per run, aggregate.csv and f1.csv one
+    `_group_stats` row per (method, rate). series_rmse.csv and
+    series_auroc.csv are plot-ready (rate as rows, one mean column per
+    method).
     """
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
+    tables = {}
     if report.records:
-        path = os.path.join(out_dir, "details.csv")
-        _write_csv(
-            path,
-            ["method", "rate", "repeat", "fold", "rmse", "auroc"],
-            [
-                (r.method, r.rate, r.repeat, r.fold, r.rmse, r.auroc)
-                for r in report.records
-            ],
-        )
-        written.append(path)
         agg = report.aggregate()
-        path = os.path.join(out_dir, "aggregate.csv")
-        _write_csv(
-            path,
-            ["method", "rate", "n_runs", "rmse_mean", "rmse_std", "auroc_mean", "auroc_std"],
-            [
-                (a["method"], a["rate"], a["n_runs"], a["rmse_mean"], a["rmse_std"],
-                 a["auroc_mean"], a["auroc_std"])
-                for a in agg
-            ],
-        )
-        written.append(path)
-        methods = list(dict.fromkeys(r.method for r in report.records))
-        rates = sorted({r.rate for r in report.records})
+        tables["details.csv"] = [asdict(r) for r in report.records]
+        tables["aggregate.csv"] = agg
+        methods = list(dict.fromkeys(a["method"] for a in agg))
         by_key = {(a["method"], a["rate"]): a for a in agg}
         for metric in ("rmse", "auroc"):
-            path = os.path.join(out_dir, f"series_{metric}.csv")
-            rows = []
-            for rate in rates:
-                row = [rate]
-                for m in methods:
-                    row.append(by_key[(m, rate)][f"{metric}_mean"])
-                rows.append(row)
-            _write_csv(path, ["rate"] + methods, rows)
-            written.append(path)
-
+            tables[f"series_{metric}.csv"] = [
+                {"rate": rate, **{m: by_key[(m, rate)][f"{metric}_mean"] for m in methods}}
+                for rate in sorted({a["rate"] for a in agg})
+            ]
     if report.f1_records:
-        path = os.path.join(out_dir, "f1_details.csv")
-        _write_csv(
-            path,
-            ["method", "rate", "repeat", "fold", "f1"],
-            [(r.method, r.rate, r.repeat, r.fold, r.f1) for r in report.f1_records],
-        )
-        written.append(path)
-        path = os.path.join(out_dir, "f1.csv")
-        _write_csv(
-            path,
-            ["method", "rate", "n_runs", "f1_mean", "f1_std"],
-            [
-                (a["method"], a["rate"], a["n_runs"], a["f1_mean"], a["f1_std"])
-                for a in report.f1_aggregate()
-            ],
-        )
-        written.append(path)
+        tables["f1_details.csv"] = [asdict(r) for r in report.f1_records]
+        tables["f1.csv"] = report.f1_aggregate()
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for name, rows in tables.items():
+        written.append(os.path.join(out_dir, name))
+        _write_csv(written[-1], rows)
     return written
 
 

@@ -9,7 +9,6 @@ import sys
 
 import numpy as np
 
-from . import bench as bench_mod
 from .bench import (
     ExperimentConfig,
     MetricsReport,
@@ -65,6 +64,9 @@ def _build_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
+        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config key(s) {unknown} in {args.config}")
         doc.setdefault("methods", list(METHOD_NAMES))
         if "rates" in doc:
             doc["rates"] = tuple(doc["rates"])

@@ -97,7 +97,6 @@ class ColumnStats:
 def column_stats(values: np.ndarray, schema: Schema) -> ColumnStats:
     mean = np.empty(values.shape[1])
     mode = np.empty(values.shape[1])
-    cat = set(schema.categorical_indices.tolist())
     for j in range(values.shape[1]):
         col = values[:, j]
         observed = col[~np.isnan(col)]
@@ -106,7 +105,7 @@ def column_stats(values: np.ndarray, schema: Schema) -> ColumnStats:
                 f"column {schema.columns[j].name!r} has no observed training cells"
             )
         mean[j] = observed.mean()
-        if j in cat:
+        if schema.is_categorical[j]:
             # positive fraction doubles as the (constant) class-1 score
             mode[j] = 1.0 if mean[j] >= 0.5 else 0.0
         else:
@@ -317,8 +316,7 @@ def knn_fill(
         # equal-length rows reduce in the same order as a 1-D mean
         groups = np.flatnonzero(sizes == m)
         means[groups] = vals[starts[groups, None] + np.arange(m)].mean(axis=1)
-    is_cat = np.zeros(n_cols, dtype=bool)
-    is_cat[schema.categorical_indices] = True
+    is_cat = schema.is_categorical
     filled = target_norm.copy()
     cat_scores = target_norm.copy()
     i, j = np.divmod(cells, n_cols)
@@ -398,7 +396,7 @@ class MissForestImputer(Imputer):
         X = values[np.ix_(observed_rows, other)]
         y = values[observed_rows, j]
         seed = derive_seed(self.seed, "missforest", tag, j)
-        config = self.cls_config if j in self.schema.categorical_indices else self.reg_config
+        config = self.cls_config if self.schema.is_categorical[j] else self.reg_config
         return rf.fit_forest(X, y, config, self.n_trees, seed), other
 
     def _deltas(self, new, old, observed):
@@ -419,7 +417,7 @@ class MissForestImputer(Imputer):
     def _iterate(self, target: MixedTable, forests, tag):
         """Sweep until the stop rule fires; returns (values, class-1 scores)."""
         observed = ~np.isnan(target.values)
-        is_cat = np.isin(np.arange(target.n_cols), self.schema.categorical_indices)
+        is_cat = self.schema.is_categorical
         # initial fill from training statistics; constant scores to match
         values = np.where(observed, target.values, self.stats_.mode)
         scores = np.where(~observed & is_cat, self.stats_.mean, np.nan)

@@ -34,4 +34,7 @@ def make_imputer(name: str, schema: Schema, seed: int = 0, **overrides) -> Imput
         raise ValueError(
             f"unknown imputation method {name!r}; known: {sorted(_FACTORIES)}"
         ) from None
-    return factory(schema, seed, **overrides)
+    try:
+        return factory(schema, seed, **overrides)
+    except TypeError as exc:
+        raise ValueError(f"method {name!r} rejects arguments {overrides}: {exc}") from None

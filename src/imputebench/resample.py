@@ -11,6 +11,9 @@ from .seeding import make_rng
 
 __all__ = ["SmoteConfig", "smote"]
 
+# (row, minority row) distance pairs computed per block of the neighbor search
+_SMOTE_BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class SmoteConfig:
@@ -54,9 +57,13 @@ def smote(X, y, config: SmoteConfig, categorical_indices=()):
         if k < 1:
             raise ValueError("need at least 2 minority samples for SMOTE")
     Xm = X[minority_rows]
-    d2 = ((Xm[:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    neighbor_ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    neighbor_ids = np.empty((n_min, k), dtype=np.intp)
+    block = max(1, _SMOTE_BLOCK // n_min)
+    for start in range(0, n_min, block):
+        rows = np.arange(start, min(start + block, n_min))
+        d2 = ((Xm[rows, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
+        d2[rows - start, rows] = np.inf
+        neighbor_ids[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     rng = make_rng(config.seed, "smote")
     cat = np.asarray(list(categorical_indices), dtype=int)
     synthetic = np.empty((n_needed, X.shape[1]))

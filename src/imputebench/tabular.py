@@ -69,7 +69,8 @@ def _kind_indices(columns, kind: ColumnKind) -> np.ndarray:
 class Schema:
     """Ordered column declarations plus an optional binary label column.
 
-    `numerical_indices` and `categorical_indices` are built once, read-only.
+    `numerical_indices`, `categorical_indices` and the per-column boolean
+    `is_categorical` are built once, read-only.
     """
 
     def __init__(self, columns, label: str | None = None):
@@ -85,6 +86,9 @@ class Schema:
         self.label = label
         self.numerical_indices = _kind_indices(columns, ColumnKind.NUMERICAL)
         self.categorical_indices = _kind_indices(columns, ColumnKind.CATEGORICAL_BINARY)
+        self.is_categorical = np.zeros(len(columns), dtype=bool)
+        self.is_categorical[self.categorical_indices] = True
+        self.is_categorical.flags.writeable = False
 
     @property
     def names(self) -> list[str]:

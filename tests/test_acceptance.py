@@ -11,8 +11,8 @@ import os
 import numpy as np
 import pytest
 
-from imputebench.bench import ExperimentConfig, emit_report, run_imputation_experiment, run_post_imputation
-from imputebench.deep_imputers import GainConfig, GainImputer, make_hint
+from imputebench.bench import ExperimentConfig, run_imputation_experiment, run_post_imputation
+from imputebench.deep_imputers import make_hint
 from imputebench.imputers import KnnImputer
 from imputebench.metrics import auroc, normalized_rmse
 from imputebench.missingness import MissSpec, inject_mcar

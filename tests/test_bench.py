@@ -87,10 +87,14 @@ def test_config_validation():
         {"smote_k": 0},
         {"rates": ()},
         {"forest_max_depth": 0},
+        {"rates": (0.2, 0.4, 0.2)},
+        {"method_overrides": {"inna": {"epochs": 2}}},  # a method not run
     ]
     for bad in bad_fields:
         with pytest.raises(ValueError):
             ExperimentConfig(methods=["simple"], **bad)
+    with pytest.raises(ValueError, match="repeated"):
+        ExperimentConfig(methods=["simple", "knn", "simple"])
     cfg = ExperimentConfig(methods=["nope"], repeats=1)
     t = generate_synthetic(SyntheticSpec(mixed_schema(2, 1), identity_corr(3)), 30, seed=5)
     with pytest.raises(ValueError, match="unknown"):
@@ -281,19 +285,23 @@ def labelled_table(n=120, seed=11):
     )
 
 
+def predict_config(**fields):
+    return ExperimentConfig(methods=["simple"], folds=3, **fields)
+
+
 def test_predict_cv_basics():
     t = labelled_table()
-    scores = predict_cv(t, seed=1, folds=3, forest_trees=20)
+    scores = predict_cv(t, 1, predict_config(forest_trees=20))
     assert len(scores) == 3
     assert all(0.0 <= s <= 1.0 for s in scores)
-    again = predict_cv(t, seed=1, folds=3, forest_trees=20)
+    again = predict_cv(t, 1, predict_config(forest_trees=20))
     assert scores == again
 
 
 def test_predict_cv_requires_label():
     t = small_table()
     with pytest.raises(ValueError, match="label"):
-        predict_cv(t, seed=0)
+        predict_cv(t, 0, predict_config())
 
 
 def test_predict_cv_strong_signal_scores_high():
@@ -302,7 +310,7 @@ def test_predict_cv_strong_signal_scores_high():
     x = rng.uniform(0, 1, size=(300, 2))
     label = (x[:, 0] + x[:, 1] > 1.2).astype(float)  # ~minority positive class
     t = MixedTable(schema, np.column_stack([x, label]))
-    scores = predict_cv(t, seed=2, folds=3, forest_trees=50)
+    scores = predict_cv(t, 2, predict_config(forest_trees=50))
     assert np.mean(scores) > 0.8
 
 
@@ -322,10 +330,19 @@ def test_post_imputation_counts_and_label_protected():
         assert np.isnan(np.delete(tbl.values, label_j, axis=1)).any()
 
 
+def test_post_imputation_checks_methods_before_any_work():
+    register_imputer("recording", lambda schema, seed, **kw: RecordingImputer(schema, seed))
+    RecordingImputer.fit_tables.clear()
+    cfg = ExperimentConfig(methods=["recording", "knnn"], folds=3, repeats=1, forest_trees=3)
+    with pytest.raises(ValueError, match="knnn"):
+        run_post_imputation(labelled_table(), cfg)
+    assert RecordingImputer.fit_tables == []
+
+
 def test_post_imputation_information_loss_oracle():
     """Clean-data CV F1 should not trail far behind imputed-data CV F1."""
     t = labelled_table(n=150, seed=17)
-    clean = np.mean(predict_cv(t, seed=3, folds=3, forest_trees=20))
+    clean = np.mean(predict_cv(t, 3, predict_config(forest_trees=20)))
     cfg = ExperimentConfig(
         methods=["simple"], folds=3, repeats=1, seed=6, forest_trees=20, post_rate=0.4
     )
@@ -362,9 +379,17 @@ def test_emit_report_files(tmp_path):
         "series_auroc.csv",
         "series_rmse.csv",
     ]
+    headers = {
+        "details.csv": "method,rate,repeat,fold,rmse,auroc",
+        "aggregate.csv": "method,rate,n_runs,rmse_mean,rmse_std,auroc_mean,auroc_std",
+        "series_rmse.csv": "rate,simple",
+        "series_auroc.csv": "rate,simple",
+        "f1_details.csv": "method,rate,repeat,fold,f1",
+        "f1.csv": "method,rate,n_runs,f1_mean,f1_std",
+    }
+    for name, header in headers.items():
+        assert (tmp_path / "out" / name).read_text().splitlines()[0] == header, name
     lines = (tmp_path / "out" / "details.csv").read_text().splitlines()
-    assert lines[0] == "method,rate,repeat,fold,rmse,auroc"
     assert len(lines) == 1 + 3  # header + folds x repeats
     series = (tmp_path / "out" / "series_rmse.csv").read_text().splitlines()
-    assert series[0] == "rate,simple"
     assert len(series) == 2

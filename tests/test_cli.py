@@ -7,7 +7,6 @@ from imputebench.cli import default_synthetic_spec, main
 from imputebench.tabular import (
     FRAMINGHAM_SCHEMA,
     load_csv,
-    save_csv,
     save_schema,
 )
 
@@ -110,13 +109,19 @@ def test_bench_synthetic_and_report_round_trip(tmp_path, small_schema_file, caps
     assert (out_dir / "report.json").exists()
     assert (out_dir / "details.csv").exists()
 
-    # re-render tables from the saved report
+    # re-render tables from the saved report: every table, byte for byte
     render_dir = tmp_path / "render"
     assert (
         main(["report", "--report", str(out_dir / "report.json"), "--out-dir", str(render_dir)])
         == 0
     )
-    assert (render_dir / "aggregate.csv").read_bytes() == (out_dir / "aggregate.csv").read_bytes()
+    tables = sorted(p.name for p in out_dir.glob("*.csv"))
+    assert tables == [
+        "aggregate.csv", "details.csv", "series_auroc.csv", "series_rmse.csv"
+    ]
+    assert sorted(p.name for p in render_dir.iterdir()) == tables
+    for name in tables:
+        assert (render_dir / name).read_bytes() == (out_dir / name).read_bytes(), name
 
 
 def test_bench_config_file(tmp_path, small_schema_file):
@@ -194,3 +199,27 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
     )
     assert code == 1  # neither --input nor --synthetic supplied
     assert "required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        ({"methods": ["knn"], "method_overrides": {"knn": {"kk": 3}}}, ("'knn'", "'kk'")),
+        ({"methods": ["simple"], "fold": 3}, ("'fold'",)),
+    ],
+)
+def test_bad_config_is_a_named_error(tmp_path, capsys, small_schema_file, cfg, named):
+    _, schema_path = small_schema_file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(
+        [
+            "bench", "--schema", schema_path, "--synthetic", "30",
+            "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for text in named:
+        assert text in err

@@ -12,10 +12,7 @@ from imputebench.imputers import (
 from imputebench.missingness import MissSpec, inject_mcar
 from imputebench.registry import METHOD_NAMES, make_imputer
 from imputebench.tabular import (
-    Column,
-    ColumnKind,
     MixedTable,
-    Schema,
     fit_normalizer,
     normalize,
 )

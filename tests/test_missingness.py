@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imputebench.missingness import FoldAssignment, MissSpec, assign_folds, inject_mcar
+from imputebench.missingness import MissSpec, assign_folds, inject_mcar
 
 from conftest import mixed_schema, random_table
 

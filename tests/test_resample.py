@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from imputebench import resample
 from imputebench.resample import SmoteConfig, smote
 
 from conftest import make_rng
@@ -129,3 +130,23 @@ def test_minority_is_detected_by_count_not_value():
     y = np.concatenate([np.ones(25), np.zeros(5)])  # class 0 is the minority
     _, y2 = smote(X, y, SmoteConfig(seed=2))
     assert (y2 == 0).sum() == 25
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7])
+def test_blocked_neighbor_search_matches_one_block(monkeypatch, rows_per_block):
+    # integer coordinates repeat minority rows, so many distances tie and
+    # the stable (distance, index) order decides the neighbor lists
+    rng = make_rng(9)
+    n_min = 40
+    X = np.vstack(
+        [rng.uniform(0, 1, size=(200, 3)), rng.integers(0, 3, size=(n_min, 3)).astype(float)]
+    )
+    X[-1] = X[-2]
+    y = np.concatenate([np.zeros(200), np.ones(n_min)])
+    config = SmoteConfig(seed=4, k_neighbors=5)
+    # at this size the default block holds every minority row at once
+    X_ref, y_ref = smote(X, y, config, categorical_indices=[2])
+    monkeypatch.setattr(resample, "_SMOTE_BLOCK", rows_per_block * n_min)
+    X_blk, y_blk = smote(X, y, config, categorical_indices=[2])
+    assert np.array_equal(X_blk, X_ref)
+    assert np.array_equal(y_blk, y_ref)

@@ -31,7 +31,10 @@ def test_framingham_schema_shape():
     assert FRAMINGHAM_SCHEMA.label == "CVD"
     # built once and shared, so callers must not be able to mutate them
     assert FRAMINGHAM_SCHEMA.numerical_indices is FRAMINGHAM_SCHEMA.numerical_indices
-    for idx in (FRAMINGHAM_SCHEMA.numerical_indices, FRAMINGHAM_SCHEMA.categorical_indices):
+    mask = FRAMINGHAM_SCHEMA.is_categorical
+    kinds = [c.kind for c in FRAMINGHAM_SCHEMA.columns]
+    assert np.array_equal(mask, [k is ColumnKind.CATEGORICAL_BINARY for k in kinds])
+    for idx in (FRAMINGHAM_SCHEMA.numerical_indices, FRAMINGHAM_SCHEMA.categorical_indices, mask):
         with pytest.raises(ValueError, match="read-only"):
             idx[0] = 99
 
