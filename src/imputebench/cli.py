@@ -5,11 +5,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 
 from .bench import (
+    DEFAULT_RATES,
     ExperimentConfig,
     MetricsReport,
     SyntheticSpec,
@@ -68,6 +70,7 @@ def _build_config(args) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config key(s) {unknown} in {args.config}")
         doc.setdefault("methods", list(METHOD_NAMES))
+        doc.setdefault("dataset", args.input)
         if "rates" in doc:
             doc["rates"] = tuple(doc["rates"])
         return ExperimentConfig(**doc)
@@ -173,6 +176,7 @@ def _add_common_io(parser, needs_input=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     parser = argparse.ArgumentParser(
         prog="imputebench",
         description="Mixed-type missing-data imputation methods and benchmarks",
@@ -209,11 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
         p.add_argument("--synthetic", type=int, metavar="ROWS", help="use a synthetic dataset")
         p.add_argument("--methods", default="simple,knn")
-        p.add_argument("--rates", default="0.1,0.2,0.3,0.4,0.5")
-        p.add_argument("--folds", type=int, default=5)
-        p.add_argument("--repeats", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--auroc-average", choices=("macro", "micro"), default="macro")
+        p.add_argument("--rates", default=",".join(map(str, DEFAULT_RATES)))
+        for flag in ("folds", "repeats", "seed"):
+            p.add_argument(f"--{flag}", type=int, default=defaults[flag])
+        p.add_argument(
+            "--auroc-average", choices=("macro", "micro"), default=defaults["auroc_average"]
+        )
         p.add_argument("--out-dir", required=True)
         if extra_rate:
             p.add_argument("--rate", type=float, default=None)
@@ -228,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    import os
-
     if getattr(args, "out_dir", None):
         os.makedirs(args.out_dir, exist_ok=True)
     try:

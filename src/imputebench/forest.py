@@ -6,7 +6,8 @@ unique feature values. Forests add seeded bootstrap sampling and per-node
 feature subsampling. Classification leaves store the positive-class
 fraction, so forest predictions are probabilities.
 
-A tree is a set of parallel arrays in level order (`Tree`). Trees grow
+A tree is a set of parallel arrays in level order (`Tree`); a forest is one
+such set holding every tree's nodes, with a root per tree. Trees grow
 level by level, a block of trees at a time, in the exact-greedy presorted
 scheme of XGBoost (Chen & Guestrin 2016) with exact CART midpoints: at each
 depth one stable sort by (open node, candidate slot, x) lays out every
@@ -82,7 +83,7 @@ class TreeConfig:
 
 @dataclass
 class Tree:
-    """A fitted tree as parallel arrays in level order; node 0 is the root.
+    """Fitted nodes as parallel arrays in level order; a lone tree's root is node 0.
 
     ``left[i] == -1`` marks a leaf, whose ``feature`` is -1. A row at an
     inner node goes to ``left[i]`` when ``x[feature[i]] <= threshold[i]``
@@ -99,9 +100,15 @@ class Tree:
 
 @dataclass
 class ForestModel:
-    trees: list
-    n_trees: int
+    """A fitted forest: every tree's nodes in one `Tree`, tree t rooted at ``roots[t]``."""
+
+    tree: Tree
+    roots: np.ndarray
     n_features: int
+
+    @property
+    def n_trees(self) -> int:
+        return self.roots.size
 
 
 def _check_xy(X, y):
@@ -269,15 +276,15 @@ def _best_splits(X, place, rows, ys, members, starts, counts, parent, cand, task
     return best_feature, best_threshold
 
 
-def _grow(X, ranks, y, samples, rngs, config: TreeConfig) -> list:
+def _grow(X, ranks, y, samples, rngs, config: TreeConfig, first_id: int) -> Tree:
     """Grow one tree per row of ``samples`` (row indices into X), level by level.
 
     ``ranks`` are `_dense_ranks(X)`; ``rngs[t]`` draws tree t's feature
-    subsets. Node ids count through the block level by level; within a
-    level, nodes are laid out by ascending size (ties in their parents'
-    order, left child first), so nodes and segments of equal size are
-    contiguous. A tree's own nodes keep that order whatever else shares
-    the block.
+    subsets. Returns the block's nodes as one `Tree` whose ids count from
+    ``first_id`` level by level, so tree t's root is ``first_id + t``.
+    Within a level, nodes are laid out by ascending size (ties in their
+    parents' order, left child first), so nodes and segments of equal size
+    are contiguous.
     """
     n_trees, n = samples.shape
     n_features = X.shape[1]
@@ -288,7 +295,6 @@ def _grow(X, ranks, y, samples, rngs, config: TreeConfig) -> list:
     node_tree = np.arange(n_trees)
     counts = np.full(n_trees, n)
     members = np.arange(rows.size)  # open samples, grouped by node, in sample order
-    first_id = 0  # id of the level's first node
     levels = []
     depth = 0
     while counts.size:
@@ -331,36 +337,20 @@ def _grow(X, ranks, y, samples, rngs, config: TreeConfig) -> list:
         right = np.full(counts.size, -1)
         left[split] = next_id + slot[0::2]
         right[split] = next_id + slot[1::2]
-        levels.append((node_tree, feature, threshold, left, right, value))
+        levels.append((feature, threshold, left, right, value))
         members = g[keep][np.argsort(slot[child], kind="stable")]
         node_tree = np.repeat(node_tree[split], 2)[layout]
         counts = child_counts[layout]
-        first_id = next_id
+        first_id = next_id  # id of the next level's first node
         depth += 1
-    node_tree, feature, threshold, left, right, value = map(np.concatenate, zip(*levels))
-    local = np.empty(first_id, dtype=np.int64)
-    trees = []
-    for t in range(n_trees):
-        own = np.flatnonzero(node_tree == t)
-        local[own] = np.arange(own.size)
-        inner = left[own] >= 0
-        trees.append(
-            Tree(
-                feature=feature[own],
-                threshold=threshold[own],
-                left=np.where(inner, local[left[own]], -1),
-                right=np.where(inner, local[right[own]], -1),
-                value=value[own],
-            )
-        )
-    return trees
+    return Tree(*map(np.concatenate, zip(*levels)))
 
 
 def fit_tree(X, y, config: TreeConfig, seed: int = 0) -> Tree:
     """Greedy CART over a seeded random feature subset at each node."""
     X, y = _check_xy(X, y)
     samples = np.arange(X.shape[0])[None, :]
-    return _grow(X, _dense_ranks(X), y, samples, [make_rng(seed, "tree")], config)[0]
+    return _grow(X, _dense_ranks(X), y, samples, [make_rng(seed, "tree")], config, 0)
 
 
 def _leaves(tree: Tree, roots, X: np.ndarray) -> np.ndarray:
@@ -382,26 +372,6 @@ def predict_tree(tree: Tree, X) -> np.ndarray:
     return tree.value[_leaves(tree, np.zeros(1, dtype=np.int64), X)]
 
 
-def _stack(trees: list):
-    """The trees side by side as one `Tree`, and the index of each root."""
-    sizes = np.array([t.left.size for t in trees])
-    roots = np.cumsum(sizes) - sizes
-
-    def children(side):
-        return np.concatenate(
-            [np.where(c >= 0, c + r, -1) for c, r in zip(side, roots)]
-        )
-
-    stacked = Tree(
-        feature=np.concatenate([t.feature for t in trees]),
-        threshold=np.concatenate([t.threshold for t in trees]),
-        left=children([t.left for t in trees]),
-        right=children([t.right for t in trees]),
-        value=np.concatenate([t.value for t in trees]),
-    )
-    return stacked, roots
-
-
 def fit_forest(
     X,
     y,
@@ -417,7 +387,7 @@ def fit_forest(
     n, n_features = X.shape
     ranks = _dense_ranks(X)
     per_block = max(1, _FOREST_BLOCK // (n * max(1, config.features_per_split(n_features))))
-    trees = []
+    blocks, roots, n_nodes = [], [], 0
     for lo in range(0, n_trees, per_block):
         seeds = [derive_seed(seed, "forest", t) for t in range(lo, min(lo + per_block, n_trees))]
         samples = np.array(
@@ -426,8 +396,12 @@ def fit_forest(
                 for s in seeds
             ]
         )
-        trees += _grow(X, ranks, y, samples, [make_rng(s, "tree") for s in seeds], config)
-    return ForestModel(trees, n_trees, n_features)
+        rngs = [make_rng(s, "tree") for s in seeds]
+        blocks.append(_grow(X, ranks, y, samples, rngs, config, n_nodes))
+        roots.append(n_nodes + np.arange(len(seeds)))
+        n_nodes += blocks[-1].left.size
+    tree = Tree(*(np.concatenate(a) for a in zip(*(vars(b).values() for b in blocks))))
+    return ForestModel(tree, np.concatenate(roots), n_features)
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:
@@ -440,7 +414,7 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
     acc = np.zeros(X.shape[0])
     per_block = max(1, _FOREST_BLOCK // max(1, X.shape[0]))
     for lo in range(0, model.n_trees, per_block):
-        stacked, roots = _stack(model.trees[lo : lo + per_block])
-        for out in stacked.value[_leaves(stacked, roots, X)].reshape(roots.size, X.shape[0]):
+        roots = model.roots[lo : lo + per_block]
+        for out in model.tree.value[_leaves(model.tree, roots, X)].reshape(roots.size, -1):
             acc += out
     return acc / model.n_trees

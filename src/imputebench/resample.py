@@ -18,18 +18,15 @@ _SMOTE_BLOCK = 2**16
 @dataclass(frozen=True)
 class SmoteConfig:
     k_neighbors: int = 5
-    target_ratio: float = 1.0  # minority/majority after resampling
     seed: int = 0
 
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if not 0.0 < self.target_ratio <= 1.0:
-            raise ValueError("target_ratio must be in (0, 1]")
 
 
 def smote(X, y, config: SmoteConfig, categorical_indices=()):
-    """Synthesize minority rows by interpolating between minority neighbors.
+    """Balance the classes 1:1 with minority rows interpolated between neighbors.
 
     Each synthetic sample lies on the segment between a seeded random
     minority row `a` and one of its k nearest minority neighbors;
@@ -45,7 +42,7 @@ def smote(X, y, config: SmoteConfig, categorical_indices=()):
     minority_rows = np.flatnonzero(y == minority)
     n_min = minority_rows.size
     n_maj = y.size - n_min
-    n_needed = int(round(config.target_ratio * n_maj)) - n_min
+    n_needed = n_maj - n_min
     if n_needed <= 0:
         return X.copy(), y.copy()
     k = config.k_neighbors

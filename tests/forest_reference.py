@@ -147,6 +147,19 @@ def assert_same_tree(tree: rf.Tree, node: Node, i: int = 0) -> int:
     )
 
 
+def assert_same_forest(model: rf.ForestModel, nodes: list) -> None:
+    """Tree t of `model`, walked from ``roots[t]``, has ``nodes[t]``'s layout.
+
+    The walks' node counts add up to the forest's node count.
+    """
+    assert model.roots.size == model.n_trees == len(nodes)
+    compared = [
+        assert_same_tree(model.tree, node, root)
+        for root, node in zip(model.roots, nodes, strict=True)
+    ]
+    assert sum(compared) == model.tree.left.size
+
+
 def assert_matches_reference(X, y, config, seed=0) -> rf.Tree:
     """`fit_tree` equals the recursive grower node for node; returns the tree."""
     tree = rf.fit_tree(X, y, config, seed)

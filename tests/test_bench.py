@@ -206,7 +206,8 @@ def test_experiment_determinism_byte_identical(tmp_path):
 def test_repeats_redraw_masks_and_folds():
     t = small_table()
     cfg = ExperimentConfig(methods=["simple"], rates=(0.3,), folds=3, repeats=2, seed=2)
-    report = run_imputation_experiment(t, cfg)
+    with pytest.warns(UserWarning, match="AUROC undefined"):
+        report = run_imputation_experiment(t, cfg)
     r0 = [r.rmse for r in report.records if r.repeat == 0]
     r1 = [r.rmse for r in report.records if r.repeat == 1]
     assert r0 != r1
@@ -239,7 +240,8 @@ def test_no_ground_truth_leak_and_per_fold_fitting():
     RecordingImputer.impute_tables.clear()
     t = small_table(n=45)
     cfg = ExperimentConfig(methods=["recording"], rates=(0.3,), folds=3, repeats=1, seed=3)
-    run_imputation_experiment(t, cfg)
+    with pytest.warns(UserWarning, match="AUROC undefined"):
+        run_imputation_experiment(t, cfg)
     assert len(RecordingImputer.fit_tables) == 3  # one fit per fold
     n = t.n_rows
     for train_tbl, test_tbl in zip(
@@ -265,7 +267,9 @@ def test_knn_beats_simple_on_correlated_data():
         seed=7,
     )
     cfg = ExperimentConfig(methods=["simple", "knn"], rates=(0.2,), folds=3, repeats=2, seed=4)
-    agg = {a["method"]: a for a in run_imputation_experiment(t, cfg).aggregate()}
+    with pytest.warns(UserWarning, match="AUROC undefined"):  # no categorical column
+        report = run_imputation_experiment(t, cfg)
+    agg = {a["method"]: a for a in report.aggregate()}
     assert agg["knn"]["rmse_mean"] < agg["simple"]["rmse_mean"]
 
 

@@ -130,16 +130,39 @@ def test_bench_config_file(tmp_path, small_schema_file):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
+    with pytest.warns(UserWarning, match="AUROC undefined"):
+        code = main(
+            [
+                "bench", "--schema", schema_path, "--synthetic", "45",
+                "--config", str(cfg_path), "--out-dir", str(out_dir),
+            ]
+        )
+    assert code == 0
+    doc = json.loads((out_dir / "report.json").read_text())
+    assert doc["config"]["seed"] == 5
+    assert len(doc["records"]) == 3
+
+
+@pytest.mark.parametrize("named", [None, "elsewhere.csv"])
+def test_config_file_keeps_the_input_path(tmp_path, small_schema_file, named):
+    _, schema_path = small_schema_file
+    data = tmp_path / "data.csv"
+    main(["synth", "--rows", "80", "--seed", "2", "--out", str(data), "--schema", schema_path])
+    cfg = {"methods": ["simple"], "rates": [0.2], "folds": 2, "repeats": 1}
+    if named:
+        cfg["dataset"] = named
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
     code = main(
         [
-            "bench", "--schema", schema_path, "--synthetic", "45",
+            "bench", "--schema", schema_path, "--input", str(data),
             "--config", str(cfg_path), "--out-dir", str(out_dir),
         ]
     )
     assert code == 0
     doc = json.loads((out_dir / "report.json").read_text())
-    assert doc["config"]["seed"] == 5
-    assert len(doc["records"]) == 3
+    assert doc["config"]["dataset"] == (named or str(data))
 
 
 def test_predict_subcommand(tmp_path, small_schema_file):

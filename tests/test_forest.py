@@ -152,7 +152,8 @@ def test_prediction_is_mean_of_trees():
     y = rng.uniform(0, 1, 40)
     model = rf.fit_forest(X, y, rf.TreeConfig(max_depth=3), n_trees=3, seed=2)
     probe = rng.uniform(0, 1, size=(15, 2))
-    manual = np.mean([rf.predict_tree(t, probe) for t in model.trees], axis=0)
+    per_tree = [model.tree.value[rf._leaves(model.tree, [r], probe)] for r in model.roots]
+    manual = np.mean(per_tree, axis=0)
     assert np.max(np.abs(rf.predict_forest(model, probe) - manual)) < 1e-12
 
 

@@ -8,7 +8,7 @@ from imputebench import forest as rf
 from conftest import make_rng
 from forest_reference import (
     assert_matches_reference,
-    assert_same_tree,
+    assert_same_forest,
     reference_forest,
     reference_predict,
 )
@@ -96,25 +96,40 @@ def test_forest_trees_and_predictions_match_reference(task, bootstrap):
     config = rf.TreeConfig(task=task, max_depth=6)
     model = rf.fit_forest(X, y, config, n_trees=9, seed=3, bootstrap=bootstrap)
     reference = reference_forest(X, y, config, 9, 3, bootstrap)
-    for tree, node in zip(model.trees, reference, strict=True):
-        assert assert_same_tree(tree, node) == tree.left.size
+    assert_same_forest(model, reference)
     probe = make_rng(8).normal(size=(25, 3))
     expected = np.zeros(25)
     for node in reference:
         expected += reference_predict(node, probe)
     expected /= 9
     np.testing.assert_allclose(rf.predict_forest(model, probe), expected, rtol=1e-12, atol=0)
-    for tree, node in zip(model.trees, reference):
+    for root, node in zip(model.roots, reference):
+        leaves = rf._leaves(model.tree, [root], probe)
         np.testing.assert_allclose(
-            rf.predict_tree(tree, probe), reference_predict(node, probe), rtol=1e-12, atol=0
+            model.tree.value[leaves], reference_predict(node, probe), rtol=1e-12, atol=0
         )
 
 
+def _walk(tree, root):
+    """Node ids of the tree at ``root``, depth first, left subtree first."""
+    ids, stack = [], [root]
+    while stack:
+        i = stack.pop()
+        ids.append(i)
+        if tree.left[i] >= 0:
+            stack += [tree.right[i], tree.left[i]]
+    return np.array(ids)
+
+
 def _same_forest(a, b):
-    assert len(a.trees) == len(b.trees)
-    for s, t in zip(a.trees, b.trees):
-        for field in ("feature", "threshold", "left", "right", "value"):
-            assert np.array_equal(getattr(s, field), getattr(t, field)), field
+    """Tree by tree, the same splits, values and shape; block layouts may differ."""
+    assert a.n_trees == b.n_trees
+    for r, s in zip(a.roots, b.roots):
+        i, j = _walk(a.tree, r), _walk(b.tree, s)
+        assert i.size == j.size
+        assert np.array_equal(a.tree.left[i] < 0, b.tree.left[j] < 0)
+        for field in ("feature", "threshold", "value"):
+            assert np.array_equal(getattr(a.tree, field)[i], getattr(b.tree, field)[j]), field
 
 
 @pytest.mark.parametrize("task", TASKS)
@@ -130,6 +145,18 @@ def test_block_size_does_not_change_the_forest(task, rule, monkeypatch):
         preds.append(rf.predict_forest(fits[-1], probe))
     _same_forest(*fits)
     assert np.array_equal(*preds)
+
+
+@pytest.mark.parametrize("block", [1, 1 << 30])  # one tree per block, one block
+@pytest.mark.parametrize("task", TASKS)
+def test_every_node_belongs_to_exactly_one_root(task, block, monkeypatch):
+    X, y = _data(task, 45, 3, 14, grid=2)
+    monkeypatch.setattr(rf, "_FOREST_BLOCK", block)
+    model = rf.fit_forest(X, y, rf.TreeConfig(task=task, max_depth=6), n_trees=7, seed=5)
+    assert model.roots.size == model.n_trees == 7
+    walks = [_walk(model.tree, r) for r in model.roots]
+    assert sum(w.size for w in walks) == model.tree.left.size
+    assert np.array_equal(np.sort(np.concatenate(walks)), np.arange(model.tree.left.size))
 
 
 def test_node_stats_equal_numpy_mean_and_var():

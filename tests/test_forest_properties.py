@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from imputebench import forest as rf  # noqa: E402
 
 from conftest import make_rng  # noqa: E402
-from forest_reference import assert_matches_reference, assert_same_tree, reference_forest  # noqa: E402
+from forest_reference import assert_matches_reference, assert_same_forest, reference_forest  # noqa: E402
 
 
 @settings(max_examples=80, deadline=None)
@@ -60,5 +60,4 @@ def test_forest_matches_reference_for_any_block(n, n_trees, task, block, seed):
         model = rf.fit_forest(X, y, config, n_trees=n_trees, seed=seed)
     finally:
         rf._FOREST_BLOCK = saved
-    for tree, node in zip(model.trees, reference_forest(X, y, config, n_trees, seed), strict=True):
-        assert assert_same_tree(tree, node) == tree.left.size
+    assert_same_forest(model, reference_forest(X, y, config, n_trees, seed))

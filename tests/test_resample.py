@@ -10,10 +10,6 @@ from conftest import make_rng
 def test_config_validation():
     with pytest.raises(ValueError):
         SmoteConfig(k_neighbors=0)
-    with pytest.raises(ValueError):
-        SmoteConfig(target_ratio=0.0)
-    with pytest.raises(ValueError):
-        SmoteConfig(target_ratio=1.5)
 
 
 def test_balanced_input_is_noop():
@@ -37,14 +33,6 @@ def test_exact_synthetic_count():
     assert np.array_equal(X2[:125], X)
     assert np.array_equal(y2[:125], y)
     assert np.all(y2[125:] == 1.0)
-
-
-def test_partial_target_ratio():
-    rng = make_rng(3)
-    X = rng.uniform(0, 1, size=(110, 2))
-    y = np.concatenate([np.zeros(100), np.ones(10)])
-    _, y2 = smote(X, y, SmoteConfig(seed=1, target_ratio=0.5))
-    assert (y2 == 1).sum() == 50
 
 
 def test_synthetic_rows_between_minority_pairs():
@@ -128,7 +116,8 @@ def test_minority_is_detected_by_count_not_value():
     rng = make_rng(8)
     X = rng.uniform(0, 1, size=(30, 2))
     y = np.concatenate([np.ones(25), np.zeros(5)])  # class 0 is the minority
-    _, y2 = smote(X, y, SmoteConfig(seed=2))
+    with pytest.warns(UserWarning, match="reducing k"):
+        _, y2 = smote(X, y, SmoteConfig(seed=2))
     assert (y2 == 0).sum() == 25
 
 
