@@ -11,7 +11,6 @@ import sys
 import numpy as np
 
 from .bench import (
-    DEFAULT_RATES,
     ExperimentConfig,
     MetricsReport,
     SyntheticSpec,
@@ -62,8 +61,16 @@ def _parse_rates(text) -> tuple:
     return tuple(float(r) for r in text.split(","))
 
 
+# flags that set the protocol; with --config the file alone sets it
+_PROTOCOL_FLAGS = ("methods", "rates", "folds", "repeats", "auroc_average")
+
+
 def _build_config(args) -> ExperimentConfig:
+    given = {f: getattr(args, f) for f in _PROTOCOL_FLAGS if getattr(args, f) is not None}
     if args.config:
+        if given:
+            flags = ", ".join("--" + f.replace("_", "-") for f in given)
+            raise ValueError(f"{flags} cannot be combined with --config, which sets the protocol")
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
         unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
@@ -74,15 +81,10 @@ def _build_config(args) -> ExperimentConfig:
         if "rates" in doc:
             doc["rates"] = tuple(doc["rates"])
         return ExperimentConfig(**doc)
-    return ExperimentConfig(
-        methods=_parse_methods(args.methods),
-        rates=_parse_rates(args.rates),
-        folds=args.folds,
-        repeats=args.repeats,
-        seed=args.seed,
-        auroc_average=args.auroc_average,
-        dataset=args.input,
-    )
+    if "rates" in given:
+        given["rates"] = _parse_rates(given["rates"])
+    methods = _parse_methods(given.pop("methods", "simple,knn"))
+    return ExperimentConfig(methods=methods, seed=args.seed, dataset=args.input, **given)
 
 
 def _dataset_for_bench(args, schema: Schema) -> MixedTable:
@@ -176,7 +178,6 @@ def _add_common_io(parser, needs_input=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     parser = argparse.ArgumentParser(
         prog="imputebench",
         description="Mixed-type missing-data imputation methods and benchmarks",
@@ -212,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_io(p)
         p.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
         p.add_argument("--synthetic", type=int, metavar="ROWS", help="use a synthetic dataset")
-        p.add_argument("--methods", default="simple,knn")
-        p.add_argument("--rates", default=",".join(map(str, DEFAULT_RATES)))
-        for flag in ("folds", "repeats", "seed"):
-            p.add_argument(f"--{flag}", type=int, default=defaults[flag])
-        p.add_argument(
-            "--auroc-average", choices=("macro", "micro"), default=defaults["auroc_average"]
-        )
+        # unset protocol flags stay None and take the ExperimentConfig defaults
+        p.add_argument("--methods")
+        p.add_argument("--rates")
+        p.add_argument("--folds", type=int)
+        p.add_argument("--repeats", type=int)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--auroc-average", choices=("macro", "micro"))
         p.add_argument("--out-dir", required=True)
         if extra_rate:
             p.add_argument("--rate", type=float, default=None)

@@ -1,6 +1,7 @@
 """Deep imputation methods: denoising autoencoders and adversarial imputers.
 
-Four variants share the engine in `nn`:
+Four variants share the engine in `nn`; the method name picks the variant,
+and the keywords of `DaeConfig` / `GainConfig` set the training settings:
 
 * naa   -- overcomplete denoising autoencoder, one-time KNN (k=5)
            pre-imputation and a fixed training corruption mask.
@@ -19,7 +20,7 @@ reconstruction target is defined everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .seeding import derive_seed, make_rng
 from .tabular import MixedTable, Schema, denormalize, fit_normalizer, normalize
 
 __all__ = [
-    "RotationSchedule",
     "RotatingPreimputer",
     "DaeConfig",
     "GainConfig",
@@ -43,43 +43,26 @@ NOISE_HIGH = 0.01
 CLIP_EPS = 1e-7
 
 
-@dataclass(frozen=True)
-class RotationSchedule:
-    """Refresh the KNN pre-imputation every `period` epochs with a fresh k
-    drawn from [k_min, k_max] without repetition (history resets once the
-    interval is exhausted)."""
-
-    period: int = 10
-    k_min: int = 3
-    k_max: int = 15
-
-    def __post_init__(self):
-        if self.k_min < 1 or self.k_max <= self.k_min or self.period < 1:
-            raise ValueError(f"invalid rotation schedule {self}")
-
-    @property
-    def median_k(self) -> int:
-        return (self.k_min + self.k_max) // 2
+ROTATION_PERIOD = 10  # epochs between refreshes of the inaa/igain KNN pre-fill
+ROTATION_KS = tuple(range(3, 16))  # the rotated k values
+ROTATED_IMPUTE_K = 9  # inaa/igain impute-time k: the median of ROTATION_KS
+FIXED_K = 5  # naa's pre-fill and the completion of an incomplete training fold
 
 
 class RotatingPreimputer:
-    """KNN self-imputation with a k drawn anew on each call (see `RotationSchedule`)."""
+    """KNN self-imputation with a k drawn anew on each call from `ROTATION_KS`,
+    without repetition; the history resets once every k has been used."""
 
-    def __init__(self, schedule: RotationSchedule, seed: int):
-        self.schedule = schedule
+    def __init__(self, seed: int):
         self._rng = make_rng(seed, "rotate-k")
         self.used_ks: list[int] = []
         self.n_knn_calls = 0
 
     def _next_k(self) -> int:
-        choices = [
-            k
-            for k in range(self.schedule.k_min, self.schedule.k_max + 1)
-            if k not in self.used_ks
-        ]
+        choices = [k for k in ROTATION_KS if k not in self.used_ks]
         if not choices:
             self.used_ks = []
-            choices = list(range(self.schedule.k_min, self.schedule.k_max + 1))
+            choices = list(ROTATION_KS)
         k = int(self._rng.choice(choices))
         self.used_ks.append(k)
         return k
@@ -106,20 +89,15 @@ def make_hint(mask: np.ndarray, hint_rate: float, rng: np.random.Generator):
 
 
 @dataclass(frozen=True)
-class _DeepConfig:
-    """Training settings shared by the DAE and GAIN families."""
+class DaeConfig:
+    """Training settings of both deep families, given as imputer keywords."""
 
-    variants = ()  # the accepted `variant` names, per family
-    variant: str = ""
     epochs: int = 200
     batch_size: int = 128
     corruption_rate: float = 0.2
     learning_rate: float = 1e-3
-    rotation: RotationSchedule = field(default_factory=RotationSchedule)
 
     def __post_init__(self):
-        if self.variant not in self.variants:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {self.variants}")
         if not 0.0 < self.corruption_rate < 1.0:
             raise ValueError("corruption_rate must be in (0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
@@ -127,15 +105,9 @@ class _DeepConfig:
 
 
 @dataclass(frozen=True)
-class DaeConfig(_DeepConfig):
-    variants = ("naa", "inaa")
-    variant: str = "inaa"
+class GainConfig(DaeConfig):
+    """`DaeConfig` plus the hint rate and reconstruction weight of gain and igain."""
 
-
-@dataclass(frozen=True)
-class GainConfig(_DeepConfig):
-    variants = ("gain", "igain")
-    variant: str = "igain"
     hint_rate: float = 0.9
     alpha: float = 10.0
 
@@ -174,14 +146,21 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator, min_size: int = 
 
 
 class _DeepImputer(Imputer):
-    """Shared config / normalization / completion plumbing for the deep methods."""
+    """Shared config / normalization / completion plumbing for the deep methods.
 
+    `variant` is one of the family's two method names; every other setting
+    is a keyword of the family's config type.
+    """
+
+    variants: tuple
     config_type: type
 
-    def __init__(self, schema: Schema, seed: int = 0, config=None, **overrides):
+    def __init__(self, schema: Schema, seed: int = 0, *, variant: str, **settings):
+        if variant not in self.variants:
+            raise ValueError(f"unknown variant {variant!r}, expected one of {self.variants}")
         super().__init__(schema, seed)
-        self.config = replace(config or self.config_type(), **overrides)
-        self.name = self.config.variant
+        self.name = variant
+        self.config = self.config_type(**settings)
 
     def _prepare_training_matrix(self, train: MixedTable) -> np.ndarray:
         self._check_schema(train)
@@ -190,7 +169,7 @@ class _DeepImputer(Imputer):
         self.norm_stats_ = column_stats(norm, self.schema)
         if np.isnan(norm).any():
             # complete the incomplete training fold before internal corruption
-            norm, _, _ = knn_fill(norm, norm, 5, self.schema, self.norm_stats_)
+            norm, _, _ = knn_fill(norm, norm, FIXED_K, self.schema, self.norm_stats_)
         return norm
 
     def _result(self, target: MixedTable, out_raw: np.ndarray) -> ImputationResult:
@@ -207,10 +186,11 @@ class _DeepImputer(Imputer):
 class DaeImputer(_DeepImputer):
     """Denoising-autoencoder imputer (variants naa and inaa)."""
 
+    variants = ("naa", "inaa")
     config_type = DaeConfig
 
     def _build_network(self, n_features: int) -> Network:
-        if self.config.variant == "naa":
+        if self.name == "naa":
             hidden = 2 * n_features
         else:
             hidden = max(1, n_features // 2)
@@ -226,15 +206,17 @@ class DaeImputer(_DeepImputer):
         cat_idx = self.schema.categorical_indices
         corrupt_rng = make_rng(self.seed, "dae-corrupt")
         batch_rng = make_rng(self.seed, "dae-batches")
-        rotator = RotatingPreimputer(cfg.rotation, self.seed)
+        rotator = RotatingPreimputer(self.seed)
         pre = None
         self.loss_history_ = []
         for epoch in range(cfg.epochs):
-            if cfg.variant == "naa":
+            if self.name == "naa":
                 if pre is None:
                     corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
-                    pre, _, _ = knn_fill(corrupted, corrupted, 5, self.schema, self.norm_stats_)
-            elif epoch % cfg.rotation.period == 0:
+                    pre, _, _ = knn_fill(
+                        corrupted, corrupted, FIXED_K, self.schema, self.norm_stats_
+                    )
+            elif epoch % ROTATION_PERIOD == 0:
                 corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
                 pre = rotator.preimpute(corrupted, self.schema, self.norm_stats_)
             epoch_loss = 0.0
@@ -251,8 +233,7 @@ class DaeImputer(_DeepImputer):
 
     def impute(self, target: MixedTable) -> ImputationResult:
         self._check_schema(target)
-        cfg = self.config
-        k = 5 if cfg.variant == "naa" else cfg.rotation.median_k
+        k = FIXED_K if self.name == "naa" else ROTATED_IMPUTE_K
         target_norm = normalize(target, self.params_).values
         pre, _, _ = knn_fill(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
         out_raw, _ = self.net_.forward(pre, train=False)
@@ -262,10 +243,11 @@ class DaeImputer(_DeepImputer):
 class GainImputer(_DeepImputer):
     """Adversarial imputer (variants gain and igain)."""
 
+    variants = ("gain", "igain")
     config_type = GainConfig
 
     def _build_networks(self, c: int):
-        if self.config.variant == "gain":
+        if self.name == "gain":
             # 3 equal-width dense layers in both networks
             gen_specs = [
                 LayerSpec(c, "relu"),
@@ -302,16 +284,16 @@ class GainImputer(_DeepImputer):
         batch_rng = make_rng(self.seed, "gain-batches")
         hint_rng = make_rng(self.seed, "gain-hint")
         noise_rng = make_rng(self.seed, "gain-noise")
-        rotator = RotatingPreimputer(cfg.rotation, self.seed)
+        rotator = RotatingPreimputer(self.seed)
         filled_all = mask_all = None
         for epoch in range(cfg.epochs):
-            if cfg.variant == "igain" and epoch % cfg.rotation.period == 0:
+            if self.name == "igain" and epoch % ROTATION_PERIOD == 0:
                 corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
                 mask_all = (~np.isnan(corrupted)).astype(float)
                 filled_all = rotator.preimpute(corrupted, self.schema, self.norm_stats_)
             for rows in _batches(n, cfg.batch_size, batch_rng):
                 target_batch = clean[rows]
-                if cfg.variant == "gain":
+                if self.name == "gain":
                     m = (corrupt_rng.random(target_batch.shape) >= cfg.corruption_rate).astype(float)
                     noise = noise_rng.uniform(0.0, NOISE_HIGH, size=target_batch.shape)
                     xf = m * target_batch + (1.0 - m) * noise
@@ -348,7 +330,7 @@ class GainImputer(_DeepImputer):
             adv_grad = -(1.0 - m) / p2 / n_miss
             _, d_input_grad = self.disc_.backward(d_cache2, adv_grad)
             grad_gout += d_input_grad[:, : g_out.shape[1]] * (1.0 - m)
-        if cfg.variant == "gain":
+        if self.name == "gain":
             m_sum = max(m.sum(), 1.0)
             grad_rec = 2.0 * m * (g_out - clean) / m_sum
         else:
@@ -359,20 +341,15 @@ class GainImputer(_DeepImputer):
 
     def impute(self, target: MixedTable) -> ImputationResult:
         self._check_schema(target)
-        cfg = self.config
         target_norm = normalize(target, self.params_).values
         mask = target.mask().astype(float)
-        if cfg.variant == "gain":
+        if self.name == "gain":
             rng = make_rng(self.seed, "gain-impute-noise")
             noise = rng.uniform(0.0, NOISE_HIGH, size=target_norm.shape)
             pre = np.where(mask == 1, target_norm, noise)
         else:
             pre, _, _ = knn_fill(
-                self.train_ref_,
-                target_norm,
-                cfg.rotation.median_k,
-                self.schema,
-                self.norm_stats_,
+                self.train_ref_, target_norm, ROTATED_IMPUTE_K, self.schema, self.norm_stats_
             )
         out_raw, _ = self.gen_.forward(np.concatenate([pre, mask], axis=1), train=False)
         return self._result(target, out_raw)

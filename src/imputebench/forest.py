@@ -33,9 +33,7 @@ __all__ = [
     "TreeConfig",
     "Tree",
     "ForestModel",
-    "fit_tree",
     "fit_forest",
-    "predict_tree",
     "predict_forest",
 ]
 
@@ -83,7 +81,7 @@ class TreeConfig:
 
 @dataclass
 class Tree:
-    """Fitted nodes as parallel arrays in level order; a lone tree's root is node 0.
+    """Fitted nodes of one or more trees as parallel arrays, each tree in level order.
 
     ``left[i] == -1`` marks a leaf, whose ``feature`` is -1. A row at an
     inner node goes to ``left[i]`` when ``x[feature[i]] <= threshold[i]``
@@ -346,13 +344,6 @@ def _grow(X, ranks, y, samples, rngs, config: TreeConfig, first_id: int) -> Tree
     return Tree(*map(np.concatenate, zip(*levels)))
 
 
-def fit_tree(X, y, config: TreeConfig, seed: int = 0) -> Tree:
-    """Greedy CART over a seeded random feature subset at each node."""
-    X, y = _check_xy(X, y)
-    samples = np.arange(X.shape[0])[None, :]
-    return _grow(X, _dense_ranks(X), y, samples, [make_rng(seed, "tree")], config, 0)
-
-
 def _leaves(tree: Tree, roots, X: np.ndarray) -> np.ndarray:
     """Leaf reached by each (root, row) pair, root-major; all move one level per step."""
     n = X.shape[0]
@@ -365,11 +356,6 @@ def _leaves(tree: Tree, roots, X: np.ndarray) -> np.ndarray:
         node[moving] = at
         moving = moving[tree.left[at] >= 0]
     return node
-
-
-def predict_tree(tree: Tree, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return tree.value[_leaves(tree, np.zeros(1, dtype=np.int64), X)]
 
 
 def fit_forest(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .tabular import MixedTable, NormParams, normalize
 
@@ -48,8 +47,11 @@ def auroc(scores, labels) -> float:
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both classes present")
-    ranks = rankdata(scores)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    if np.isnan(scores).any():
+        raise ValueError("AUROC scores contain NaN")
+    # per positive, (left + right) / 2 is the negatives below it plus half the ties
+    neg, p = np.sort(scores[~pos]), scores[pos]
+    u = (np.searchsorted(neg, p, "left") + np.searchsorted(neg, p, "right")).sum() / 2
     return float(u / (n_pos * n_neg))
 
 

@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
-from functools import partial
-
-from .deep_imputers import DaeConfig, DaeImputer, GainConfig, GainImputer
+from .deep_imputers import DaeImputer, GainImputer
 from .imputers import Imputer, KnnImputer, MissForestImputer, SimpleImputer
 from .tabular import Schema
 
 __all__ = ["METHOD_NAMES", "make_imputer", "register_imputer"]
+
+
+def _variant(cls, name):
+    """`cls` fixed to one variant; a `variant` override fails instead of replacing it."""
+    return lambda schema, seed=0, **settings: cls(schema, seed, variant=name, **settings)
+
 
 # name -> factory(schema, seed, **overrides)
 _FACTORIES = {
     "simple": SimpleImputer,
     "knn": KnnImputer,
     "missforest": MissForestImputer,
-    **{v: partial(DaeImputer, config=DaeConfig(variant=v)) for v in ("naa", "inaa")},
-    **{v: partial(GainImputer, config=GainConfig(variant=v)) for v in ("gain", "igain")},
+    **{v: _variant(DaeImputer, v) for v in DaeImputer.variants},
+    **{v: _variant(GainImputer, v) for v in GainImputer.variants},
 }
 
 METHOD_NAMES = tuple(_FACTORIES)

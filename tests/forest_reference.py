@@ -160,8 +160,15 @@ def assert_same_forest(model: rf.ForestModel, nodes: list) -> None:
     assert sum(compared) == model.tree.left.size
 
 
+def lone_tree(X, y, config, seed=0) -> rf.Tree:
+    """One tree grown on every row: a one-tree forest without bootstrap, rooted at node 0."""
+    model = rf.fit_forest(X, y, config, n_trees=1, seed=seed, bootstrap=False)
+    assert model.roots.tolist() == [0]
+    return model.tree
+
+
 def assert_matches_reference(X, y, config, seed=0) -> rf.Tree:
-    """`fit_tree` equals the recursive grower node for node; returns the tree."""
-    tree = rf.fit_tree(X, y, config, seed)
+    """A lone tree equals the recursive grower node for node; returns the tree."""
+    tree = lone_tree(X, y, config, seed)
     assert assert_same_tree(tree, reference_tree(X, y, config)) == tree.left.size
     return tree

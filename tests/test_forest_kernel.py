@@ -9,6 +9,7 @@ from conftest import make_rng
 from forest_reference import (
     assert_matches_reference,
     assert_same_forest,
+    lone_tree,
     reference_forest,
     reference_predict,
 )
@@ -172,7 +173,7 @@ def test_node_stats_equal_numpy_mean_and_var():
 
 def test_tree_arrays_are_level_ordered():
     X, y = _data(rf.REGRESSION, 80, 3, 12)
-    tree = rf.fit_tree(X, y, rf.TreeConfig(max_depth=4))
+    tree = lone_tree(X, y, rf.TreeConfig(max_depth=4))
     inner = np.flatnonzero(tree.left >= 0)
     assert np.all(tree.left[inner] > inner) and np.all(tree.right[inner] > inner)
     children = np.sort(np.r_[tree.left[inner], tree.right[inner]])
