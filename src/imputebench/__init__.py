@@ -19,7 +19,6 @@ from .tabular import (
     ColumnKind,
     MixedTable,
     Schema,
-    combine_imputed,
     complete_subset,
     denormalize,
     fit_normalizer,

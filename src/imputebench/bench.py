@@ -309,9 +309,9 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
         test_rows = assignment.fold_rows(fold)
         train_tbl = table.take(train_rows)
         params = fit_normalizer(train_tbl)
-        X_train = normalize(train_tbl, params).values[:, feature_idx]
+        X_train = normalize(train_tbl.values, params)[:, feature_idx]
         y_train = train_tbl.values[:, label_j]
-        X_test = normalize(table.take(test_rows), params).values[:, feature_idx]
+        X_test = normalize(table.values[test_rows], params)[:, feature_idx]
         y_test = table.values[test_rows, label_j]
         X_bal, y_bal = smote(
             X_train,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -133,8 +132,8 @@ def cmd_bench(args) -> int:
     schema = _load_schema_arg(args)
     table = _dataset_for_bench(args, schema)
     report = run_imputation_experiment(table, config)
+    files = emit_report(report, args.out_dir)  # creates out_dir
     report.to_json(f"{args.out_dir}/report.json")
-    files = emit_report(report, args.out_dir)
     for row in report.aggregate():
         print(
             f"{row['method']:>12s} rate={row['rate']:.2f} "
@@ -152,8 +151,8 @@ def cmd_predict(args) -> int:
     schema = _load_schema_arg(args)
     table = _dataset_for_bench(args, schema)
     report = run_post_imputation(table, config)
+    files = emit_report(report, args.out_dir)  # creates out_dir
     report.to_json(f"{args.out_dir}/report.json")
-    files = emit_report(report, args.out_dir)
     for row in report.f1_aggregate():
         print(
             f"{row['method']:>12s} rate={row['rate']:.2f} "
@@ -234,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "out_dir", None):
-        os.makedirs(args.out_dir, exist_ok=True)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -165,7 +165,7 @@ class _DeepImputer(Imputer):
     def _prepare_training_matrix(self, train: MixedTable) -> np.ndarray:
         self._check_schema(train)
         self.params_ = fit_normalizer(train)
-        norm = normalize(train, self.params_).values
+        norm = normalize(train.values, self.params_)
         self.norm_stats_ = column_stats(norm, self.schema)
         if np.isnan(norm).any():
             # complete the incomplete training fold before internal corruption
@@ -177,10 +177,10 @@ class _DeepImputer(Imputer):
         num, cat = self.schema.numerical_indices, self.schema.categorical_indices
         scores = _map_outputs(out_raw, cat)
         filled = scores.copy()
+        # clip in normalized units too: 1 * (max - min) + min can fall an ulp
+        # below max, where the clip in data units alone would give max
         filled[:, num] = np.clip(scores[:, num], 0.0, 1.0)
-        filled[:, cat] = scores[:, cat] >= 0.5
-        filled_raw = denormalize(MixedTable(self.schema, filled), self.params_).values
-        return _finish(target, filled_raw, scores, self.params_)
+        return _finish(target, denormalize(filled, self.params_), scores, self.params_)
 
 
 class DaeImputer(_DeepImputer):
@@ -234,7 +234,7 @@ class DaeImputer(_DeepImputer):
     def impute(self, target: MixedTable) -> ImputationResult:
         self._check_schema(target)
         k = FIXED_K if self.name == "naa" else ROTATED_IMPUTE_K
-        target_norm = normalize(target, self.params_).values
+        target_norm = normalize(target.values, self.params_)
         pre, _, _ = knn_fill(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
         out_raw, _ = self.net_.forward(pre, train=False)
         return self._result(target, out_raw)
@@ -341,7 +341,7 @@ class GainImputer(_DeepImputer):
 
     def impute(self, target: MixedTable) -> ImputationResult:
         self._check_schema(target)
-        target_norm = normalize(target, self.params_).values
+        target_norm = normalize(target.values, self.params_)
         mask = target.mask().astype(float)
         if self.name == "gain":
             rng = make_rng(self.seed, "gain-impute-noise")

@@ -18,7 +18,6 @@ from .tabular import (
     MixedTable,
     NormParams,
     Schema,
-    combine_imputed,
     denormalize,
     fit_normalizer,
     normalize,
@@ -30,7 +29,6 @@ __all__ = [
     "SimpleImputer",
     "KnnImputer",
     "MissForestImputer",
-    "ColumnStats",
     "column_stats",
     "knn_fill",
 ]
@@ -72,31 +70,30 @@ def _finish(
     Categorical cells are re-thresholded from the score grid so hard value
     and score always agree (score >= 0.5 maps to 1); numerical cells are
     clipped to the fitted range. Observed cells are then restored from the
-    target verbatim, so clipping never alters them.
+    target verbatim, so clipping never alters them. A cell the target misses
+    must have a value by then: a NaN there is a ValueError.
     """
-    mask = target.mask()
+    observed = ~np.isnan(target.values)
     cat = target.schema.categorical_indices
     num = params.numerical_indices
     filled = filled.copy()
     filled[:, cat] = cat_scores[:, cat] >= 0.5
     filled[:, num] = np.clip(filled[:, num], params.col_min, params.col_max)
+    if np.isnan(filled[~observed]).any():
+        raise ValueError("model output is missing values at masked cells")
+    filled[observed] = target.values[observed]
     scores = np.full_like(filled, np.nan)
-    scores[:, cat] = np.where(mask[:, cat] == 1, target.values[:, cat], cat_scores[:, cat])
-    imputed = MixedTable(target.schema, filled)
-    return ImputationResult(combine_imputed(target, mask, imputed), scores)
+    scores[:, cat] = np.where(observed[:, cat], target.values[:, cat], cat_scores[:, cat])
+    return ImputationResult(target.with_values(filled), scores)
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    """Training-column fallbacks: means, modes, and positive fractions."""
+def column_stats(values: np.ndarray, schema: Schema) -> np.ndarray:
+    """Per-column observed mean; for a categorical column, its positive fraction.
 
-    mean: np.ndarray  # per column (categoricals included, as positive fraction)
-    mode: np.ndarray  # fill value: the mode for categoricals, the mean otherwise
-
-
-def column_stats(values: np.ndarray, schema: Schema) -> ColumnStats:
+    The mean is a categorical cell's constant class-1 score, and its hard
+    fill is `mean >= 0.5`, the mode.
+    """
     mean = np.empty(values.shape[1])
-    mode = np.empty(values.shape[1])
     for j in range(values.shape[1]):
         col = values[:, j]
         observed = col[~np.isnan(col)]
@@ -105,12 +102,7 @@ def column_stats(values: np.ndarray, schema: Schema) -> ColumnStats:
                 f"column {schema.columns[j].name!r} has no observed training cells"
             )
         mean[j] = observed.mean()
-        if schema.is_categorical[j]:
-            # positive fraction doubles as the (constant) class-1 score
-            mode[j] = 1.0 if mean[j] >= 0.5 else 0.0
-        else:
-            mode[j] = mean[j]
-    return ColumnStats(mean, mode)
+    return mean
 
 
 class SimpleImputer(Imputer):
@@ -126,9 +118,8 @@ class SimpleImputer(Imputer):
 
     def impute(self, target: MixedTable) -> ImputationResult:
         self._check_schema(target)
-        filled = np.broadcast_to(self.stats_.mean, target.values.shape).copy()
-        cat_scores = np.broadcast_to(self.stats_.mean, target.values.shape).copy()
-        return _finish(target, filled, cat_scores, self.params_)
+        mean = np.broadcast_to(self.stats_, target.values.shape)
+        return _finish(target, mean, mean, self.params_)
 
 
 def _pairwise_partial_distances(train: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -266,7 +257,7 @@ def knn_fill(
     target_norm: np.ndarray,
     k: int,
     schema: Schema,
-    stats: ColumnStats,
+    stats: np.ndarray,
 ):
     """Fill every missing target cell from its k nearest training rows.
 
@@ -274,9 +265,9 @@ def knn_fill(
     rows; for each missing feature only training rows that observe it are
     candidates, taken in (distance, index) order. Numerical cells get the
     neighbor mean, categorical cells the neighbor positive fraction as a
-    score. Cells with no observing training row fall back to the training
-    column statistic. Returns (filled grid, categorical score grid,
-    fallback count).
+    score. Cells with no observing training row fall back to `stats`, the
+    training column mean. A categorical cell is filled with score >= 0.5.
+    Returns (filled grid, categorical score grid, fallback count).
 
     Target rows go in blocks. One matrix product per block bounds every
     (target, training) distance from below and above (`_DistanceBounds`).
@@ -316,18 +307,17 @@ def knn_fill(
         # equal-length rows reduce in the same order as a 1-D mean
         groups = np.flatnonzero(sizes == m)
         means[groups] = vals[starts[groups, None] + np.arange(m)].mean(axis=1)
-    is_cat = schema.is_categorical
+    # every hole: its neighbor mean, or the column mean where it has none
+    hole_cells = np.flatnonzero(holes)
+    i, j = np.divmod(hole_cells, n_cols)
+    value = stats[j]
+    value[np.searchsorted(hole_cells, cells)] = means
+    is_cat = schema.is_categorical[j]
     filled = target_norm.copy()
     cat_scores = target_norm.copy()
-    i, j = np.divmod(cells, n_cols)
-    filled[i, j] = np.where(is_cat[j], (means >= 0.5).astype(float), means)
-    cat_scores[i[is_cat[j]], j[is_cat[j]]] = means[is_cat[j]]
-    unfilled = holes.copy()
-    unfilled[i, j] = False
-    i, j = np.nonzero(unfilled)
-    filled[i, j] = stats.mode[j]
-    cat_scores[i[is_cat[j]], j[is_cat[j]]] = stats.mean[j[is_cat[j]]]
-    return filled, cat_scores, int(i.size)
+    filled[i, j] = np.where(is_cat, value >= 0.5, value)
+    cat_scores[i[is_cat], j[is_cat]] = value[is_cat]
+    return filled, cat_scores, hole_cells.size - cells.size
 
 
 class KnnImputer(Imputer):
@@ -342,19 +332,18 @@ class KnnImputer(Imputer):
     def fit(self, train: MixedTable) -> "KnnImputer":
         self._check_schema(train)
         self.params_ = fit_normalizer(train)
-        self.train_norm_ = normalize(train, self.params_).values
+        self.train_norm_ = normalize(train.values, self.params_)
         # fallback statistics in normalized units
         self.norm_stats_ = column_stats(self.train_norm_, self.schema)
         return self
 
     def impute(self, target: MixedTable) -> ImputationResult:
         self._check_schema(target)
-        target_norm = normalize(target, self.params_).values
+        target_norm = normalize(target.values, self.params_)
         filled, cat_scores, _ = knn_fill(
             self.train_norm_, target_norm, self.k, self.schema, self.norm_stats_
         )
-        filled_raw = denormalize(MixedTable(self.schema, filled), self.params_).values
-        return _finish(target, filled_raw, cat_scores, self.params_)
+        return _finish(target, denormalize(filled, self.params_), cat_scores, self.params_)
 
 
 class MissForestImputer(Imputer):
@@ -418,9 +407,10 @@ class MissForestImputer(Imputer):
         """Sweep until the stop rule fires; returns (values, class-1 scores)."""
         observed = ~np.isnan(target.values)
         is_cat = self.schema.is_categorical
-        # initial fill from training statistics; constant scores to match
-        values = np.where(observed, target.values, self.stats_.mode)
-        scores = np.where(~observed & is_cat, self.stats_.mean, np.nan)
+        # initial fill: the training means, modes for categoricals; constant scores to match
+        fill = np.where(is_cat, self.stats_ >= 0.5, self.stats_)
+        values = np.where(observed, target.values, fill)
+        scores = np.where(~observed & is_cat, self.stats_, np.nan)
         missing_counts = (~observed).sum(axis=0)
         columns = [j for j in np.argsort(missing_counts, kind="stable") if missing_counts[j] > 0]
         prev_d = (None, None)

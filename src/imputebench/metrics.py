@@ -28,8 +28,8 @@ def normalized_rmse(
     comparable across columns with different physical ranges.
     """
     mask = np.asarray(mask)
-    t = normalize(truth, params).values
-    p = normalize(imputed, params).values
+    t = normalize(truth.values, params)
+    p = normalize(imputed.values, params)
     idx = truth.schema.numerical_indices
     sel = mask[:, idx] == 0
     if not sel.any():

@@ -32,7 +32,6 @@ __all__ = [
     "fit_normalizer",
     "normalize",
     "denormalize",
-    "combine_imputed",
 ]
 
 
@@ -256,7 +255,8 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
     The header must contain every schema column (order-insensitive; extra
     columns are ignored). Empty fields, or the configured missing token,
     denote missing cells; any other field must be a finite number, so a
-    literal `nan` or `inf` is a ParseError rather than a silent value.
+    literal `nan` or `inf` is a ParseError rather than a silent value, and
+    so is a record with fewer fields than the header (a blank line included).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -272,9 +272,13 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
             positions.append(header.index(name))
         rows = []
         for r, record in enumerate(reader):
+            if len(record) < len(header):
+                raise ParseError(
+                    f"{path}: row {r + 1} has {len(record)} of the header's {len(header)} fields"
+                )
             out = np.empty(schema.n_cols)
             for j, pos in enumerate(positions):
-                field = record[pos].strip() if pos < len(record) else ""
+                field = record[pos].strip()
                 if field == "" or field == missing_token:
                     out[j] = np.nan
                     continue
@@ -292,14 +296,13 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
     return MixedTable(schema, values)
 
 
-def save_csv(table: MixedTable, path, missing_token: str = "") -> None:
+def save_csv(table: MixedTable, path) -> None:
+    """Write a table as CSV; a missing cell is an empty field."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.schema.names)
         for row in table.values:
-            writer.writerow(
-                [missing_token if np.isnan(v) else f"{v:.12g}" for v in row]
-            )
+            writer.writerow(["" if np.isnan(v) else f"{v:.12g}" for v in row])
 
 
 def complete_subset(table: MixedTable) -> MixedTable:
@@ -327,19 +330,21 @@ def fit_normalizer(table: MixedTable) -> NormParams:
     return NormParams(idx.copy(), mins, maxs)
 
 
-def normalize(table: MixedTable, params: NormParams) -> MixedTable:
-    """Map numerical columns affinely onto [0, 1]; no clipping applied."""
-    values = table.values.copy()
+def normalize(values: np.ndarray, params: NormParams) -> np.ndarray:
+    """A copy of a value grid with its numerical columns mapped affinely onto
+    [0, 1]; no clipping applied."""
+    values = np.array(values, dtype=float)
     idx = params.numerical_indices
     values[:, idx] = (values[:, idx] - params.col_min) / params.span
     values[:, idx[params.constant]] = np.where(
         np.isnan(values[:, idx[params.constant]]), np.nan, 0.0
     )
-    return table.with_values(values)
+    return values
 
 
-def denormalize(table: MixedTable, params: NormParams) -> MixedTable:
-    values = table.values.copy()
+def denormalize(values: np.ndarray, params: NormParams) -> np.ndarray:
+    """The inverse of `normalize`; a constant column maps back to its value."""
+    values = np.array(values, dtype=float)
     idx = params.numerical_indices
     values[:, idx] = values[:, idx] * params.span + params.col_min
     values[:, idx[params.constant]] = np.where(
@@ -347,29 +352,4 @@ def denormalize(table: MixedTable, params: NormParams) -> MixedTable:
         np.nan,
         params.col_min[params.constant],
     )
-    return table.with_values(values)
-
-
-def _check_mask(table: MixedTable, mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.shape != table.values.shape:
-        raise SchemaError(
-            f"mask shape {mask.shape} does not match table {table.values.shape}"
-        )
-    return mask
-
-
-def combine_imputed(
-    original: MixedTable, mask: np.ndarray, model_output: MixedTable
-) -> MixedTable:
-    """Keep observed cells from the original, fill the rest from the model.
-
-    Cell (i, j) takes the original value where mask is 1 and the model
-    output where mask is 0; the result is complete.
-    """
-    mask = _check_mask(original, mask)
-    out = np.asarray(model_output.values)
-    if np.isnan(out[mask == 0]).any():
-        raise ValueError("model output is missing values at masked cells")
-    combined = np.where(mask == 1, original.values, out)
-    return original.with_values(combined)
+    return values

@@ -22,8 +22,8 @@ def knn_fill_rowwise(train_norm, target_norm, k, schema, stats):
         for j in missing:
             candidates = order[obs_train[order, j] & np.isfinite(dist[order])]
             if candidates.size == 0:
-                value = stats.mode[j]
-                score = stats.mean[j]
+                score = stats[j]
+                value = (1.0 if score >= 0.5 else 0.0) if j in cat else score
                 fallbacks += 1
             else:
                 neighbors = candidates[:k]

@@ -247,8 +247,8 @@ def test_criterion_9_knn_brute_force_equivalence():
         result = KnnImputer(schema, k=k).fit(train).impute(corrupted)
 
         params = fit_normalizer(train)
-        tn = normalize(train, params).values
-        gn = normalize(corrupted, params).values
+        tn = normalize(train.values, params)
+        gn = normalize(corrupted.values, params)
         cat = set(schema.categorical_indices.tolist())
         num_pos = {j: i for i, j in enumerate(schema.numerical_indices)}
         c = schema.n_cols

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,18 @@ from imputebench.bench import (
     run_imputation_experiment,
     run_post_imputation,
 )
+from imputebench.cli import main
 from imputebench.imputers import ImputationResult, Imputer, SimpleImputer
 from imputebench.registry import register_imputer
 from imputebench.tabular import MixedTable
 
 from conftest import make_rng, mixed_schema
+
+RECIPE = Path(__file__).with_name("same_bytes_recipe.json")
+BENCH_FILES = (
+    "report.json", "details.csv", "aggregate.csv", "series_rmse.csv", "series_auroc.csv"
+)
+PREDICT_FILES = ("report.json", "f1_details.csv", "f1.csv")
 
 
 def identity_corr(c):
@@ -201,6 +209,16 @@ def test_experiment_determinism_byte_identical(tmp_path):
     emit_report(b, dir_b)
     for name in ("details.csv", "aggregate.csv", "series_rmse.csv", "series_auroc.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+    # the same-bytes recipe: all seven methods, both protocols, every output file
+    for command, names in (("bench", BENCH_FILES), ("predict", PREDICT_FILES)):
+        runs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{command}_{run}"
+            args = ["--synthetic", "160", "--seed", "3", "--config", str(RECIPE)]
+            assert main([command, *args, "--out-dir", str(out)]) == 0
+            runs.append({name: (out / name).read_bytes() for name in names})
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert runs[0] == runs[1]
 
 
 def test_repeats_redraw_masks_and_folds():

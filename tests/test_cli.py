@@ -271,4 +271,4 @@ def test_config_refuses_protocol_flags(tmp_path, capsys, small_schema_file):
     assert err.startswith("error: ")
     for flag in flags[::2]:
         assert flag in err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()

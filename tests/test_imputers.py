@@ -7,6 +7,7 @@ from imputebench.imputers import (
     SimpleImputer,
     column_stats,
     knn_fill,
+    _finish,
     _pairwise_partial_distances,
 )
 from imputebench.missingness import MissSpec, inject_mcar
@@ -36,11 +37,65 @@ def test_column_stats_examples():
     schema = mixed_schema(1, 1)
     values = np.array([[1.0, 0.0], [3.0, 0.0], [np.nan, 1.0]])
     stats = column_stats(values, schema)
-    assert stats.mean[0] == pytest.approx(2.0)
-    assert stats.mean[1] == pytest.approx(1.0 / 3.0)
-    assert stats.mode[1] == 0.0
+    assert stats[0] == pytest.approx(2.0)
+    assert stats[1] == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError, match="n0"):
         column_stats(np.array([[np.nan, 1.0]]), schema)
+
+
+def test_finish_keeps_observed_cells():
+    schema = mixed_schema(2, 0)
+    original = MixedTable(schema, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    params = fit_normalizer(MixedTable(schema, np.array([[0.0, 0.0], [10.0, 10.0]])))
+    output = np.array([[9.0, 8.0], [7.0, 6.0]])
+    scores = np.full((2, 2), np.nan)
+    assert _finish(original, output, scores, params).table == original
+    holes = original.with_values(np.full((2, 2), np.nan))
+    assert np.array_equal(_finish(holes, output, scores, params).table.values, output)
+    diag = original.with_values([[1.0, np.nan], [np.nan, 4.0]])
+    combined = _finish(diag, output, scores, params).table
+    assert np.array_equal(combined.values, [[1.0, 8.0], [7.0, 4.0]])
+
+
+def test_finish_random_property():
+    rng = make_rng(2)
+    schema = mixed_schema(3, 1)
+    cat = schema.categorical_indices
+    # a range wider than the draws, so clipping leaves every value as it is
+    params = fit_normalizer(MixedTable(schema, [[-10.0] * 3 + [0.0], [30.0] * 3 + [1.0]]))
+    for _ in range(50):
+        original = random_table(schema, 6, seed=int(rng.integers(1e9)))
+        output = random_table(schema, 6, seed=int(rng.integers(1e9))).values
+        mask = rng.integers(0, 2, size=original.values.shape)
+        target = original.with_values(np.where(mask == 1, original.values, np.nan))
+        result = _finish(target, output, output, params)
+        combined = result.table.values
+        assert np.array_equal(combined[mask == 1], original.values[mask == 1])
+        assert np.array_equal(combined[mask == 0], output[mask == 0])
+        assert not np.isnan(combined).any()
+        assert np.array_equal(result.scores[:, cat], combined[:, cat])
+
+
+def test_finish_nan_output_is_a_named_error():
+    schema = mixed_schema(1, 0)
+    target = MixedTable(schema, np.array([[np.nan], [2.0]]))
+    params = fit_normalizer(MixedTable(schema, np.array([[0.0], [10.0]])))
+    with pytest.raises(ValueError, match="missing values at masked cells"):
+        _finish(target, np.array([[np.nan], [5.0]]), np.full((2, 1), np.nan), params)
+    # a NaN at an observed cell is replaced by the target's value
+    result = _finish(target, np.array([[4.0], [np.nan]]), np.full((2, 1), np.nan), params)
+    assert np.array_equal(result.table.values, [[4.0], [2.0]])
+
+
+@pytest.mark.parametrize("name", ["naa", "gain"])
+def test_deep_nan_output_is_a_named_error(name):
+    schema = mixed_schema(2, 1)
+    imp = build(name, schema).fit(random_table(schema, 20, seed=55))
+    net = imp.net_ if name == "naa" else imp.gen_
+    net.params[:] = np.nan
+    corrupted, _ = inject_mcar(random_table(schema, 8, seed=56), MissSpec(0.3, 5))
+    with pytest.raises(ValueError, match="missing values at masked cells"):
+        imp.impute(corrupted)
 
 
 def test_simple_imputer_examples():
@@ -152,8 +207,8 @@ def test_knn_brute_force_oracle():
     result = imp.impute(corrupted)
 
     params = fit_normalizer(train)
-    tn = normalize(train, params).values
-    gn = normalize(corrupted, params).values
+    tn = normalize(train.values, params)
+    gn = normalize(corrupted.values, params)
     cat = set(schema.categorical_indices.tolist())
     c = schema.n_cols
     for i in range(gn.shape[0]):
@@ -320,6 +375,16 @@ def test_constant_training_column_imputes_its_value(name):
     holes = mask[:, 1] == 0
     assert holes.any()
     assert np.all(result.table.values[holes, 1] == 7.25)
+
+
+@pytest.mark.parametrize("column", ["n0", "c0"])
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_training_column_without_observed_cell_is_named(name, column):
+    schema = mixed_schema(1, 1)
+    values = random_table(schema, 20, seed=87).values.copy()
+    values[:, schema.index_of(column)] = np.nan
+    with pytest.raises(ValueError, match=f"column '{column}' has no observed"):
+        build(name, schema).fit(MixedTable(schema, values))
 
 
 def test_schema_mismatch_rejected():

@@ -53,8 +53,8 @@ def test_rmse_loop_oracle():
     params = fit_normalizer(truth)
     got = normalized_rmse(truth, imputed, mask, params)
 
-    t = normalize(truth, params).values
-    p = normalize(imputed, params).values
+    t = normalize(truth.values, params)
+    p = normalize(imputed.values, params)
     acc, count = 0.0, 0
     for i in range(20):
         for j in range(3):
