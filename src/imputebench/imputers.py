@@ -71,16 +71,18 @@ def _finish(
     and score always agree (score >= 0.5 maps to 1); numerical cells are
     clipped to the fitted range. Observed cells are then restored from the
     target verbatim, so clipping never alters them. A cell the target misses
-    must have a value by then: a NaN there is a ValueError.
+    must have a value and, if categorical, a score by then: a NaN there is
+    a ValueError.
     """
     observed = ~np.isnan(target.values)
     cat = target.schema.categorical_indices
     num = params.numerical_indices
     filled = filled.copy()
-    filled[:, cat] = cat_scores[:, cat] >= 0.5
     filled[:, num] = np.clip(filled[:, num], params.col_min, params.col_max)
+    filled[:, cat] = cat_scores[:, cat]
     if np.isnan(filled[~observed]).any():
         raise ValueError("model output is missing values at masked cells")
+    filled[:, cat] = filled[:, cat] >= 0.5
     filled[observed] = target.values[observed]
     scores = np.full_like(filled, np.nan)
     scores[:, cat] = np.where(observed[:, cat], target.values[:, cat], cat_scores[:, cat])
@@ -144,10 +146,18 @@ def _pairwise_partial_distances(train: np.ndarray, row: np.ndarray) -> np.ndarra
 
 
 # Elements in each (target rows x training rows) temporary of knn_fill:
-# 2**16 float64 values, 512 KiB per array. Blocks of 2**17 made the kernel
-# about 15 % faster but raised the peak resident set of the KNN protocol
-# runs by 4-6 % over the row-by-row loop, against about 3 % at 2**16.
+# 2**16 float64 values, 512 KiB per array. Against 2**16, perfbench's
+# bench-knn-9310 (7,448 training rows) took 20 % longer at 2**15 and 12 %
+# longer at 2**17, and bench-deep-1000 (800) moved -1 % and +2 %, within
+# its spread; peak RSS rose 1-5 % at 2**17 (medians of 6 seeds on a
+# 2-CPU Xeon, one BLAS thread).
 _KNN_BLOCK = 1 << 16
+# Training rows shortlisted per target row, as a multiple of k. A hole whose
+# column fewer than k of them observe gets an infinite threshold, so its row
+# measures every training row; 1 hole in 508,500 did so over perfbench's
+# bench-deep-1000 (seeds 1-3), none in bench-knn-9310 or the full-size
+# 7,448-row fold calls
+_SHORTLIST = 4
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -185,15 +195,16 @@ class _DistanceBounds:
         c = self.n_cols
         observed = ~np.isnan(train)
         train0 = np.where(observed, train, 0.0)
-        side = np.empty((n_train, 3 * c))
-        np.square(train0, out=side[:, :c])
-        side[:, c : 2 * c] = observed
-        np.multiply(train0, -2.0, out=side[:, 2 * c :])
-        self.train_side = side.T
+        # (3c x training rows), C-ordered: the product's fastest layout
+        side = np.empty((3 * c, n_train))
+        np.square(train0.T, out=side[:c])
+        side[c : 2 * c] = observed.T
+        np.multiply(train0.T, -2.0, out=side[2 * c :])
+        self.train_side = side
         n_terms = 3 * c + 2
         gamma = n_terms * _UNIT_ROUNDOFF / (1 - n_terms * _UNIT_ROUNDOFF)
         self.slack_factor = 8 * gamma + 64 * _UNIT_ROUNDOFF
-        self.train_slack = self.slack_factor * side[:, :c].sum(axis=1)
+        self.train_slack = self.slack_factor * side[:c].sum(axis=0)
         self.train_slack += 16 * c * np.finfo(float).smallest_subnormal
 
     def __call__(self, rows: np.ndarray):
@@ -223,30 +234,31 @@ def _nearest_in_block(bounds, train_norm, obs_train, target_norm, holes, rows, k
     """
     n_train, n_cols = train_norm.shape
     lower, upper = bounds(target_norm[rows])
-    kept_local, kept_train, kept_cell = [], [], []
-    for j in range(n_cols):
-        local = np.flatnonzero(holes[rows, j])
-        if local.size == 0:
-            continue
-        kth = np.inf
-        if k <= n_train:
-            upper_j = upper[local]
-            np.copyto(upper_j, np.inf, where=~obs_train[:, j])
-            upper_j.partition(k - 1, axis=1)
-            kth = upper_j[:, k - 1 : k]
-        li, t = np.nonzero((lower[local] <= kth) & obs_train[:, j])
-        kept_local.append(local[li])
-        kept_train.append(t)
-        kept_cell.append(rows[local[li]] * n_cols + j)
-    li = np.concatenate(kept_local)
-    t = np.concatenate(kept_train)
-    cell = np.concatenate(kept_cell)
-    # exact distances, once per (target row, training row) pair
-    pairs, back = np.unique(li * n_train + t, return_inverse=True)
-    dist = _pairwise_partial_distances(
-        train_norm[pairs % n_train], target_norm[rows[pairs // n_train]]
-    )[back]
-    order = np.lexsort((t, dist, cell))
+    hole = holes[rows]
+    # a cell's threshold: the k-th smallest upper bound among the training
+    # rows that observe its column; -inf at observed cells keeps nothing
+    thr = np.full(hole.shape, -np.inf)
+    if k > n_train:
+        thr[hole] = np.inf
+    else:
+        # shortlist the m rows of smallest upper bound; every row left out
+        # has an upper bound >= all m, so where at least k of them observe
+        # a column, their k-th smallest is the column's, ties included, and
+        # where fewer do it is inf, which keeps every candidate
+        m = min(_SHORTLIST * k, n_train)
+        short = np.argpartition(upper, m - 1, axis=1)[:, :m]
+        kth = np.where(
+            obs_train[short], np.take_along_axis(upper, short, axis=1)[:, :, None], np.inf
+        )
+        kth.partition(k - 1, axis=1)
+        thr[hole] = kth[:, k - 1][hole]
+    # one candidate filter per row; exact distances, once per pair
+    li, t = np.nonzero(lower <= thr.max(axis=1, keepdims=True))
+    dist = _pairwise_partial_distances(train_norm[t], target_norm[rows[li]])
+    pair, j = np.nonzero(obs_train[t] & (lower[li, t][:, None] <= thr[li]))
+    cell = rows[li[pair]] * n_cols + j
+    t = t[pair]
+    order = np.lexsort((t, dist[pair], cell))
     cell, t = cell[order], t[order]
     nearest = np.arange(cell.size) - np.searchsorted(cell, cell) < k
     return cell[nearest], t[nearest]
@@ -271,10 +283,16 @@ def knn_fill(
 
     Target rows go in blocks. One matrix product per block bounds every
     (target, training) distance from below and above (`_DistanceBounds`).
-    For each missing cell, only candidates whose lower bound is within the
-    k-th smallest upper bound can be neighbors; only those pairs are
-    measured with `_pairwise_partial_distances`, so the neighbors, their
-    order and their means are exactly those of a row-by-row search.
+    A missing cell's neighbors all have a lower bound within its threshold,
+    the k-th smallest upper bound among the training rows observing its
+    column. Each target row shortlists the `_SHORTLIST * k` training rows
+    of smallest upper bound, which give every cell whose column at least k
+    of them observe that threshold exactly; any other cell gets an infinite
+    threshold. One filter per row, against its largest threshold,
+    picks the pairs measured with `_pairwise_partial_distances`, and each
+    cell keeps its observing candidates within its own threshold, so the
+    neighbors, their order and their means are exactly those of a
+    row-by-row search.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -85,6 +85,17 @@ def test_finish_nan_output_is_a_named_error():
     # a NaN at an observed cell is replaced by the target's value
     result = _finish(target, np.array([[4.0], [np.nan]]), np.full((2, 1), np.nan), params)
     assert np.array_equal(result.table.values, [[4.0], [2.0]])
+    # a categorical cell is filled from its score: a NaN score at a missing
+    # cell is the same error, and one at an observed cell is replaced
+    schema = mixed_schema(1, 1)
+    target = MixedTable(schema, np.array([[1.0, np.nan], [2.0, 1.0]]))
+    params = fit_normalizer(MixedTable(schema, np.array([[0.0, 0.0], [10.0, 1.0]])))
+    filled = np.array([[1.0, 1.0], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="missing values at masked cells"):
+        _finish(target, filled, np.array([[np.nan, np.nan], [np.nan, 0.9]]), params)
+    result = _finish(target, filled, np.array([[np.nan, 0.7], [np.nan, np.nan]]), params)
+    assert np.array_equal(result.table.values, [[1.0, 1.0], [2.0, 1.0]])
+    assert np.array_equal(result.scores[:, 1], [0.7, 1.0])
 
 
 @pytest.mark.parametrize("name", ["naa", "gain"])

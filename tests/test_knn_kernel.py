@@ -116,6 +116,26 @@ def test_n_train_on_both_sides_of_the_block(monkeypatch, block):
     assert_matches_rowwise(train, target, 5, schema)
 
 
+@pytest.mark.parametrize("shortlist", [1, 2, imputers._SHORTLIST])
+@pytest.mark.parametrize("k", [1, 3])
+def test_column_observed_only_outside_the_shortlist(monkeypatch, shortlist, k):
+    # the 30 training rows nearest every target row miss column 2; only 10
+    # far rows observe it, so each hole there gets an infinite threshold
+    # while the other holes take theirs from the shortlist
+    monkeypatch.setattr(imputers, "_SHORTLIST", shortlist)
+    schema = mixed_schema(3, 1)
+    rng = make_rng(20)
+    near = _grid(schema, 30, rng, 0.1)
+    near[:, 2] = np.nan
+    far = _grid(schema, 10, rng, 0.0, 1.0, 5.0)
+    train = np.vstack([near, far])
+    target = _grid(schema, 12, rng, 0.0)
+    target[:, 2] = np.nan
+    target[rng.random(target.shape) < 0.2] = np.nan
+    target[0, [0, 2]] = np.nan
+    assert assert_matches_rowwise(train, target, k, schema) == 0
+
+
 def test_n_train_above_the_real_block():
     schema = mixed_schema(2, 1)
     rng = make_rng(18)

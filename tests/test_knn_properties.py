@@ -6,6 +6,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from imputebench import imputers  # noqa: E402
+
 from conftest import make_rng, mixed_schema  # noqa: E402
 from knn_reference import assert_matches_rowwise  # noqa: E402
 
@@ -22,9 +24,11 @@ from knn_reference import assert_matches_rowwise  # noqa: E402
     grid=st.sampled_from([0, 2, 4]),
     scale=st.sampled_from([1.0, 1e-4, 1e4]),
     seed=st.integers(0, 2**32 - 1),
+    shortlist=st.integers(1, imputers._SHORTLIST),
+    block=st.sampled_from([8, 64, imputers._KNN_BLOCK]),
 )
 def test_blocked_fill_matches_rowwise(
-    n_num, n_cat, n_train, n_target, rate, k, self_mode, grid, scale, seed
+    n_num, n_cat, n_train, n_target, rate, k, self_mode, grid, scale, seed, shortlist, block
 ):
     if n_num + n_cat == 0:
         n_num = 1
@@ -42,4 +46,9 @@ def test_blocked_fill_matches_rowwise(
     for j in np.flatnonzero(np.isnan(train).all(axis=0)):
         train[rng.integers(0, n_train), j] = 0.5
     target = train if self_mode else values[n_train:]
-    assert_matches_rowwise(train, target, k, schema)
+    # small shortlists give cells infinite thresholds; small blocks split
+    # the targets over many blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imputers, "_SHORTLIST", shortlist)
+        patch.setattr(imputers, "_KNN_BLOCK", block)
+        assert_matches_rowwise(train, target, k, schema)

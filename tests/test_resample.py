@@ -3,6 +3,7 @@ import pytest
 
 from imputebench import resample
 from imputebench.resample import SmoteConfig, smote
+from imputebench.seeding import make_rng as seeded_rng
 
 from conftest import make_rng
 
@@ -139,3 +140,25 @@ def test_blocked_neighbor_search_matches_one_block(monkeypatch, rows_per_block):
     X_blk, y_blk = smote(X, y, config, categorical_indices=[2])
     assert np.array_equal(X_blk, X_ref)
     assert np.array_equal(y_blk, y_ref)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 8])
+def test_tied_neighbors_follow_the_stable_index_order(k):
+    # duplicated minority rows on integer coordinates tie many distances;
+    # replaying smote's draws over the first k of a stable sort of all
+    # distances must give its synthetic rows bit for bit
+    rng = make_rng(10)
+    base = rng.integers(0, 3, size=(12, 3)).astype(float)
+    Xm = np.vstack([base, base[:5], base[:5], base[2:4]])
+    n_min = Xm.shape[0]
+    X = np.vstack([rng.uniform(0, 1, size=(60, 3)), Xm])
+    y = np.concatenate([np.zeros(60), np.ones(n_min)])
+    X2, _ = smote(X, y, SmoteConfig(seed=5, k_neighbors=k))
+    d2 = ((Xm[:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    draw = seeded_rng(5, "smote")
+    for row in X2[X.shape[0] :]:
+        a = int(draw.integers(0, n_min))
+        b = int(neighbors[a, draw.integers(0, k)])
+        assert np.array_equal(row, Xm[a] + draw.random() * (Xm[b] - Xm[a]))
