@@ -13,12 +13,19 @@ scheme of XGBoost (Chen & Guestrin 2016) with exact CART midpoints: at each
 depth one stable sort by (open node, candidate slot, x) lays out every
 candidate column of every open node in the block, prefix sums that restart
 at 0 per (node, slot) segment score every midpoint, and each node keeps the
-first feature with the best gain. The prefix sums, node means and node
-variances are the same float operations a per-node search makes
-(sequential `np.cumsum`, `np.mean`, `np.var`), so under
+first feature with the best gain. For regression the prefix sums, node
+means and node variances are the same float operations a per-node search
+makes (sequential `np.cumsum`, `np.mean`, `np.var`), so under
 ``n_features_per_split="all"`` the trees equal those of a recursive grower.
-Under a subset rule each tree's own generator draws the subsets of its open
-nodes once per level, so a tree does not depend on the block it grew in.
+Classification targets are 0 or 1, so every partial sum is an integer below
+2**53 and exact in any order: node means take one `reduceat`, prefix sums
+one running sum per level minus each segment's start, and a column with at
+most two distinct values is not sorted at all. Its one midpoint is scored
+from per-node counts of high samples and of positives on each side, SPRINT's
+count matrix (Shafer, Agrawal & Mehta 1996), which are the sums at the
+sorted segment's one boundary. Under a subset rule each tree's own generator
+draws the subsets of its open nodes once per level, so a tree does not
+depend on the block it grew in.
 """
 
 from __future__ import annotations
@@ -109,15 +116,23 @@ class ForestModel:
         return self.roots.size
 
 
-def _check_xy(X, y):
+def _check_xy(X, y, task):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty 2-D matrix")
-    if np.isnan(X).any():
-        raise ValueError("X must not contain missing entries")
     if y.shape != (X.shape[0],):
         raise ValueError("y length must match X rows")
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        kind = "a missing" if np.isnan(X[row, col]) else "an infinite"
+        raise ValueError(f"X has {kind} entry at row {row}, column {col}")
+    if not np.isfinite(y).all():
+        row = np.flatnonzero(~np.isfinite(y))[0]
+        raise ValueError(f"y must be finite; row {row} is {y[row]}")
+    if task == CLASSIFICATION and not np.isin(y, (0.0, 1.0)).all():
+        row = np.flatnonzero(~np.isin(y, (0.0, 1.0)))[0]
+        raise ValueError(f"classification y must be 0 or 1; row {row} is {y[row]}")
     return X, y
 
 
@@ -155,22 +170,24 @@ def _size_groups(lengths):
 def _node_stats(yv, starts, counts, task):
     """Per node: mean target and impurity, equal to np.mean / np.var of its rows.
 
-    Nodes come in ascending size. The nodes of one size are the rows of one
-    matrix, reduced row-wise with the operations np.mean and np.var make, so
-    each row gets the pairwise summation a 1-D call on that node alone gets.
+    A 0/1 node sum is an integer below 2**53, exact in any order, so one
+    reduceat gives the sum np.mean divides. For regression, nodes come in
+    ascending size and the nodes of one size are the rows of one matrix,
+    reduced row-wise with the operations np.mean and np.var make, so each
+    row gets the pairwise summation a 1-D call on that node alone gets.
     """
+    if task == CLASSIFICATION:
+        value = np.add.reduceat(yv, starts) / counts
+        return value, 2.0 * value * (1.0 - value)
     value = np.empty(counts.size)
     parent = np.empty(counts.size)
     for size, a, b in _size_groups(counts):
         rows = yv[starts[a] : starts[a] + (b - a) * size].reshape(b - a, size)
         mean = np.add.reduce(rows, axis=1, keepdims=True) / size
         value[a:b] = mean[:, 0]
-        if task == REGRESSION:
-            dev = rows - mean
-            dev *= dev
-            parent[a:b] = np.add.reduce(dev, axis=1) / size
-    if task == CLASSIFICATION:
-        parent = 2.0 * value * (1.0 - value)
+        dev = rows - mean
+        dev *= dev
+        parent[a:b] = np.add.reduce(dev, axis=1) / size
     return value, parent
 
 
@@ -204,18 +221,58 @@ def _draw_candidates(node_tree, rngs, m, n_features):
     return np.sort(np.argsort(keys, axis=1)[:, :m], axis=1)
 
 
-def _best_splits(X, place, rows, ys, members, starts, counts, parent, cand, task):
+def _gini_child(n, n_left, sum_left, sum_right):
+    """Size-weighted Gini impurity of the two children of a split of n samples."""
+    n_right = n - n_left
+    p_left = sum_left / n_left
+    p_right = sum_right / n_right
+    return (
+        n_left * 2.0 * p_left * (1.0 - p_left) + n_right * 2.0 * p_right * (1.0 - p_right)
+    ) / n
+
+
+def _counted_splits(ranks, midpoint, rows, ys, members, starts, counts, node, feat):
+    """(child Gini impurity, threshold) of each two-valued (node, feature) pair's one split.
+
+    Pair p is node ``node[p]`` on feature ``feat[p]``, a column with at most
+    two distinct values. Its sorted segment would hold the node's
+    low-value samples, then its high ones, so its one boundary splits off the
+    low side. Sample and positive counts per side are the prefix sums at that
+    boundary, exactly, since 0/1 sums are integers. NaN where a side is empty.
+    """
+    length = counts[node]
+    pair = np.repeat(np.arange(node.size), length)
+    shift = np.repeat(starts[node] - (np.cumsum(length) - length), length)
+    g = members[shift + np.arange(pair.size)]
+    side = 2 * pair + ranks.ravel()[rows[g] * ranks.shape[1] + feat[pair]]
+    n_side = np.bincount(side, minlength=2 * node.size).reshape(-1, 2)
+    pos_side = np.bincount(side, weights=ys[g], minlength=2 * node.size).reshape(-1, 2)
+    both = (n_side[:, 0] > 0) & (n_side[:, 1] > 0)
+    child = np.full(node.size, np.nan)
+    child[both] = _gini_child(
+        length[both].astype(float),
+        n_side[both, 0].astype(float),
+        pos_side[both, 0],
+        pos_side[both, 1],
+    )
+    return child, np.where(both, midpoint[feat], 0.0)
+
+
+def _best_splits(X, ranks, place, midpoint, rows, ys, members, starts, counts, parent, cand, task):
     """(feature, threshold) of each open node's best split; feature -1 if none.
 
     Nodes come in ascending size. ``members[starts[i]:starts[i] + counts[i]]``
     are node i's samples; sample g is row ``rows[g]`` of X with target
     ``ys[g]``. Segment s of node i = s // m holds those samples sorted by
     feature ``cand[i, s % m]``, ties in sample order, as the per-node stable
-    argsort would.
+    argsort would. A candidate whose ``midpoint`` is not NaN is a two-valued
+    classification column: `_counted_splits` scores it and its segment is
+    left empty.
     """
     k, m = cand.shape
     n_features = X.shape[1]
-    seg_len = np.repeat(counts, m)
+    counted = ~np.isnan(midpoint[cand.ravel()])
+    seg_len = np.where(counted, 0, np.repeat(counts, m))
     seg_start = np.cumsum(seg_len) - seg_len
     seg = np.repeat(np.arange(k * m), seg_len)
     offset = np.arange(seg.size) - seg_start[seg]
@@ -225,30 +282,28 @@ def _best_splits(X, place, rows, ys, members, starts, counts, parent, cand, task
     g = g[np.argsort(seg * len(place) + place.ravel()[g * n_features + feat])]
     xs = X.ravel()[rows[g] * n_features + feat]
     ysorted = ys[g]
-    stacked = ysorted[None] if task == CLASSIFICATION else np.stack([ysorted, ysorted**2])
-    csum = _segment_cumsum(stacked, seg_start, seg_len)
     # boundary b splits its segment into n_left = offset[b] samples and the rest
     b = 1 + np.flatnonzero((xs[1:] > xs[:-1]) & (offset[1:] > 0))
     bseg = seg[b]
     end = (seg_start + seg_len - 1)[bseg]
     n = seg_len[bseg].astype(float)
     n_left = offset[b].astype(float)
-    n_right = n - n_left
-    sum_left = csum[0, b - 1]
-    sum_right = csum[0, end] - sum_left
     if task == REGRESSION:
-        sq_left = csum[1, b - 1]
+        csum = _segment_cumsum(np.stack([ysorted, ysorted**2]), seg_start, seg_len)
+        sum_left, sq_left = csum[:, b - 1]
+        sum_right = csum[0, end] - sum_left
         sq_right = csum[1, end] - sq_left
+        n_right = n - n_left
         var_left = sq_left / n_left - (sum_left / n_left) ** 2
         var_right = sq_right / n_right - (sum_right / n_right) ** 2
         child = (n_left * var_left + n_right * var_right) / n
     else:
-        p_left = sum_left / n_left
-        p_right = sum_right / n_right
-        child = (
-            n_left * 2.0 * p_left * (1.0 - p_left)
-            + n_right * 2.0 * p_right * (1.0 - p_right)
-        ) / n
+        # 0/1 partial sums are integers below 2**53: one running sum minus the
+        # segment's start is exactly the sum a restarting cumsum gives
+        csum = np.r_[0.0, np.cumsum(ysorted)]
+        before = csum[seg_start[bseg]]
+        sum_left = csum[b] - before
+        child = _gini_child(n, n_left, sum_left, csum[end + 1] - before - sum_left)
     # first minimum per segment; a NaN minimum matches nothing, like a NaN gain
     seg_child = np.full(k * m, np.nan)
     seg_threshold = np.zeros(k * m)
@@ -259,6 +314,11 @@ def _best_splits(X, place, rows, ys, members, starts, counts, parent, cand, task
         hit = hit[np.r_[True, bseg[hit[1:]] != bseg[hit[:-1]]]]
         seg_child[bseg[hit]] = child[hit]
         seg_threshold[bseg[hit]] = 0.5 * (xs[b[hit] - 1] + xs[b[hit]])
+    if counted.any():
+        s = np.flatnonzero(counted)
+        seg_child[s], seg_threshold[s] = _counted_splits(
+            ranks, midpoint, rows, ys, members, starts, counts, s // m, cand.ravel()[s]
+        )
     gain = parent[:, None] - seg_child.reshape(k, m)
     threshold = seg_threshold.reshape(k, m)
     best_gain = np.zeros(k)
@@ -290,6 +350,12 @@ def _grow(X, ranks, y, samples, rngs, config: TreeConfig, first_id: int) -> Tree
     rows = samples.ravel()  # sample g belongs to tree g // n
     ys = y[rows]
     place = _sorted_places(ranks, samples) if m else None
+    # a classification column with at most two values has one midpoint,
+    # scored from counts; NaN marks the columns scored from sorted segments
+    midpoint = np.full(n_features, np.nan)
+    if config.task == CLASSIFICATION:
+        two = ranks.max(axis=0) <= 1
+        midpoint[two] = 0.5 * (X[:, two].min(axis=0) + X[:, two].max(axis=0))
     node_tree = np.arange(n_trees)
     counts = np.full(n_trees, n)
     members = np.arange(rows.size)  # open samples, grouped by node, in sample order
@@ -311,8 +377,8 @@ def _grow(X, ranks, y, samples, rngs, config: TreeConfig, first_id: int) -> Tree
                 cand = np.empty((i.size, m), dtype=np.int64)
                 cand[by_tree] = _draw_candidates(node_tree[i[by_tree]], rngs, m, n_features)
                 feature[i], threshold[i] = _best_splits(
-                    X, place, rows, ys, members, starts[i], counts[i], parent[i], cand,
-                    config.task,
+                    X, ranks, place, midpoint, rows, ys, members, starts[i], counts[i],
+                    parent[i], cand, config.task,
                 )
         owner = np.repeat(np.arange(counts.size), counts)
         on = feature[owner] >= 0
@@ -336,7 +402,9 @@ def _grow(X, ranks, y, samples, rngs, config: TreeConfig, first_id: int) -> Tree
         left[split] = next_id + slot[0::2]
         right[split] = next_id + slot[1::2]
         levels.append((feature, threshold, left, right, value))
-        members = g[keep][np.argsort(slot[child], kind="stable")]
+        # slots in their smallest unsigned type: up to 2**16 children radix-sort
+        by_slot = slot.astype(np.min_scalar_type(max(slot.size - 1, 0)))[child]
+        members = g[keep][np.argsort(by_slot, kind="stable")]
         node_tree = np.repeat(node_tree[split], 2)[layout]
         counts = child_counts[layout]
         first_id = next_id  # id of the next level's first node
@@ -369,7 +437,7 @@ def fit_forest(
     """Bagged CART ensemble with pre-split per-tree seeds."""
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    X, y = _check_xy(X, y)
+    X, y = _check_xy(X, y, config.task)
     n, n_features = X.shape
     ranks = _dense_ranks(X)
     per_block = max(1, _FOREST_BLOCK // (n * max(1, config.features_per_split(n_features))))

@@ -103,9 +103,22 @@ def test_splits_never_increase_impurity():
 def test_errors():
     with pytest.raises(ValueError):
         lone_tree(np.empty((0, 2)), np.empty(0), rf.TreeConfig())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="X has a missing entry at row 0, column 0"):
         lone_tree(np.array([[np.nan]]), np.array([1.0]), rf.TreeConfig())
+    with pytest.raises(ValueError, match="X has an infinite entry at row 1, column 1"):
+        lone_tree(np.array([[0.0, 1.0], [2.0, -np.inf]]), np.zeros(2), rf.TreeConfig())
     X = np.array([[1.0], [2.0]])
+    for task in (rf.REGRESSION, rf.CLASSIFICATION):
+        with pytest.raises(ValueError, match="y must be finite; row 1 is nan"):
+            lone_tree(X, np.array([0.0, np.nan]), rf.TreeConfig(task=task))
+        with pytest.raises(ValueError, match="y must be finite; row 0 is inf"):
+            lone_tree(X, np.array([np.inf, 1.0]), rf.TreeConfig(task=task))
+    # a label of 2 would score Gini impurities of a non-binary target
+    with pytest.raises(ValueError, match=r"classification y must be 0 or 1; row 1 is 2\.0"):
+        lone_tree(X, np.array([1.0, 2.0]), rf.TreeConfig(task=rf.CLASSIFICATION))
+    with pytest.raises(ValueError, match=r"classification y must be 0 or 1; row 0 is 0\.5"):
+        lone_tree(X, np.array([0.5, 1.0]), rf.TreeConfig(task=rf.CLASSIFICATION))
+    assert lone_tree(X, np.array([1.0, 2.0]), rf.TreeConfig()).left.size == 3
     with pytest.raises(ValueError):
         rf.fit_forest(X, np.array([0.0, 1.0]), rf.TreeConfig(), n_trees=0)
     model = rf.fit_forest(X, np.array([0.0, 1.0]), rf.TreeConfig(), n_trees=2)

@@ -38,6 +38,52 @@ def test_trees_match_reference(task, max_depth, grid):
         assert_matches_reference(X, y, rf.TreeConfig(task=task, max_depth=max_depth))
 
 
+def _two_valued_data(task, n, seed):
+    """Continuous columns next to two-valued ones, {0, 1} and {-1.5, 4.0}."""
+    rng = make_rng(seed)
+    X = np.c_[
+        rng.normal(size=n),
+        rng.integers(0, 2, n).astype(float),
+        np.where(rng.random(n) < 0.3, -1.5, 4.0),
+        np.round(rng.normal(size=n) * 2) / 2,
+        rng.integers(0, 2, n).astype(float),
+    ]
+    signal = X[:, 0] + X[:, 1] - 0.3 * X[:, 2] + rng.normal(size=n)
+    return X, (signal if task == rf.REGRESSION else (signal > 0.0).astype(float))
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("max_depth", [None, 1, 3])
+def test_two_valued_columns_match_reference(task, max_depth):
+    for seed in range(4):
+        X, y = _two_valued_data(task, 80, seed)
+        assert_matches_reference(X, y, rf.TreeConfig(task=task, max_depth=max_depth))
+
+
+@pytest.mark.parametrize("rule", ["sqrt", 2])
+def test_counted_splits_equal_sorted_splits(rule, monkeypatch):
+    # doubled ranks keep every sort order but leave no column with ranks <= 1,
+    # so every split is then scored from sorted segments
+    X, y = _two_valued_data(rf.CLASSIFICATION, 90, 21)
+    config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split=rule)
+    calls = []
+    counted_splits = rf._counted_splits
+
+    def counting(*args):
+        calls.append(args)
+        return counted_splits(*args)
+
+    monkeypatch.setattr(rf, "_counted_splits", counting)
+    counted = rf.fit_forest(X, y, config, n_trees=12, seed=6, bootstrap=True)
+    assert calls
+    calls.clear()
+    dense_ranks = rf._dense_ranks
+    monkeypatch.setattr(rf, "_dense_ranks", lambda X: 2 * dense_ranks(X).astype(np.int64))
+    sorted_only = rf.fit_forest(X, y, config, n_trees=12, seed=6, bootstrap=True)
+    assert not calls
+    _same_forest(counted, sorted_only)
+
+
 @pytest.mark.parametrize("loc", [250.0, -1e4])
 def test_raw_scale_regression_targets_match_reference(loc):
     # large means make the prefix-sum variances cancel; gains near the
@@ -169,6 +215,18 @@ def test_node_stats_equal_numpy_mean_and_var():
     for i, (s, c) in enumerate(zip(starts, counts)):
         assert value[i] == np.mean(yv[s : s + c])
         assert parent[i] == np.var(yv[s : s + c])
+
+
+def test_node_stats_classification_equal_numpy_mean():
+    rng = make_rng(12)
+    counts = np.sort(rng.integers(1, 3000, size=60))
+    starts = np.cumsum(counts) - counts
+    yv = rng.integers(0, 2, size=counts.sum()).astype(float)
+    value, parent = rf._node_stats(yv, starts, counts, rf.CLASSIFICATION)
+    for i, (s, c) in enumerate(zip(starts, counts)):
+        p = np.mean(yv[s : s + c])
+        assert value[i] == p
+        assert parent[i] == 2.0 * p * (1.0 - p)
 
 
 def test_tree_arrays_are_level_ordered():

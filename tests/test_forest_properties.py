@@ -12,6 +12,13 @@ from conftest import make_rng  # noqa: E402
 from forest_reference import assert_matches_reference, assert_same_forest, reference_forest  # noqa: E402
 
 
+def _two_valued_columns(X, count, rng):
+    """Make the first ``count`` columns of X two-valued, {0, 1} or {-1.5, 4.0} in turn."""
+    for j in range(min(count, X.shape[1])):
+        low, high = ((0.0, 1.0), (-1.5, 4.0))[j % 2]
+        X[:, j] = np.where(rng.random(X.shape[0]) < rng.random(), low, high)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 60),
@@ -22,14 +29,18 @@ from forest_reference import assert_matches_reference, assert_same_forest, refer
     loc=st.sampled_from([0.0, 250.0]),
     scale=st.sampled_from([1.0, 1e-4, 30.0]),
     constant=st.booleans(),
+    two_valued=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_tree_matches_reference(n, p, task, max_depth, grid, loc, scale, constant, seed):
+def test_tree_matches_reference(
+    n, p, task, max_depth, grid, loc, scale, constant, two_valued, seed
+):
     rng = make_rng(seed)
     X = rng.normal(size=(n, p))
     if grid:
         # coarse values make many tied x values and equal-gain splits
         X = np.round(X * grid) / grid
+    _two_valued_columns(X, two_valued, rng)
     if constant:
         X[:, rng.integers(0, p)] = 0.5
     if task == rf.REGRESSION:
@@ -47,11 +58,13 @@ def test_tree_matches_reference(n, p, task, max_depth, grid, loc, scale, constan
     n_trees=st.integers(1, 6),
     task=st.sampled_from([rf.REGRESSION, rf.CLASSIFICATION]),
     block=st.sampled_from([1, 200, 1 << 30]),
+    two_valued=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_forest_matches_reference_for_any_block(n, n_trees, task, block, seed):
+def test_forest_matches_reference_for_any_block(n, n_trees, task, block, two_valued, seed):
     rng = make_rng(seed)
     X = np.round(rng.normal(size=(n, 3)) * 2) / 2
+    _two_valued_columns(X, two_valued, rng)
     y = rng.normal(250.0, 30.0, size=n) if task == rf.REGRESSION else rng.integers(0, 2, n) * 1.0
     config = rf.TreeConfig(task=task, max_depth=5)
     saved = rf._FOREST_BLOCK
