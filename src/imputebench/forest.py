@@ -10,22 +10,30 @@ A tree is a set of parallel arrays in level order (`Tree`); a forest is one
 such set holding every tree's nodes, with a root per tree. Trees grow
 level by level, a block of trees at a time, in the exact-greedy presorted
 scheme of XGBoost (Chen & Guestrin 2016) with exact CART midpoints: at each
-depth one stable sort by (open node, candidate slot, x) lays out every
+depth one sort by (open node, candidate slot, x) lays out every
 candidate column of every open node in the block, prefix sums that restart
 at 0 per (node, slot) segment score every midpoint, and each node keeps the
 first feature with the best gain. For regression the prefix sums, node
 means and node variances are the same float operations a per-node search
-makes (sequential `np.cumsum`, `np.mean`, `np.var`), so under
+makes (sequential `np.cumsum`, `np.mean`, `np.var`) over the bootstrap
+sample with its duplicates, in draw order, so under
 ``n_features_per_split="all"`` the trees equal those of a recursive grower.
 Classification targets are 0 or 1, so every partial sum is an integer below
-2**53 and exact in any order: node means take one `reduceat`, prefix sums
-one running sum per level minus each segment's start, and a column with at
-most two distinct values is not sorted at all. Its one midpoint is scored
-from per-node counts of high samples and of positives on each side, SPRINT's
-count matrix (Shafer, Agrawal & Mehta 1996), which are the sums at the
-sorted segment's one boundary. Under a subset rule each tree's own generator
-draws the subsets of its open nodes once per level, so a tree does not
-depend on the block it grew in.
+2**53 and exact in any order. A classification tree therefore grows on the
+distinct rows of its bootstrap draw, each weighted by its number of draws
+(about 63 % of n rows), and every count and sum is a weighted one that
+equals the duplicated sample's: node means take one `reduceat`, prefix sums
+one running sum per level minus each segment's start, and segments sort by
+the column's dense value rank with ties in any order, so no per-tree sorted
+positions are built. A column with at most two distinct values is not
+sorted at all. Its one midpoint is scored from per-node counts of high
+samples and of positives on each side, SPRINT's count matrix (Shafer,
+Agrawal & Mehta 1996), which are the sums at the sorted segment's one
+boundary. Regression keeps the duplicates and the stable sort by each
+tree's sorted positions: a weight would round its sequential and pairwise
+sums differently. Under a subset rule each tree's own generator draws the
+subsets of its open nodes once per level, so a tree does not depend on the
+block it grew in.
 """
 
 from __future__ import annotations
@@ -69,9 +77,10 @@ class TreeConfig:
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         rule = self.n_features_per_split
-        if isinstance(rule, str) and rule not in ("all", "sqrt"):
+        # bool is an int subclass; 2.5 or True would silently truncate to a count
+        if rule not in ("all", "sqrt") and (type(rule) is not int or rule < 1):
             raise ValueError(
-                f"n_features_per_split must be 'all', 'sqrt' or a count, got {rule!r}"
+                f"n_features_per_split must be 'all', 'sqrt' or an int count >= 1, got {rule!r}"
             )
 
     def features_per_split(self, n_features: int) -> int:
@@ -80,10 +89,9 @@ class TreeConfig:
             return n_features
         if rule == "sqrt":
             return max(1, int(np.sqrt(n_features)))
-        m = int(rule)
-        if not 1 <= m <= n_features:
-            raise ValueError(f"n_features_per_split {m} outside [1, {n_features}]")
-        return m
+        if rule > n_features:
+            raise ValueError(f"n_features_per_split {rule} outside [1, {n_features}]")
+        return rule
 
 
 @dataclass
@@ -116,6 +124,13 @@ class ForestModel:
         return self.roots.size
 
 
+def _check_finite(X):
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        kind = "a missing" if np.isnan(X[row, col]) else "an infinite"
+        raise ValueError(f"X has {kind} entry at row {row}, column {col}")
+
+
 def _check_xy(X, y, task):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -123,10 +138,7 @@ def _check_xy(X, y, task):
         raise ValueError("X must be a nonempty 2-D matrix")
     if y.shape != (X.shape[0],):
         raise ValueError("y length must match X rows")
-    if not np.isfinite(X).all():
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        kind = "a missing" if np.isnan(X[row, col]) else "an infinite"
-        raise ValueError(f"X has {kind} entry at row {row}, column {col}")
+    _check_finite(X)
     if not np.isfinite(y).all():
         row = np.flatnonzero(~np.isfinite(y))[0]
         raise ValueError(f"y must be finite; row {row} is {y[row]}")
@@ -148,16 +160,16 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _sorted_places(ranks, samples):
+def _sorted_places(ranks, rows, counts):
     """place[g, j]: where sample g falls in its tree's samples sorted by feature j.
 
-    Ties keep sample order, as a stable argsort of the tree's column does.
+    Tree t's samples are the ``counts[t]`` after those of the trees before
+    it. Ties keep sample order, as a stable argsort of the tree's column does.
     """
-    n = samples.shape[1]
-    place = np.empty((samples.size, ranks.shape[1]), dtype=np.int64)
-    for t, rows in enumerate(samples):
-        order = np.argsort(ranks[rows].T, axis=1, kind="stable")
-        np.put_along_axis(place[t * n : (t + 1) * n].T, order, np.arange(n)[None, :], axis=1)
+    place = np.empty((rows.size, ranks.shape[1]), dtype=np.int64)
+    for lo, n in zip(np.cumsum(counts) - counts, counts):
+        order = np.argsort(ranks[rows[lo : lo + n]].T, axis=1, kind="stable")
+        np.put_along_axis(place[lo : lo + n].T, order, np.arange(n)[None, :], axis=1)
     return place
 
 
@@ -167,21 +179,25 @@ def _size_groups(lengths):
     return zip(sizes, first, np.r_[first[1:], lengths.size])
 
 
-def _node_stats(yv, starts, counts, task):
-    """Per node: mean target and impurity, equal to np.mean / np.var of its rows.
+def _node_stats(yv, starts, sizes, task):
+    """Per node: mean target and impurity, equal to np.mean / np.var of its samples.
 
-    A 0/1 node sum is an integer below 2**53, exact in any order, so one
-    reduceat gives the sum np.mean divides. For regression, nodes come in
-    ascending size and the nodes of one size are the rows of one matrix,
+    Node i's elements start at ``yv[starts[i]]``; ``sizes[i]`` counts its
+    samples. A classification element is a distinct row standing for its
+    weight's worth of samples and carries target times weight, so a node's
+    elements sum to its samples' sum: an integer below 2**53, exact in any
+    order, so one reduceat gives the sum np.mean of the samples divides. A
+    regression element is one sample, so sizes count elements too. Nodes come
+    in ascending size and the nodes of one size are the rows of one matrix,
     reduced row-wise with the operations np.mean and np.var make, so each
     row gets the pairwise summation a 1-D call on that node alone gets.
     """
     if task == CLASSIFICATION:
-        value = np.add.reduceat(yv, starts) / counts
+        value = np.add.reduceat(yv, starts) / sizes
         return value, 2.0 * value * (1.0 - value)
-    value = np.empty(counts.size)
-    parent = np.empty(counts.size)
-    for size, a, b in _size_groups(counts):
+    value = np.empty(sizes.size)
+    parent = np.empty(sizes.size)
+    for size, a, b in _size_groups(sizes):
         rows = yv[starts[a] : starts[a] + (b - a) * size].reshape(b - a, size)
         mean = np.add.reduce(rows, axis=1, keepdims=True) / size
         value[a:b] = mean[:, 0]
@@ -231,43 +247,44 @@ def _gini_child(n, n_left, sum_left, sum_right):
     ) / n
 
 
-def _counted_splits(ranks, midpoint, rows, ys, members, starts, counts, node, feat):
+def _counted_splits(ranks, midpoint, rows, ys, weights, members, starts, counts, sizes, node, feat):
     """(child Gini impurity, threshold) of each two-valued (node, feature) pair's one split.
 
     Pair p is node ``node[p]`` on feature ``feat[p]``, a column with at most
     two distinct values. Its sorted segment would hold the node's
     low-value samples, then its high ones, so its one boundary splits off the
     low side. Sample and positive counts per side are the prefix sums at that
-    boundary, exactly, since 0/1 sums are integers. NaN where a side is empty.
+    boundary, exactly, since weighted 0/1 sums are integers. NaN where a side
+    is empty.
     """
     length = counts[node]
     pair = np.repeat(np.arange(node.size), length)
     shift = np.repeat(starts[node] - (np.cumsum(length) - length), length)
     g = members[shift + np.arange(pair.size)]
     side = 2 * pair + ranks.ravel()[rows[g] * ranks.shape[1] + feat[pair]]
-    n_side = np.bincount(side, minlength=2 * node.size).reshape(-1, 2)
+    n_side = np.bincount(side, weights=weights[g], minlength=2 * node.size).reshape(-1, 2)
     pos_side = np.bincount(side, weights=ys[g], minlength=2 * node.size).reshape(-1, 2)
     both = (n_side[:, 0] > 0) & (n_side[:, 1] > 0)
     child = np.full(node.size, np.nan)
     child[both] = _gini_child(
-        length[both].astype(float),
-        n_side[both, 0].astype(float),
-        pos_side[both, 0],
-        pos_side[both, 1],
+        sizes[node[both]], n_side[both, 0], pos_side[both, 0], pos_side[both, 1]
     )
     return child, np.where(both, midpoint[feat], 0.0)
 
 
-def _best_splits(X, ranks, place, midpoint, rows, ys, members, starts, counts, parent, cand, task):
+def _best_splits(
+    X, ranks, place, midpoint, rows, ys, weights, members, starts, counts, sizes, parent, cand, task
+):
     """(feature, threshold) of each open node's best split; feature -1 if none.
 
     Nodes come in ascending size. ``members[starts[i]:starts[i] + counts[i]]``
-    are node i's samples; sample g is row ``rows[g]`` of X with target
-    ``ys[g]``. Segment s of node i = s // m holds those samples sorted by
-    feature ``cand[i, s % m]``, ties in sample order, as the per-node stable
-    argsort would. A candidate whose ``midpoint`` is not NaN is a two-valued
-    classification column: `_counted_splits` scores it and its segment is
-    left empty.
+    are node i's elements, ``sizes[i]`` samples in all; element g is row
+    ``rows[g]`` of X with target ``ys[g]`` (see `_grow`). Segment s of node
+    i = s // m holds those elements sorted by feature ``cand[i, s % m]``.
+    Regression ties keep sample order, as the per-node stable argsort would;
+    classification ties may come in any order, since its sums are exact. A
+    candidate whose ``midpoint`` is not NaN is a two-valued classification
+    column: `_counted_splits` scores it and its segment is left empty.
     """
     k, m = cand.shape
     n_features = X.shape[1]
@@ -278,32 +295,44 @@ def _best_splits(X, ranks, place, midpoint, rows, ys, members, starts, counts, p
     offset = np.arange(seg.size) - seg_start[seg]
     g = members[np.repeat(starts, m)[seg] + offset]
     feat = cand.ravel()[seg]
-    # (segment, place) keys are unique: place < samples per tree <= len(place)
-    g = g[np.argsort(seg * len(place) + place.ravel()[g * n_features + feat])]
-    xs = X.ravel()[rows[g] * n_features + feat]
-    ysorted = ys[g]
-    # boundary b splits its segment into n_left = offset[b] samples and the rest
-    b = 1 + np.flatnonzero((xs[1:] > xs[:-1]) & (offset[1:] > 0))
+    if task == REGRESSION:
+        # (segment, place) keys are unique: place < samples per tree <= len(place)
+        g = g[np.argsort(seg * len(place) + place.ravel()[g * n_features + feat])]
+        xs = X.ravel()[rows[g] * n_features + feat]
+        rises = xs[1:] > xs[:-1]
+    else:
+        # (segment, value rank) keys, the rank span a Python int: in the ranks'
+        # own small unsigned type, 255 + 1 would wrap to 0
+        key = seg * (int(ranks.max()) + 1) + ranks.ravel()[rows[g] * n_features + feat]
+        order = np.argsort(key)
+        g, key = g[order], key[order]
+        rises = key[1:] > key[:-1]
+    # boundary b splits its segment into the elements before it and the rest
+    b = 1 + np.flatnonzero(rises & (offset[1:] > 0))
     bseg = seg[b]
     end = (seg_start + seg_len - 1)[bseg]
-    n = seg_len[bseg].astype(float)
-    n_left = offset[b].astype(float)
     if task == REGRESSION:
+        n = seg_len[bseg].astype(float)
+        ysorted = ys[g]
         csum = _segment_cumsum(np.stack([ysorted, ysorted**2]), seg_start, seg_len)
         sum_left, sq_left = csum[:, b - 1]
         sum_right = csum[0, end] - sum_left
         sq_right = csum[1, end] - sq_left
+        n_left = offset[b].astype(float)
         n_right = n - n_left
         var_left = sq_left / n_left - (sum_left / n_left) ** 2
         var_right = sq_right / n_right - (sum_right / n_right) ** 2
         child = (n_left * var_left + n_right * var_right) / n
     else:
-        # 0/1 partial sums are integers below 2**53: one running sum minus the
-        # segment's start is exactly the sum a restarting cumsum gives
-        csum = np.r_[0.0, np.cumsum(ysorted)]
-        before = csum[seg_start[bseg]]
-        sum_left = csum[b] - before
-        child = _gini_child(n, n_left, sum_left, csum[end + 1] - before - sum_left)
+        # weighted 0/1 partial sums are integers below 2**53: one running sum
+        # minus the segment's start is exactly the sum a restarting cumsum of
+        # the node's samples gives
+        n = sizes[bseg // m]
+        csum = np.zeros((2, g.size + 1))
+        np.cumsum(np.stack([weights[g], ys[g]]), axis=1, out=csum[:, 1:])
+        before = csum[:, seg_start[bseg]]
+        n_left, sum_left = csum[:, b] - before
+        child = _gini_child(n, n_left, sum_left, csum[1, end + 1] - before[1] - sum_left)
     # first minimum per segment; a NaN minimum matches nothing, like a NaN gain
     seg_child = np.full(k * m, np.nan)
     seg_threshold = np.zeros(k * m)
@@ -313,11 +342,13 @@ def _best_splits(X, ranks, place, midpoint, rows, ys, members, starts, counts, p
         hit = np.flatnonzero(child == np.repeat(lowest, np.diff(np.r_[first, b.size])))
         hit = hit[np.r_[True, bseg[hit[1:]] != bseg[hit[:-1]]]]
         seg_child[bseg[hit]] = child[hit]
-        seg_threshold[bseg[hit]] = 0.5 * (xs[b[hit] - 1] + xs[b[hit]])
+        at = b[hit]
+        seg_threshold[bseg[hit]] = 0.5 * (X[rows[g[at - 1]], feat[at]] + X[rows[g[at]], feat[at]])
     if counted.any():
         s = np.flatnonzero(counted)
         seg_child[s], seg_threshold[s] = _counted_splits(
-            ranks, midpoint, rows, ys, members, starts, counts, s // m, cand.ravel()[s]
+            ranks, midpoint, rows, ys, weights, members, starts, counts, sizes, s // m,
+            cand.ravel()[s],
         )
     gain = parent[:, None] - seg_child.reshape(k, m)
     threshold = seg_threshold.reshape(k, m)
@@ -334,51 +365,57 @@ def _best_splits(X, ranks, place, midpoint, rows, ys, members, starts, counts, p
     return best_feature, best_threshold
 
 
-def _grow(X, ranks, y, samples, rngs, config: TreeConfig, first_id: int) -> Tree:
-    """Grow one tree per row of ``samples`` (row indices into X), level by level.
+def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig, first_id: int) -> Tree:
+    """Grow one tree per entry of ``counts``, level by level.
 
+    Element g is row ``rows[g]`` of X; tree t owns the ``counts[t]``
+    elements after those of the trees before it. A regression element is one
+    sample (``weights`` None), in draw order; a classification element is
+    one distinct row of the tree's sample, ``weights[g]`` samples of it.
     ``ranks`` are `_dense_ranks(X)`; ``rngs[t]`` draws tree t's feature
     subsets. Returns the block's nodes as one `Tree` whose ids count from
     ``first_id`` level by level, so tree t's root is ``first_id + t``.
-    Within a level, nodes are laid out by ascending size (ties in their
-    parents' order, left child first), so nodes and segments of equal size
-    are contiguous.
+    Within a level, nodes are laid out by ascending number of samples (ties
+    in their parents' order, left child first), so nodes and segments of
+    equal size are contiguous.
     """
-    n_trees, n = samples.shape
     n_features = X.shape[1]
     m = min(config.features_per_split(n_features), n_features)
-    rows = samples.ravel()  # sample g belongs to tree g // n
-    ys = y[rows]
-    place = _sorted_places(ranks, samples) if m else None
+    classify = config.task == CLASSIFICATION
+    # a classification element carries its samples' target sum
+    ys = weights * y[rows] if classify else y[rows]
+    place = None if classify or not m else _sorted_places(ranks, rows, counts)
     # a classification column with at most two values has one midpoint,
     # scored from counts; NaN marks the columns scored from sorted segments
     midpoint = np.full(n_features, np.nan)
-    if config.task == CLASSIFICATION:
+    if classify:
         two = ranks.max(axis=0) <= 1
         midpoint[two] = 0.5 * (X[:, two].min(axis=0) + X[:, two].max(axis=0))
-    node_tree = np.arange(n_trees)
-    counts = np.full(n_trees, n)
-    members = np.arange(rows.size)  # open samples, grouped by node, in sample order
+    node_tree = np.arange(counts.size)
+    members = np.arange(rows.size)  # open elements, grouped by node, in element order
+    # elements per node slice members; samples per node (sizes) count for all else
+    sizes = np.add.reduceat(weights, np.cumsum(counts) - counts) if classify else counts
     levels = []
     depth = 0
     while counts.size:
         starts = np.cumsum(counts) - counts
         yv = ys[members]
-        value, parent = _node_stats(yv, starts, counts, config.task)
+        value, parent = _node_stats(yv, starts, sizes, config.task)
         feature = np.full(counts.size, -1)
         threshold = np.zeros(counts.size)
         if m and (config.max_depth is None or depth < config.max_depth):
-            i = np.flatnonzero(
-                (counts >= _MIN_SAMPLES_SPLIT)
-                & (np.minimum.reduceat(yv, starts) != np.maximum.reduceat(yv, starts))
-            )
+            if classify:  # a 0/1 node is pure exactly when its Gini impurity is 0
+                mixed = parent > 0
+            else:
+                mixed = np.minimum.reduceat(yv, starts) != np.maximum.reduceat(yv, starts)
+            i = np.flatnonzero((sizes >= _MIN_SAMPLES_SPLIT) & mixed)
             if i.size:
                 by_tree = np.argsort(node_tree[i], kind="stable")
                 cand = np.empty((i.size, m), dtype=np.int64)
                 cand[by_tree] = _draw_candidates(node_tree[i[by_tree]], rngs, m, n_features)
                 feature[i], threshold[i] = _best_splits(
-                    X, ranks, place, midpoint, rows, ys, members, starts[i], counts[i],
-                    parent[i], cand, config.task,
+                    X, ranks, place, midpoint, rows, ys, weights, members, starts[i],
+                    counts[i], sizes[i], parent[i], cand, config.task,
                 )
         owner = np.repeat(np.arange(counts.size), counts)
         on = feature[owner] >= 0
@@ -393,7 +430,10 @@ def _grow(X, ranks, y, samples, rngs, config: TreeConfig, first_id: int) -> Tree
         # children in parent order, left first, then laid out by size
         child = 2 * (np.cumsum(split) - 1)[owner[keep]] + ~go_left[keep]
         child_counts = np.bincount(child, minlength=2 * split.sum())
-        layout = np.argsort(child_counts, kind="stable")
+        child_sizes = child_counts
+        if classify:
+            child_sizes = np.bincount(child, weights=weights[g[keep]], minlength=child_counts.size)
+        layout = np.argsort(child_sizes, kind="stable")
         slot = np.empty_like(layout)
         slot[layout] = np.arange(layout.size)
         next_id = first_id + counts.size
@@ -407,6 +447,7 @@ def _grow(X, ranks, y, samples, rngs, config: TreeConfig, first_id: int) -> Tree
         members = g[keep][np.argsort(by_slot, kind="stable")]
         node_tree = np.repeat(node_tree[split], 2)[layout]
         counts = child_counts[layout]
+        sizes = child_sizes[layout]
         first_id = next_id  # id of the next level's first node
         depth += 1
     return Tree(*map(np.concatenate, zip(*levels)))
@@ -444,14 +485,21 @@ def fit_forest(
     blocks, roots, n_nodes = [], [], 0
     for lo in range(0, n_trees, per_block):
         seeds = [derive_seed(seed, "forest", t) for t in range(lo, min(lo + per_block, n_trees))]
-        samples = np.array(
-            [
-                make_rng(s, "bootstrap").integers(0, n, size=n) if bootstrap else np.arange(n)
-                for s in seeds
-            ]
-        )
+        samples = [
+            make_rng(s, "bootstrap").integers(0, n, size=n) if bootstrap else np.arange(n)
+            for s in seeds
+        ]
+        weights = None
+        if config.task == CLASSIFICATION:
+            # each tree's distinct rows, weighted by their number of draws
+            drawn = [np.bincount(rows, minlength=n) for rows in samples]
+            samples = [np.flatnonzero(times) for times in drawn]
+            weights = np.concatenate([t[rows] for t, rows in zip(drawn, samples)]).astype(float)
+        counts = np.array([rows.size for rows in samples])
         rngs = [make_rng(s, "tree") for s in seeds]
-        blocks.append(_grow(X, ranks, y, samples, rngs, config, n_nodes))
+        blocks.append(
+            _grow(X, ranks, y, np.concatenate(samples), weights, counts, rngs, config, n_nodes)
+        )
         roots.append(n_nodes + np.arange(len(seeds)))
         n_nodes += blocks[-1].left.size
     tree = Tree(*(np.concatenate(a) for a in zip(*(vars(b).values() for b in blocks))))
@@ -465,6 +513,7 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
         raise ValueError(
             f"expected {model.n_features} features, got shape {X.shape}"
         )
+    _check_finite(X)
     acc = np.zeros(X.shape[0])
     per_block = max(1, _FOREST_BLOCK // max(1, X.shape[0]))
     for lo in range(0, model.n_trees, per_block):

@@ -4,7 +4,9 @@ This is the node-by-node grower the flat engine replaced: one stable argsort
 per candidate feature at every node, children grown left subtree first.
 Under ``n_features_per_split="all"`` it draws no random numbers, so its trees
 must equal the engine's: same features, thresholds and child layout, leaf
-values within 1e-12 relative.
+values within 1e-12 relative. Under a subset rule it grows breadth first
+instead and draws each level's subsets in the order the engine documents,
+so the trees must again be the engine's.
 """
 
 from __future__ import annotations
@@ -70,17 +72,19 @@ def _best_split_for_feature(x, y, task):
     return float(child[best]), 0.5 * (xs[b - 1] + xs[b])
 
 
-def _grow(X, y, config, depth):
-    leaf_value = float(np.mean(y))
-    if (
+def _splittable(y, config, depth) -> bool:
+    return not (
         y.size < rf._MIN_SAMPLES_SPLIT
         or (config.max_depth is not None and depth >= config.max_depth)
         or np.all(y == y[0])
-    ):
-        return Node(value=leaf_value)
+    )
+
+
+def _split(X, y, config, features):
+    """(feature, threshold, go_left) of the best split over ``features`` in order, or None."""
     parent = _impurity(y, config.task)
     best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-    for j in range(X.shape[1]):
+    for j in features:
         found = _best_split_for_feature(X[:, j], y, config.task)
         if found is None:
             continue
@@ -89,20 +93,64 @@ def _grow(X, y, config, depth):
         if gain > best_gain + rf._MIN_GAIN or (best_feature == -1 and gain > rf._MIN_GAIN):
             best_gain, best_feature, best_threshold = gain, j, threshold
     if best_feature == -1:
-        return Node(value=leaf_value)
+        return None
     go_left = X[:, best_feature] <= best_threshold
     if go_left.all() or not go_left.any():
-        return Node(value=leaf_value)
-    node = Node(feature=best_feature, threshold=best_threshold, value=leaf_value)
-    node.left = _grow(X[go_left], y[go_left], config, depth + 1)
-    node.right = _grow(X[~go_left], y[~go_left], config, depth + 1)
+        return None
+    return best_feature, best_threshold, go_left
+
+
+def _grow(X, y, config, depth):
+    node = Node(value=float(np.mean(y)))
+    found = _split(X, y, config, range(X.shape[1])) if _splittable(y, config, depth) else None
+    if found is not None:
+        node.feature, node.threshold, go_left = found
+        node.left = _grow(X[go_left], y[go_left], config, depth + 1)
+        node.right = _grow(X[~go_left], y[~go_left], config, depth + 1)
     return node
 
 
-def reference_tree(X, y, config) -> Node:
-    """The recursive grower's tree over every feature at every node."""
-    assert config.n_features_per_split == "all"
-    return _grow(np.asarray(X, dtype=float), np.asarray(y, dtype=float), config, 0)
+def _grow_by_levels(X, y, config, rng) -> Node:
+    """The tree under a subset rule, grown breadth first.
+
+    Each level holds its nodes by ascending sample count, ties in their
+    parents' order, left child first. One ``rng.random`` call draws a key row
+    per splittable node of the level, in that order; a node's candidates are
+    the features of its m smallest keys, in feature order.
+    """
+    m = config.features_per_split(X.shape[1])
+    root = Node()
+    level, depth = [(root, np.arange(y.size))], 0
+    while level:
+        open_ = [_splittable(y[rows], config, depth) for _, rows in level]
+        keys = iter(rng.random((sum(open_), X.shape[1])) if any(open_) else ())
+        children = []
+        for (node, rows), is_open in zip(level, open_):
+            node.value = float(np.mean(y[rows]))
+            if not is_open:
+                continue
+            features = np.sort(np.argsort(next(keys))[:m])
+            found = _split(X[rows], y[rows], config, features)
+            if found is None:
+                continue
+            node.feature, node.threshold, go_left = found
+            node.left, node.right = Node(), Node()
+            children += [(node.left, rows[go_left]), (node.right, rows[~go_left])]
+        level = sorted(children, key=lambda child: child[1].size)
+        depth += 1
+    return root
+
+
+def reference_tree(X, y, config, rng=None) -> Node:
+    """The recursive grower's tree over every feature at every node.
+
+    Under a subset rule, the breadth-first tree whose subsets ``rng`` draws.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if config.features_per_split(X.shape[1]) == X.shape[1]:
+        return _grow(X, y, config, 0)
+    return _grow_by_levels(X, y, config, rng)
 
 
 def reference_forest(X, y, config, n_trees, seed, bootstrap=True) -> list:
@@ -111,11 +159,11 @@ def reference_forest(X, y, config, n_trees, seed, bootstrap=True) -> list:
     y = np.asarray(y, dtype=float)
     trees = []
     for t in range(n_trees):
+        tree_seed = derive_seed(seed, "forest", t)
         rows = np.arange(X.shape[0])
         if bootstrap:
-            tree_seed = derive_seed(seed, "forest", t)
             rows = make_rng(tree_seed, "bootstrap").integers(0, X.shape[0], size=X.shape[0])
-        trees.append(reference_tree(X[rows], y[rows], config))
+        trees.append(reference_tree(X[rows], y[rows], config, make_rng(tree_seed, "tree")))
     return trees
 
 

@@ -124,6 +124,15 @@ def test_errors():
     model = rf.fit_forest(X, np.array([0.0, 1.0]), rf.TreeConfig(), n_trees=2)
     with pytest.raises(ValueError):
         rf.predict_forest(model, np.ones((3, 2)))
+    # a non-finite row would go right at every node and score like a real one
+    X = np.arange(4.0)[:, None]
+    model = rf.fit_forest(X, np.array([0.0, 0.0, 1.0, 1.0]), rf.TreeConfig(task=rf.CLASSIFICATION))
+    with pytest.raises(ValueError, match="X has a missing entry at row 0, column 0"):
+        rf.predict_forest(model, np.array([[np.nan], [np.inf], [-np.inf]]))
+    with pytest.raises(ValueError, match="X has an infinite entry at row 1, column 0"):
+        rf.predict_forest(model, np.array([[0.5], [-np.inf]]))
+    with pytest.raises(ValueError, match=r"n_features_per_split 2 outside \[1, 1\]"):
+        rf.fit_forest(X, np.zeros(4), rf.TreeConfig(n_features_per_split=2))
 
 
 def test_forest_determinism():
@@ -178,6 +187,11 @@ def test_prediction_ranges():
         ({"max_depth": -1}, "max_depth must be >= 1 or None"),
         ({"n_features_per_split": "bogus"}, "n_features_per_split must be 'all', 'sqrt'"),
         ({"task": "ranking"}, "unknown task"),
+        ({"n_features_per_split": 2.5}, r"an int count >= 1, got 2\.5"),
+        ({"n_features_per_split": True}, "an int count >= 1, got True"),
+        ({"n_features_per_split": 0}, "an int count >= 1, got 0"),
+        ({"n_features_per_split": -2}, "an int count >= 1, got -2"),
+        ({"n_features_per_split": None}, "an int count >= 1, got None"),
     ],
 )
 def test_tree_config_rejects_bad_settings(kwargs, message):

@@ -84,6 +84,21 @@ def test_counted_splits_equal_sorted_splits(rule, monkeypatch):
     _same_forest(counted, sorted_only)
 
 
+@pytest.mark.parametrize("rule", ["all", "sqrt"])
+@pytest.mark.parametrize("n, rank_type", [(256, np.uint8), (300, np.uint16)])
+def test_rank_keys_at_the_limit_of_the_rank_type(n, rank_type, rule):
+    # column 0 holds n distinct values, so its top rank is the rank type's
+    # 255 at n = 256; the (segment, rank) keys must not wrap in that type
+    rng = make_rng(n)
+    X = np.c_[rng.permutation(n) / 7.0, np.round(rng.normal(size=(n, 2)) * 2) / 2]
+    y = (X[:, 0] + rng.normal(scale=9.0, size=n) > n / 14.0).astype(float)
+    assert rf._dense_ranks(X).dtype == rank_type
+    assert rf._dense_ranks(X).max() == n - 1
+    config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split=rule)
+    model = rf.fit_forest(X, y, config, n_trees=3, seed=n, bootstrap=True)
+    assert_same_forest(model, reference_forest(X, y, config, 3, n))
+
+
 @pytest.mark.parametrize("loc", [250.0, -1e4])
 def test_raw_scale_regression_targets_match_reference(loc):
     # large means make the prefix-sum variances cancel; gains near the
@@ -207,24 +222,28 @@ def test_every_node_belongs_to_exactly_one_root(task, block, monkeypatch):
 
 
 def test_node_stats_equal_numpy_mean_and_var():
+    # a regression element is one sample: the sizes count elements
     rng = make_rng(11)
-    counts = np.sort(rng.integers(1, 300, size=60))
-    starts = np.cumsum(counts) - counts
-    yv = rng.normal(250.0, 30.0, size=counts.sum())
-    value, parent = rf._node_stats(yv, starts, counts, rf.REGRESSION)
-    for i, (s, c) in enumerate(zip(starts, counts)):
+    sizes = np.sort(rng.integers(1, 300, size=60))
+    starts = np.cumsum(sizes) - sizes
+    yv = rng.normal(250.0, 30.0, size=sizes.sum())
+    value, parent = rf._node_stats(yv, starts, sizes, rf.REGRESSION)
+    for i, (s, c) in enumerate(zip(starts, sizes)):
         assert value[i] == np.mean(yv[s : s + c])
         assert parent[i] == np.var(yv[s : s + c])
 
 
 def test_node_stats_classification_equal_numpy_mean():
+    # distinct rows with draw counts as weights: the stats of the expanded sample
     rng = make_rng(12)
     counts = np.sort(rng.integers(1, 3000, size=60))
     starts = np.cumsum(counts) - counts
-    yv = rng.integers(0, 2, size=counts.sum()).astype(float)
-    value, parent = rf._node_stats(yv, starts, counts, rf.CLASSIFICATION)
+    y = rng.integers(0, 2, size=counts.sum()).astype(float)
+    weights = rng.integers(1, 7, size=counts.sum()).astype(float)
+    sizes = np.add.reduceat(weights, starts)
+    value, parent = rf._node_stats(weights * y, starts, sizes, rf.CLASSIFICATION)
     for i, (s, c) in enumerate(zip(starts, counts)):
-        p = np.mean(yv[s : s + c])
+        p = np.mean(np.repeat(y[s : s + c], weights[s : s + c].astype(int)))
         assert value[i] == p
         assert parent[i] == 2.0 * p * (1.0 - p)
 

@@ -52,21 +52,30 @@ def test_tree_matches_reference(
     assert_matches_reference(X, y, rf.TreeConfig(task=task, max_depth=max_depth))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 40),
     n_trees=st.integers(1, 6),
     task=st.sampled_from([rf.REGRESSION, rf.CLASSIFICATION]),
+    rule=st.sampled_from(["all", "sqrt", 2]),
     block=st.sampled_from([1, 200, 1 << 30]),
     two_valued=st.integers(0, 3),
+    copied=st.sampled_from([0, 1, 2, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_forest_matches_reference_for_any_block(n, n_trees, task, block, two_valued, seed):
+def test_forest_matches_reference_for_any_block(
+    n, n_trees, task, rule, block, two_valued, copied, seed
+):
     rng = make_rng(seed)
     X = np.round(rng.normal(size=(n, 3)) * 2) / 2
     _two_valued_columns(X, two_valued, rng)
     y = rng.normal(250.0, 30.0, size=n) if task == rf.REGRESSION else rng.integers(0, 2, n) * 1.0
-    config = rf.TreeConfig(task=task, max_depth=5)
+    if copied:
+        # every row a copy of one of a few: distinct rows that tie on every
+        # column, next to the bootstrap's repeated draws of one row
+        pick = rng.integers(0, min(copied, n), size=n)
+        X, y = X[pick], y[pick]
+    config = rf.TreeConfig(task=task, max_depth=5, n_features_per_split=rule)
     saved = rf._FOREST_BLOCK
     rf._FOREST_BLOCK = block
     try:
