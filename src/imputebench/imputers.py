@@ -247,11 +247,15 @@ def _nearest_in_block(bounds, train_norm, obs_train, target_norm, holes, rows, k
         # where fewer do it is inf, which keeps every candidate
         m = min(_SHORTLIST * k, n_train)
         short = np.argpartition(upper, m - 1, axis=1)[:, :m]
+        # one row per hole: its row's shortlisted bounds, inf where its column is missing
+        hr, hc = np.nonzero(hole)
         kth = np.where(
-            obs_train[short], np.take_along_axis(upper, short, axis=1)[:, :, None], np.inf
+            obs_train[short[hr], hc[:, None]],
+            np.take_along_axis(upper, short, axis=1)[hr],
+            np.inf,
         )
         kth.partition(k - 1, axis=1)
-        thr[hole] = kth[:, k - 1][hole]
+        thr[hr, hc] = kth[:, k - 1]
     # one candidate filter per row; exact distances, once per pair
     li, t = np.nonzero(lower <= thr.max(axis=1, keepdims=True))
     dist = _pairwise_partial_distances(train_norm[t], target_norm[rows[li]])

@@ -127,9 +127,9 @@ def _gradcheck_instance(seed):
     """One seeded network instance cycling through layer kinds."""
     rng = make_rng(1000 + seed)
     menu = [
-        [LayerSpec(4, "tanh"), LayerSpec(3, "linear")],
+        [LayerSpec(4, "sigmoid"), LayerSpec(3, "linear")],
         [LayerSpec(5, "sigmoid", batch_norm=True), LayerSpec(2, "linear")],
-        [LayerSpec(4, "relu"), LayerSpec(4, "tanh", batch_norm=True), LayerSpec(3, "linear")],
+        [LayerSpec(4, "relu"), LayerSpec(4, "sigmoid", batch_norm=True), LayerSpec(3, "linear")],
         [LayerSpec(3, "sigmoid"), LayerSpec(3, "sigmoid")],
     ]
     specs = menu[seed % len(menu)]
@@ -168,8 +168,8 @@ def _gain_composite_instance(seed):
     """Generator-through-discriminator chained gradient vs finite differences."""
     rng = make_rng(3000 + seed)
     c = 3
-    gen = Network(2 * c, [LayerSpec(c, "tanh"), LayerSpec(c, "linear")], seed=seed)
-    disc = Network(2 * c, [LayerSpec(c, "tanh"), LayerSpec(c, "sigmoid")], seed=seed + 50)
+    gen = Network(2 * c, [LayerSpec(c, "sigmoid"), LayerSpec(c, "linear")], seed=seed)
+    disc = Network(2 * c, [LayerSpec(c, "sigmoid"), LayerSpec(c, "sigmoid")], seed=seed + 50)
     xf = rng.uniform(0, 1, size=(5, c))
     m = (rng.random((5, c)) > 0.3).astype(float)
     hint, _ = make_hint(m, 0.9, rng)

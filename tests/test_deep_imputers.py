@@ -12,7 +12,7 @@ from imputebench.deep_imputers import (
 )
 from imputebench.imputers import column_stats, knn_fill
 from imputebench.missingness import MissSpec, inject_mcar
-from imputebench.tabular import MixedTable
+from imputebench.tabular import Column, MixedTable, Schema, fit_normalizer, normalize
 
 from conftest import make_rng, mixed_schema, random_table
 
@@ -40,6 +40,7 @@ def test_knn_prefill_ks(variant, monkeypatch):
         return knn_fill(train, target, k, *args)
 
     monkeypatch.setattr(deep, "knn_fill", recording_knn_fill)
+    monkeypatch.setattr(deep, "_completed_fold", None)
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=28, missing_rate=0.1)
     corrupted, _ = inject_mcar(random_table(schema, 12, seed=29), MissSpec(0.2, 6))
@@ -58,6 +59,62 @@ def test_knn_prefill_ks(variant, monkeypatch):
     del ks[:]
     imp.impute(corrupted)
     assert ks == {"naa": [5], "inaa": [9], "gain": [], "igain": [9]}[variant]
+
+
+def _fit(variant, train):
+    imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
+    return imputer_type(train.schema, seed=3, variant=variant, epochs=2, batch_size=16).fit(train)
+
+
+def _record_knn_inputs(monkeypatch):
+    """(k, training matrix bytes) of every knn_fill call the deep module makes."""
+    calls = []
+
+    def recording_knn_fill(train, target, k, *args):
+        calls.append((k, train.tobytes()))
+        return knn_fill(train, target, k, *args)
+
+    monkeypatch.setattr(deep, "knn_fill", recording_knn_fill)
+    monkeypatch.setattr(deep, "_completed_fold", None)
+    return calls
+
+
+def test_deep_methods_share_one_fold_completion(monkeypatch):
+    schema = mixed_schema(2, 1)
+    train = random_table(schema, 40, seed=32, missing_rate=0.1)
+    fold = normalize(train.values, fit_normalizer(train)).tobytes()
+    calls = _record_knn_inputs(monkeypatch)
+    fitted = [_fit(variant, train) for variant in ("naa", "inaa", "gain", "igain")]
+    assert [k for k, data in calls if data == fold] == [5]
+    assert not np.isnan(fitted[0].train_ref_).any()
+    for imp in fitted:
+        monkeypatch.setattr(deep, "_completed_fold", None)
+        assert imp.train_ref_.tobytes() == _fit(imp.name, train).train_ref_.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        fitted[0].train_ref_[0, 0] = 0.5
+
+
+def test_fold_completion_recomputed_for_another_fold_or_schema(monkeypatch):
+    schema = mixed_schema(2, 1)
+    train = random_table(schema, 40, seed=33, missing_rate=0.1)
+    # move the last cell strictly inside column 1's range: one normalized cell changes
+    values = train.values.copy()
+    col = values[:, 1]
+    row = np.flatnonzero((col > np.nanmin(col)) & (col < np.nanmax(col)))[-1]
+    values[row, 1] = (col[row] + np.nanmin(col)) / 2
+    renamed = Schema([Column(f"m{j}", c.kind) for j, c in enumerate(schema.columns)])
+    calls = _record_knn_inputs(monkeypatch)
+    # gain makes no knn_fill call in fit but the completion
+    for table in (
+        train,
+        MixedTable(schema, values),  # one cell differs
+        MixedTable(renamed, train.values),  # the same values under another schema
+        train,  # the memo holds one fold: the first is computed again
+    ):
+        _fit("gain", table)
+    assert [k for k, _ in calls] == [5, 5, 5, 5]
+    assert calls[0][1] != calls[1][1]
+    assert calls[0][1] == calls[2][1] == calls[3][1]
 
 
 def test_make_hint_entries_and_rate():

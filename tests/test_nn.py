@@ -39,7 +39,7 @@ def test_sigmoid_at_zero():
 
 def test_forward_duplicate_computation_oracle():
     rng = make_rng(7)
-    specs = [LayerSpec(4, "tanh"), LayerSpec(5, "relu"), LayerSpec(2, "sigmoid")]
+    specs = [LayerSpec(4, "sigmoid"), LayerSpec(5, "relu"), LayerSpec(2, "sigmoid")]
     net = Network(3, specs, seed=3)
     X = rng.uniform(-1, 1, size=(6, 3))
     out, _ = net.forward(X, train=False)
@@ -48,9 +48,7 @@ def test_forward_duplicate_computation_oracle():
     a = X
     for spec, layer in zip(net.specs, net.layers):
         z = np.array([[row @ layer["W"][:, k] + layer["b"][k] for k in range(spec.width)] for row in a])
-        if spec.activation == "tanh":
-            a = np.tanh(z)
-        elif spec.activation == "relu":
+        if spec.activation == "relu":
             a = np.where(z > 0, z, 0.0)
         elif spec.activation == "sigmoid":
             a = 1 / (1 + np.exp(-z))
@@ -87,7 +85,7 @@ def test_eval_mode_is_pure():
 
 
 def test_zero_loss_grad_gives_zero_gradients():
-    net = Network(3, [LayerSpec(4, "tanh", batch_norm=True), LayerSpec(2, "linear")], seed=2)
+    net = Network(3, [LayerSpec(4, "sigmoid", batch_norm=True), LayerSpec(2, "linear")], seed=2)
     X = make_rng(4).uniform(-1, 1, size=(6, 3))
     out, cache = net.forward(X, train=True)
     grad, grad_in = net.backward(cache, np.zeros_like(out))
@@ -127,7 +125,7 @@ def test_stale_cache_rejected():
 def test_gradients_vs_finite_differences(seed):
     rng = make_rng(100 + seed)
     specs = [
-        LayerSpec(5, "tanh", batch_norm=True),
+        LayerSpec(5, "sigmoid", batch_norm=True),
         LayerSpec(4, "sigmoid"),
         LayerSpec(3, "linear", batch_norm=True),
     ]
@@ -138,13 +136,51 @@ def test_gradients_vs_finite_differences(seed):
     check_input_gradients(net, X, squared_loss(target), train=True)
 
 
-def test_gradients_eval_mode():
-    rng = make_rng(55)
-    net = Network(3, [LayerSpec(4, "tanh", batch_norm=True), LayerSpec(2, "linear")], seed=9)
-    X = rng.uniform(-1, 1, size=(6, 3))
-    net.forward(X, train=True)
-    target = rng.uniform(-1, 1, size=(6, 2))
-    check_param_gradients(net, X, squared_loss(target), train=False)
+def test_eval_mode_cache_refused():
+    net = Network(3, [LayerSpec(4, "relu", batch_norm=True), LayerSpec(2, "linear")], seed=9)
+    out, cache = net.forward(make_rng(55).uniform(-1, 1, size=(6, 3)), train=False)
+    with pytest.raises(ValueError, match="train-mode cache"):
+        net.backward(cache, np.ones_like(out))
+
+
+NETWORKS = {
+    "dense": (4, [LayerSpec(6, "relu"), LayerSpec(5, "sigmoid"), LayerSpec(3, "linear")]),
+    "batch_norm": (
+        6,
+        [
+            LayerSpec(6, "relu", batch_norm=True),
+            LayerSpec(3, "relu", batch_norm=True),
+            LayerSpec(6, "sigmoid"),
+        ],
+    ),
+    "one_layer": (5, [LayerSpec(2, "linear", batch_norm=True)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_partial_backward_matches_full(name):
+    width, specs = NETWORKS[name]
+    net = Network(width, specs, seed=21)
+    rng = make_rng(22)
+    out, cache = net.forward(rng.uniform(-1, 1, size=(17, width)), train=True)
+    loss_grad = rng.uniform(-1, 1, size=out.shape)
+    grad, grad_in = net.backward(cache, loss_grad)
+    only_params, none_in = net.backward(cache, loss_grad, inputs=False)
+    none_params, only_in = net.backward(cache, loss_grad, params=False)
+    assert none_in is None and none_params is None
+    assert np.array_equal(only_params, grad)
+    assert np.array_equal(only_in, grad_in)
+
+
+def test_forward_without_running_statistics():
+    net = Network(3, [LayerSpec(4, "relu", batch_norm=True), LayerSpec(2, "sigmoid")], seed=4)
+    X = make_rng(5).uniform(-1, 1, size=(8, 3))
+    tracked, _ = net.forward(X, train=True)
+    mean, var = net.layers[0]["running_mean"].copy(), net.layers[0]["running_var"].copy()
+    untracked, _ = net.forward(X, train=True, track_running=False)
+    assert np.array_equal(tracked, untracked)
+    assert np.array_equal(net.layers[0]["running_mean"], mean)
+    assert np.array_equal(net.layers[0]["running_var"], var)
 
 
 def test_adam_zero_gradient_noop():
@@ -203,7 +239,7 @@ def test_layer_arrays_are_views_of_params(batch_norm):
 @pytest.mark.parametrize("batch_norm", [False, True])
 def test_flat_adam_matches_per_array_reference(batch_norm):
     rng = make_rng(40 + batch_norm)
-    specs = [LayerSpec(5, "tanh", batch_norm), LayerSpec(4, "relu", batch_norm)]
+    specs = [LayerSpec(5, "sigmoid", batch_norm), LayerSpec(4, "relu", batch_norm)]
     net = Network(3, specs + [LayerSpec(3, "linear")], seed=11)
     arrays = [a.copy() for a in _param_arrays(net)]
     opt = Adam(net, lr=0.01)
