@@ -282,19 +282,32 @@ def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> Me
 # post-imputation prediction
 
 
-def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
-    """CV of a random-forest label predictor with SMOTE training folds.
-
-    The table must be complete and its schema must designate a label
-    column. Features are min-max normalized per training fold before SMOTE
-    distances and forest fitting. `config` supplies `folds`,
-    `forest_trees`, `forest_max_depth` and `smote_k`. Returns the
-    per-fold F1 scores.
-    """
+def _label_index(table: MixedTable) -> int:
+    """Index of the schema's label column, whose observed values must be 0 or 1."""
     schema = table.schema
     if schema.label is None:
         raise ValueError("schema designates no label column")
     label_j = schema.label_index
+    label = table.values[:, label_j]
+    bad = np.flatnonzero(~np.isin(label, (0.0, 1.0)) & ~np.isnan(label))
+    if bad.size:
+        raise ValueError(
+            f"label column {schema.label!r} must hold 0 or 1; row {bad[0]} is {label[bad[0]]}"
+        )
+    return label_j
+
+
+def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
+    """CV of a random-forest label predictor with SMOTE training folds.
+
+    The table must be complete and its schema must designate a label
+    column of 0s and 1s. Features are min-max normalized per training fold
+    before SMOTE distances and forest fitting. `config` supplies `folds`,
+    `forest_trees`, `forest_max_depth` and `smote_k`. Returns the
+    per-fold F1 scores.
+    """
+    schema = table.schema
+    label_j = _label_index(table)
     feature_idx = np.delete(np.arange(schema.n_cols), label_j)
     cat_local = np.flatnonzero(schema.is_categorical[feature_idx])
     assignment = assign_folds(table.n_rows, config.folds, derive_seed(seed, "predict-folds"))
@@ -334,8 +347,7 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
 def run_post_imputation(table: MixedTable, config: ExperimentConfig) -> MetricsReport:
     """Impute the full corrupted dataset per method, then CV-predict the label."""
     schema = table.schema
-    if schema.label is None:
-        raise ValueError("post-imputation prediction needs a label column")
+    _label_index(table)
     _check_methods(schema, config)
     rate = config.post_rate
     complete = complete_subset(table)

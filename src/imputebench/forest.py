@@ -10,30 +10,28 @@ A tree is a set of parallel arrays in level order (`Tree`); a forest is one
 such set holding every tree's nodes, with a root per tree. Trees grow
 level by level, a block of trees at a time, in the exact-greedy presorted
 scheme of XGBoost (Chen & Guestrin 2016) with exact CART midpoints: at each
-depth one sort by (open node, candidate slot, x) lays out every
-candidate column of every open node in the block, prefix sums that restart
-at 0 per (node, slot) segment score every midpoint, and each node keeps the
-first feature with the best gain. For regression the prefix sums, node
-means and node variances are the same float operations a per-node search
-makes (sequential `np.cumsum`, `np.mean`, `np.var`) over the bootstrap
-sample with its duplicates, in draw order, so under
-``n_features_per_split="all"`` the trees equal those of a recursive grower.
+depth one sort by (open node, candidate slot, the column's dense value
+rank, sample order) lays out every candidate column of every open node in
+the block, prefix sums that restart at 0 per (node, slot) segment score
+every midpoint, and each node keeps the first feature with the best gain.
+For regression the prefix sums, node means and node variances are the same
+float operations a per-node search makes (sequential `np.cumsum`,
+`np.mean`, `np.var`) over the bootstrap sample with its duplicates, in draw
+order, so under ``n_features_per_split="all"`` the trees equal those of a
+recursive grower.
 Classification targets are 0 or 1, so every partial sum is an integer below
 2**53 and exact in any order. A classification tree therefore grows on the
 distinct rows of its bootstrap draw, each weighted by its number of draws
 (about 63 % of n rows), and every count and sum is a weighted one that
-equals the duplicated sample's: node means take one `reduceat`, prefix sums
-one running sum per level minus each segment's start, and segments sort by
-the column's dense value rank with ties in any order, so no per-tree sorted
-positions are built. A column with at most two distinct values is not
-sorted at all. Its one midpoint is scored from per-node counts of high
-samples and of positives on each side, SPRINT's count matrix (Shafer,
-Agrawal & Mehta 1996), which are the sums at the sorted segment's one
-boundary. Regression keeps the duplicates and the stable sort by each
-tree's sorted positions: a weight would round its sequential and pairwise
-sums differently. Under a subset rule each tree's own generator draws the
-subsets of its open nodes once per level, so a tree does not depend on the
-block it grew in.
+equals the duplicated sample's: node means take one `reduceat` and prefix
+sums one running sum per level minus each segment's start. A column with at
+most two distinct values is not sorted at all. Its one midpoint is scored
+from per-node counts of high samples and of positives on each side, SPRINT's
+count matrix (Shafer, Agrawal & Mehta 1996), which are the sums at the
+sorted segment's one boundary. Regression keeps the duplicates: a weight
+would round its sequential and pairwise sums differently. Under a subset
+rule each tree's own generator draws the subsets of its open nodes once per
+level, so a tree does not depend on the block it grew in.
 """
 
 from __future__ import annotations
@@ -160,19 +158,6 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _sorted_places(ranks, rows, counts):
-    """place[g, j]: where sample g falls in its tree's samples sorted by feature j.
-
-    Tree t's samples are the ``counts[t]`` after those of the trees before
-    it. Ties keep sample order, as a stable argsort of the tree's column does.
-    """
-    place = np.empty((rows.size, ranks.shape[1]), dtype=np.int64)
-    for lo, n in zip(np.cumsum(counts) - counts, counts):
-        order = np.argsort(ranks[rows[lo : lo + n]].T, axis=1, kind="stable")
-        np.put_along_axis(place[lo : lo + n].T, order, np.arange(n)[None, :], axis=1)
-    return place
-
-
 def _size_groups(lengths):
     """(length, first, stop) of each run of equal values in sorted ``lengths``."""
     sizes, first = np.unique(lengths, return_index=True)
@@ -273,18 +258,18 @@ def _counted_splits(ranks, midpoint, rows, ys, weights, members, starts, counts,
 
 
 def _best_splits(
-    X, ranks, place, midpoint, rows, ys, weights, members, starts, counts, sizes, parent, cand, task
+    X, ranks, midpoint, rows, ys, weights, members, starts, counts, sizes, parent, cand, task
 ):
     """(feature, threshold) of each open node's best split; feature -1 if none.
 
     Nodes come in ascending size. ``members[starts[i]:starts[i] + counts[i]]``
     are node i's elements, ``sizes[i]`` samples in all; element g is row
     ``rows[g]`` of X with target ``ys[g]`` (see `_grow`). Segment s of node
-    i = s // m holds those elements sorted by feature ``cand[i, s % m]``.
-    Regression ties keep sample order, as the per-node stable argsort would;
-    classification ties may come in any order, since its sums are exact. A
-    candidate whose ``midpoint`` is not NaN is a two-valued classification
-    column: `_counted_splits` scores it and its segment is left empty.
+    i = s // m holds those elements sorted by the dense rank of feature
+    ``cand[i, s % m]``, ties in element order, as a per-node stable argsort
+    would leave them. A candidate whose ``midpoint`` is not NaN is a
+    two-valued classification column: `_counted_splits` scores it and its
+    segment is left empty.
     """
     k, m = cand.shape
     n_features = X.shape[1]
@@ -295,18 +280,14 @@ def _best_splits(
     offset = np.arange(seg.size) - seg_start[seg]
     g = members[np.repeat(starts, m)[seg] + offset]
     feat = cand.ravel()[seg]
-    if task == REGRESSION:
-        # (segment, place) keys are unique: place < samples per tree <= len(place)
-        g = g[np.argsort(seg * len(place) + place.ravel()[g * n_features + feat])]
-        xs = X.ravel()[rows[g] * n_features + feat]
-        rises = xs[1:] > xs[:-1]
-    else:
-        # (segment, value rank) keys, the rank span a Python int: in the ranks'
-        # own small unsigned type, 255 + 1 would wrap to 0
-        key = seg * (int(ranks.max()) + 1) + ranks.ravel()[rows[g] * n_features + feat]
-        order = np.argsort(key)
-        g, key = g[order], key[order]
-        rises = key[1:] > key[:-1]
+    rank = ranks.ravel()[rows[g] * n_features + feat]
+    # distinct (segment, value rank, element order) keys: segment s owns the
+    # keys span * [start, start + len), so ties on value keep element order
+    # under any sort kind. The span is a Python int: 255 + 1 wraps in a uint8.
+    key = (int(ranks.max()) + 1) * seg_start[seg] + rank * seg_len[seg] + offset
+    order = np.argsort(key)
+    g, rank = g[order], rank[order]
+    rises = rank[1:] > rank[:-1]
     # boundary b splits its segment into the elements before it and the rest
     b = 1 + np.flatnonzero(rises & (offset[1:] > 0))
     bseg = seg[b]
@@ -384,7 +365,6 @@ def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig, first_id
     classify = config.task == CLASSIFICATION
     # a classification element carries its samples' target sum
     ys = weights * y[rows] if classify else y[rows]
-    place = None if classify or not m else _sorted_places(ranks, rows, counts)
     # a classification column with at most two values has one midpoint,
     # scored from counts; NaN marks the columns scored from sorted segments
     midpoint = np.full(n_features, np.nan)
@@ -414,7 +394,7 @@ def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig, first_id
                 cand = np.empty((i.size, m), dtype=np.int64)
                 cand[by_tree] = _draw_candidates(node_tree[i[by_tree]], rngs, m, n_features)
                 feature[i], threshold[i] = _best_splits(
-                    X, ranks, place, midpoint, rows, ys, weights, members, starts[i],
+                    X, ranks, midpoint, rows, ys, weights, members, starts[i],
                     counts[i], sizes[i], parent[i], cand, config.task,
                 )
         owner = np.repeat(np.arange(counts.size), counts)

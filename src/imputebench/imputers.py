@@ -349,6 +349,10 @@ class KnnImputer(Imputer):
 
     def __init__(self, schema: Schema, seed: int = 0, k: int = 5):
         super().__init__(schema, seed)
+        # bool is an int subclass; True would pass as k = 1, and 0 or 2.5
+        # would fail only once the first cell imputes
+        if type(k) is not int or k < 1:
+            raise ValueError(f"k must be an int >= 1, got {k!r}")
         self.k = k
 
     def fit(self, train: MixedTable) -> "KnnImputer":

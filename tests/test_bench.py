@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,27 @@ def test_predict_cv_requires_label():
         predict_cv(t, 0, predict_config())
 
 
+@pytest.mark.parametrize("kind", ["three-valued", "continuous"])
+def test_label_must_be_0_or_1(kind):
+    register_imputer("recording", lambda schema, seed, **kw: RecordingImputer(schema, seed))
+    RecordingImputer.fit_tables.clear()
+    t = labelled_table()
+    values = t.values.copy()
+    label = values[:, 2]  # n2, a numerical column made the label
+    if kind == "three-valued":
+        label[:] = np.arange(t.n_rows) % 3
+    label[0] = np.nan  # a missing label drops its row, not the run
+    row = 2 if kind == "three-valued" else 1
+    t = MixedTable(mixed_schema(3, 1, label="n2"), values)
+    message = re.escape(f"label column 'n2' must hold 0 or 1; row {row} is {label[row]}")
+    cfg = ExperimentConfig(methods=["recording"], folds=3, repeats=1, forest_trees=3)
+    with pytest.raises(ValueError, match=message):
+        run_post_imputation(t, cfg)
+    assert RecordingImputer.fit_tables == []
+    with pytest.raises(ValueError, match=message):
+        predict_cv(t, 0, predict_config())
+
+
 def test_predict_cv_strong_signal_scores_high():
     schema = mixed_schema(2, 1, label="c0")
     rng = make_rng(13)
@@ -358,6 +380,18 @@ def test_post_imputation_checks_methods_before_any_work():
     cfg = ExperimentConfig(methods=["recording", "knnn"], folds=3, repeats=1, forest_trees=3)
     with pytest.raises(ValueError, match="knnn"):
         run_post_imputation(labelled_table(), cfg)
+    assert RecordingImputer.fit_tables == []
+
+
+@pytest.mark.parametrize("k", [0, 2.5])
+def test_bad_knn_k_fails_before_any_work(k):
+    register_imputer("recording", lambda schema, seed, **kw: RecordingImputer(schema, seed))
+    RecordingImputer.fit_tables.clear()
+    cfg = ExperimentConfig(
+        methods=["recording", "knn"], folds=3, repeats=1, method_overrides={"knn": {"k": k}}
+    )
+    with pytest.raises(ValueError, match="k must be an int >= 1"):
+        run_imputation_experiment(small_table(), cfg)
     assert RecordingImputer.fit_tables == []
 
 

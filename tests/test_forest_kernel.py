@@ -85,16 +85,27 @@ def test_counted_splits_equal_sorted_splits(rule, monkeypatch):
 
 
 @pytest.mark.parametrize("rule", ["all", "sqrt"])
-@pytest.mark.parametrize("n, rank_type", [(256, np.uint8), (300, np.uint16)])
-def test_rank_keys_at_the_limit_of_the_rank_type(n, rank_type, rule):
+@pytest.mark.parametrize(
+    "n, rank_type, task",
+    [
+        (256, np.uint8, rf.REGRESSION),
+        (256, np.uint8, rf.CLASSIFICATION),
+        (300, np.uint16, rf.REGRESSION),
+        (300, np.uint16, rf.CLASSIFICATION),
+    ],
+    ids=["256-uint8-regression", "256-uint8", "300-uint16-regression", "300-uint16"],
+)
+def test_rank_keys_at_the_limit_of_the_rank_type(n, rank_type, task, rule):
     # column 0 holds n distinct values, so its top rank is the rank type's
-    # 255 at n = 256; the (segment, rank) keys must not wrap in that type
+    # 255 at n = 256; the segment sort keys must not wrap in that type
     rng = make_rng(n)
     X = np.c_[rng.permutation(n) / 7.0, np.round(rng.normal(size=(n, 2)) * 2) / 2]
-    y = (X[:, 0] + rng.normal(scale=9.0, size=n) > n / 14.0).astype(float)
+    y = X[:, 0] + rng.normal(scale=9.0, size=n)
+    if task == rf.CLASSIFICATION:
+        y = (y > n / 14.0).astype(float)
     assert rf._dense_ranks(X).dtype == rank_type
     assert rf._dense_ranks(X).max() == n - 1
-    config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split=rule)
+    config = rf.TreeConfig(task=task, n_features_per_split=rule)
     model = rf.fit_forest(X, y, config, n_trees=3, seed=n, bootstrap=True)
     assert_same_forest(model, reference_forest(X, y, config, 3, n))
 

@@ -275,6 +275,12 @@ def test_missforest_rejects_bad_settings(kwargs, message):
         MissForestImputer(mixed_schema(2, 1), **kwargs)
 
 
+@pytest.mark.parametrize("k", [0, -2, 2.5, True])
+def test_knn_rejects_bad_k(k):
+    with pytest.raises(ValueError, match="k must be an int >= 1"):
+        KnnImputer(mixed_schema(2, 1), k=k)
+
+
 def test_missforest_learns_linear_relation():
     schema = mixed_schema(2, 0)
     rng = make_rng(52)
