@@ -12,7 +12,7 @@ from .bench import (
 )
 from .imputers import ImputationResult, Imputer
 from .missingness import MissSpec, assign_folds, inject_mcar
-from .registry import METHOD_NAMES, make_imputer, register_imputer
+from .registry import METHOD_NAMES, make_imputer
 from .tabular import (
     FRAMINGHAM_SCHEMA,
     Column,

@@ -232,10 +232,15 @@ def _defined_or_nan(name, metric, *args) -> float:
         return np.nan
 
 
+def _build_imputer(method: str, schema: Schema, seed: int, config: ExperimentConfig):
+    """`make_imputer` with the method's `config.method_overrides`."""
+    return make_imputer(method, schema, seed, **config.method_overrides.get(method, {}))
+
+
 def _check_methods(schema: Schema, config: ExperimentConfig) -> None:
     """Build every configured imputer once, so a bad name or argument fails first."""
     for name in config.methods:
-        make_imputer(name, schema, 0, **config.method_overrides.get(name, {}))
+        _build_imputer(name, schema, 0, config)
 
 
 def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> MetricsReport:
@@ -259,17 +264,14 @@ def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> Me
                 params = fit_normalizer(train_tbl)
                 for method in config.methods:
                     seed = derive_seed(config.seed, "imputer", method, repeat, rate, fold)
-                    imputer = make_imputer(
-                        method, table.schema, seed, **config.method_overrides.get(method, {})
-                    )
+                    imputer = _build_imputer(method, table.schema, seed, config)
                     imputer.fit(train_tbl)
                     result = imputer.impute(test_tbl)
                     rmse = _defined_or_nan(
                         "nRMSE", normalized_rmse, truth_test, result.table, mask_test, params
                     )
                     auroc_value = _defined_or_nan(
-                        "AUROC",
-                        lambda *a: categorical_auroc(*a)[0],
+                        "AUROC", categorical_auroc,
                         truth_test, result.scores, mask_test, config.auroc_average,
                     )
                     records.append(
@@ -326,12 +328,17 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
         y_train = train_tbl.values[:, label_j]
         X_test = normalize(table.values[test_rows], params)[:, feature_idx]
         y_test = table.values[test_rows, label_j]
-        X_bal, y_bal = smote(
-            X_train,
-            y_train,
-            SmoteConfig(k_neighbors=config.smote_k, seed=derive_seed(seed, "smote", fold)),
-            categorical_indices=cat_local,
-        )
+        try:
+            X_bal, y_bal = smote(
+                X_train,
+                y_train,
+                SmoteConfig(k_neighbors=config.smote_k, seed=derive_seed(seed, "smote", fold)),
+                categorical_indices=cat_local,
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"label column {schema.label!r}, training rows of fold {fold}: {exc}"
+            ) from exc
         model = rf.fit_forest(
             X_bal,
             y_bal,
@@ -357,9 +364,7 @@ def run_post_imputation(table: MixedTable, config: ExperimentConfig) -> MetricsR
         corrupted, _ = inject_mcar(complete, spec, exclude=[schema.label])
         for method in config.methods:
             seed = derive_seed(config.seed, "post-imputer", method, repeat, rate)
-            imputer = make_imputer(
-                method, schema, seed, **config.method_overrides.get(method, {})
-            )
+            imputer = _build_imputer(method, schema, seed, config)
             imputer.fit(corrupted)
             imputed = imputer.impute(corrupted).table
             fold_scores = predict_cv(imputed, derive_seed(config.seed, "post-cv", repeat), config)

@@ -127,37 +127,28 @@ def cmd_impute(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    config = _build_config(args)
-    schema = _load_schema_arg(args)
-    table = _dataset_for_bench(args, schema)
-    report = run_imputation_experiment(table, config)
-    files = emit_report(report, args.out_dir)  # creates out_dir
-    report.to_json(f"{args.out_dir}/report.json")
-    for row in report.aggregate():
-        print(
-            f"{row['method']:>12s} rate={row['rate']:.2f} "
-            f"rmse={row['rmse_mean']:.6f} auroc={row['auroc_mean']:.6f} "
-            f"({row['n_runs']} runs)"
-        )
-    print("wrote: " + ", ".join([f"{args.out_dir}/report.json"] + files))
-    return 0
+# command -> (protocol, its report's summary rows, the metric part of a summary line)
+_PROTOCOLS = {
+    "bench": (run_imputation_experiment, MetricsReport.aggregate,
+              "rmse={rmse_mean:.6f} auroc={auroc_mean:.6f} ({n_runs} runs)"),
+    "predict": (run_post_imputation, MetricsReport.f1_aggregate,
+                "f1={f1_mean:.6f} ({n_runs} folds)"),
+}
 
 
-def cmd_predict(args) -> int:
+def cmd_protocol(args) -> int:
+    """Run the `bench` or `predict` protocol, write its report and print a summary."""
+    run, summary_rows, metric_format = _PROTOCOLS[args.command]
     config = _build_config(args)
-    if args.rate is not None:
+    if getattr(args, "rate", None) is not None:  # predict's --rate
         config = dataclasses.replace(config, post_rate=args.rate)
     schema = _load_schema_arg(args)
     table = _dataset_for_bench(args, schema)
-    report = run_post_imputation(table, config)
+    report = run(table, config)
     files = emit_report(report, args.out_dir)  # creates out_dir
     report.to_json(f"{args.out_dir}/report.json")
-    for row in report.f1_aggregate():
-        print(
-            f"{row['method']:>12s} rate={row['rate']:.2f} "
-            f"f1={row['f1_mean']:.6f} ({row['n_runs']} folds)"
-        )
+    for row in summary_rows(report):
+        print(("{method:>12s} rate={rate:.2f} " + metric_format).format_map(row))
     print("wrote: " + ", ".join([f"{args.out_dir}/report.json"] + files))
     return 0
 
@@ -169,11 +160,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common_io(parser, needs_input=True):
+def _add_common_io(parser):
     parser.add_argument("--schema", help="schema JSON file (defaults to the 15-feature heart schema)")
     parser.add_argument("--missing-token", default="", help="CSV token denoting a missing cell")
-    if needs_input:
-        parser.add_argument("--input", help="input CSV path")
+    parser.add_argument("--input", help="input CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_impute)
 
-    for name, func, extra_rate in (("bench", cmd_bench, False), ("predict", cmd_predict, True)):
+    for name in _PROTOCOLS:
         p = sub.add_parser(name, help=f"run the {name} protocol")
         _add_common_io(p)
         p.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
@@ -220,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--auroc-average", choices=("macro", "micro"))
         p.add_argument("--out-dir", required=True)
-        if extra_rate:
+        if name == "predict":
             p.add_argument("--rate", type=float, default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("report", help="render tables/series from a saved report")
     p.add_argument("--report", required=True)

@@ -149,8 +149,10 @@ def _check_xy(X, y, task):
 def _dense_ranks(X: np.ndarray) -> np.ndarray:
     """Per column, each value's rank among the column's distinct values.
 
-    The smallest unsigned type that holds them, so sorts on up to 2**16
-    distinct values take numpy's radix sort.
+    The smallest unsigned type that holds them, which keeps the per-level
+    rank gathers in `_best_splits` and `_counted_splits` small; int64 ranks
+    made a full-size regression forest about 15 % slower. The sort keys
+    built from the ranks are int64 either way.
     """
     ranks = np.empty(X.shape, dtype=np.min_scalar_type(max(X.shape[0] - 1, 0)))
     for j in range(X.shape[1]):

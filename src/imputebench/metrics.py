@@ -60,18 +60,18 @@ def categorical_auroc(
     scores: np.ndarray,
     mask: np.ndarray,
     average: str = "macro",
-) -> tuple[float, dict[str, float]]:
+) -> float:
     """AUROC of imputation scores over missing categorical cells.
 
     macro: mean of per-column AUROCs across columns with both classes
     among their missing cells. micro: pool all missing categorical cells
-    into one score/label vector. Returns (average, per-column breakdown).
+    into one score/label vector.
     """
     if average not in ("macro", "micro"):
         raise ValueError(f"unknown averaging mode {average!r}")
     mask = np.asarray(mask)
     scores = np.asarray(scores, dtype=float)
-    per_column: dict[str, float] = {}
+    per_column = []
     pooled_scores, pooled_labels = [], []
     any_missing = False
     for j in truth.schema.categorical_indices:
@@ -84,7 +84,7 @@ def categorical_auroc(
         pooled_scores.append(s)
         pooled_labels.append(y)
         try:
-            per_column[truth.schema.columns[j].name] = auroc(s, y)
+            per_column.append(auroc(s, y))
         except UndefinedMetricError:
             continue  # single-class column: excluded from the macro mean
     if not any_missing:
@@ -94,10 +94,8 @@ def categorical_auroc(
             raise UndefinedMetricError(
                 "every categorical column is single-class among missing cells"
             )
-        value = float(np.mean(list(per_column.values())))
-    else:
-        value = auroc(np.concatenate(pooled_scores), np.concatenate(pooled_labels))
-    return value, per_column
+        return float(np.mean(per_column))
+    return auroc(np.concatenate(pooled_scores), np.concatenate(pooled_labels))
 
 
 def f1(predictions, labels) -> float:

@@ -26,8 +26,6 @@ class MissSpec:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    n_rows: int
-    k: int
     assignment: np.ndarray
 
     def fold_rows(self, fold: int) -> np.ndarray:
@@ -81,4 +79,4 @@ def assign_folds(n_rows: int, k: int, seed: int) -> FoldAssignment:
     order = rng.permutation(n_rows)
     assignment = np.empty(n_rows, dtype=int)
     assignment[order] = np.arange(n_rows) % k
-    return FoldAssignment(n_rows, k, assignment)
+    return FoldAssignment(assignment)

@@ -95,7 +95,6 @@ class Network:
                 layer["beta"] = np.zeros(spec.width)
             self.layers.append(layer)
             fan_in = spec.width
-        self.output_width = fan_in
         self.params = np.concatenate([a.ravel() for layer in self.layers for a in layer.values()])
         # backward writes the parameter gradient here, through views laid
         # out like the parameters', and returns a copy

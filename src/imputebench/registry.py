@@ -6,7 +6,7 @@ from .deep_imputers import DaeImputer, GainImputer
 from .imputers import Imputer, KnnImputer, MissForestImputer, SimpleImputer
 from .tabular import Schema
 
-__all__ = ["METHOD_NAMES", "make_imputer", "register_imputer"]
+__all__ = ["METHOD_NAMES", "make_imputer"]
 
 
 def _variant(cls, name):
@@ -24,11 +24,6 @@ _FACTORIES = {
 }
 
 METHOD_NAMES = tuple(_FACTORIES)
-
-
-def register_imputer(name: str, factory) -> None:
-    """Add a custom imputer factory (used by tests and extensions)."""
-    _FACTORIES[name] = factory
 
 
 def make_imputer(name: str, schema: Schema, seed: int = 0, **overrides) -> Imputer:

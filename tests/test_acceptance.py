@@ -135,7 +135,7 @@ def _gradcheck_instance(seed):
     specs = menu[seed % len(menu)]
     net = Network(4, specs, seed=seed)
     X = rng.uniform(-1, 1, size=(6, 4))
-    target = rng.uniform(-1, 1, size=(6, net.output_width))
+    target = rng.uniform(-1, 1, size=(6, net.specs[-1].width))
     return check_param_gradients(net, X, squared_loss(target), train=True)
 
 

@@ -1,10 +1,12 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from imputebench import registry
 from imputebench.bench import (
     ExperimentConfig,
     MetricsReport,
@@ -18,7 +20,6 @@ from imputebench.bench import (
 )
 from imputebench.cli import main
 from imputebench.imputers import ImputationResult, Imputer, SimpleImputer
-from imputebench.registry import register_imputer
 from imputebench.tabular import MixedTable
 
 from conftest import make_rng, mixed_schema
@@ -253,10 +254,18 @@ class RecordingImputer(Imputer):
         return self._inner.impute(target)
 
 
-def test_no_ground_truth_leak_and_per_fold_fitting():
-    register_imputer("recording", lambda schema, seed, **kw: RecordingImputer(schema, seed))
+@pytest.fixture
+def recording(monkeypatch):
+    """Registers "recording" for one test, with empty logs."""
+    monkeypatch.setitem(
+        registry._FACTORIES, "recording", lambda schema, seed, **kw: RecordingImputer(schema, seed)
+    )
     RecordingImputer.fit_tables.clear()
     RecordingImputer.impute_tables.clear()
+
+
+@pytest.mark.usefixtures("recording")
+def test_no_ground_truth_leak_and_per_fold_fitting():
     t = small_table(n=45)
     cfg = ExperimentConfig(methods=["recording"], rates=(0.3,), folds=3, repeats=1, seed=3)
     with pytest.warns(UserWarning, match="AUROC undefined"):
@@ -328,9 +337,8 @@ def test_predict_cv_requires_label():
 
 
 @pytest.mark.parametrize("kind", ["three-valued", "continuous"])
+@pytest.mark.usefixtures("recording")
 def test_label_must_be_0_or_1(kind):
-    register_imputer("recording", lambda schema, seed, **kw: RecordingImputer(schema, seed))
-    RecordingImputer.fit_tables.clear()
     t = labelled_table()
     values = t.values.copy()
     label = values[:, 2]  # n2, a numerical column made the label
@@ -348,6 +356,20 @@ def test_label_must_be_0_or_1(kind):
         predict_cv(t, 0, predict_config())
 
 
+@pytest.mark.parametrize(
+    "positives, reason",
+    [(0, "SMOTE needs both classes present"), (1, "need at least 2 minority samples for SMOTE")],
+)
+def test_predict_cv_names_label_and_fold_smote_cannot_balance(positives, reason):
+    values = np.column_stack([make_rng(1).uniform(0, 1, (30, 3)), np.zeros(30)])
+    values[:positives, 3] = 1.0
+    t = MixedTable(mixed_schema(3, 1, label="c0"), values)
+    message = re.escape(f"label column 'c0', training rows of fold 0: {reason}")
+    with pytest.raises(ValueError, match=message), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # SMOTE's k reduction before it gives up
+        predict_cv(t, 0, predict_config(forest_trees=3))
+
+
 def test_predict_cv_strong_signal_scores_high():
     schema = mixed_schema(2, 1, label="c0")
     rng = make_rng(13)
@@ -358,10 +380,8 @@ def test_predict_cv_strong_signal_scores_high():
     assert np.mean(scores) > 0.8
 
 
+@pytest.mark.usefixtures("recording")
 def test_post_imputation_counts_and_label_protected():
-    register_imputer("recording", lambda schema, seed, **kw: RecordingImputer(schema, seed))
-    RecordingImputer.fit_tables.clear()
-    RecordingImputer.impute_tables.clear()
     t = labelled_table()
     cfg = ExperimentConfig(
         methods=["recording"], folds=3, repeats=2, seed=5, forest_trees=10, post_rate=0.2
@@ -374,9 +394,8 @@ def test_post_imputation_counts_and_label_protected():
         assert np.isnan(np.delete(tbl.values, label_j, axis=1)).any()
 
 
+@pytest.mark.usefixtures("recording")
 def test_post_imputation_checks_methods_before_any_work():
-    register_imputer("recording", lambda schema, seed, **kw: RecordingImputer(schema, seed))
-    RecordingImputer.fit_tables.clear()
     cfg = ExperimentConfig(methods=["recording", "knnn"], folds=3, repeats=1, forest_trees=3)
     with pytest.raises(ValueError, match="knnn"):
         run_post_imputation(labelled_table(), cfg)
@@ -384,9 +403,8 @@ def test_post_imputation_checks_methods_before_any_work():
 
 
 @pytest.mark.parametrize("k", [0, 2.5])
+@pytest.mark.usefixtures("recording")
 def test_bad_knn_k_fails_before_any_work(k):
-    register_imputer("recording", lambda schema, seed, **kw: RecordingImputer(schema, seed))
-    RecordingImputer.fit_tables.clear()
     cfg = ExperimentConfig(
         methods=["recording", "knn"], folds=3, repeats=1, method_overrides={"knn": {"k": k}}
     )
