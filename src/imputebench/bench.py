@@ -105,12 +105,9 @@ class ExperimentConfig:
     repeats: int = 10
     seed: int = 0
     method_overrides: dict = field(default_factory=dict)  # name -> kwargs
-    auroc_average: str = "macro"
     # post-imputation predictor settings
     post_rate: float = 0.2
     forest_trees: int = 100
-    forest_max_depth: int | None = None
-    smote_k: int = 5
     dataset: str | None = None  # CSV path, echoed into reports
 
     def __post_init__(self):
@@ -127,12 +124,8 @@ class ExperimentConfig:
         for r in (*self.rates, self.post_rate):
             if not 0.0 < r < 1.0:
                 raise ValueError(f"rate {r} outside (0, 1)")
-        if self.auroc_average not in ("macro", "micro"):
-            raise ValueError(f"unknown auroc_average {self.auroc_average!r}")
-        if self.forest_trees < 1 or self.smote_k < 1:
-            raise ValueError("forest_trees and smote_k must be >= 1")
-        if self.forest_max_depth is not None and self.forest_max_depth < 1:
-            raise ValueError("forest_max_depth must be >= 1 or None")
+        if self.forest_trees < 1:
+            raise ValueError("forest_trees must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -271,8 +264,7 @@ def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> Me
                         "nRMSE", normalized_rmse, truth_test, result.table, mask_test, params
                     )
                     auroc_value = _defined_or_nan(
-                        "AUROC", categorical_auroc,
-                        truth_test, result.scores, mask_test, config.auroc_average,
+                        "AUROC", categorical_auroc, truth_test, result.scores, mask_test
                     )
                     records.append(
                         RunRecord(method, rate, repeat, fold, rmse, auroc_value)
@@ -304,20 +296,16 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
 
     The table must be complete and its schema must designate a label
     column of 0s and 1s. Features are min-max normalized per training fold
-    before SMOTE distances and forest fitting. `config` supplies `folds`,
-    `forest_trees`, `forest_max_depth` and `smote_k`. Returns the
-    per-fold F1 scores.
+    before SMOTE distances and forest fitting. SMOTE balances each training
+    fold with k = 5 neighbours; the forest's `config.forest_trees` trees
+    grow unbounded on sqrt(features) per split. Returns per-fold F1 scores.
     """
     schema = table.schema
     label_j = _label_index(table)
     feature_idx = np.delete(np.arange(schema.n_cols), label_j)
     cat_local = np.flatnonzero(schema.is_categorical[feature_idx])
     assignment = assign_folds(table.n_rows, config.folds, derive_seed(seed, "predict-folds"))
-    tree_config = rf.TreeConfig(
-        task=rf.CLASSIFICATION,
-        max_depth=config.forest_max_depth,
-        n_features_per_split="sqrt",
-    )
+    tree_config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split="sqrt")
     scores = []
     for fold in range(config.folds):
         train_rows = assignment.train_rows(fold)
@@ -332,7 +320,7 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
             X_bal, y_bal = smote(
                 X_train,
                 y_train,
-                SmoteConfig(k_neighbors=config.smote_k, seed=derive_seed(seed, "smote", fold)),
+                SmoteConfig(seed=derive_seed(seed, "smote", fold)),
                 categorical_indices=cat_local,
             )
         except ValueError as exc:

@@ -61,11 +61,11 @@ def _parse_rates(text) -> tuple:
 
 
 # flags that set the protocol; with --config the file alone sets it
-_PROTOCOL_FLAGS = ("methods", "rates", "folds", "repeats", "auroc_average")
+_PROTOCOL_FLAGS = ("methods", "rates", "folds", "repeats")
 
 
 def _build_config(args) -> ExperimentConfig:
-    given = {f: getattr(args, f) for f in _PROTOCOL_FLAGS if getattr(args, f) is not None}
+    given = {f: getattr(args, f) for f in _PROTOCOL_FLAGS if getattr(args, f, None) is not None}
     if args.config:
         if given:
             flags = ", ".join("--" + f.replace("_", "-") for f in given)
@@ -198,20 +198,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_impute)
 
     for name in _PROTOCOLS:
-        p = sub.add_parser(name, help=f"run the {name} protocol")
+        # no prefix matching: `bench --rate` must not run as `--rates`
+        p = sub.add_parser(name, help=f"run the {name} protocol", allow_abbrev=False)
         _add_common_io(p)
         p.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
         p.add_argument("--synthetic", type=int, metavar="ROWS", help="use a synthetic dataset")
         # unset protocol flags stay None and take the ExperimentConfig defaults
         p.add_argument("--methods")
-        p.add_argument("--rates")
+        if name == "bench":
+            p.add_argument("--rates")
+        else:  # predict runs at one rate, the config's post_rate
+            p.add_argument("--rate", type=float)
         p.add_argument("--folds", type=int)
         p.add_argument("--repeats", type=int)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--auroc-average", choices=("macro", "micro"))
         p.add_argument("--out-dir", required=True)
-        if name == "predict":
-            p.add_argument("--rate", type=float, default=None)
         p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("report", help="render tables/series from a saved report")

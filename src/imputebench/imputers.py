@@ -72,7 +72,7 @@ def _finish(
     clipped to the fitted range. Observed cells are then restored from the
     target verbatim, so clipping never alters them. A cell the target misses
     must have a value and, if categorical, a score by then: a NaN there is
-    a ValueError.
+    a ValueError naming the first such cell.
     """
     observed = ~np.isnan(target.values)
     cat = target.schema.categorical_indices
@@ -80,8 +80,13 @@ def _finish(
     filled = filled.copy()
     filled[:, num] = np.clip(filled[:, num], params.col_min, params.col_max)
     filled[:, cat] = cat_scores[:, cat]
-    if np.isnan(filled[~observed]).any():
-        raise ValueError("model output is missing values at masked cells")
+    holes = np.argwhere(np.isnan(filled) & ~observed)
+    if holes.size:
+        i, j = holes[0]
+        raise ValueError(
+            "model output is missing values at masked cells, first at target row "
+            f"{i}, column {target.schema.names[j]!r}"
+        )
     filled[:, cat] = filled[:, cat] >= 0.5
     filled[observed] = target.values[observed]
     scores = np.full_like(filled, np.nan)

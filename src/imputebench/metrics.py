@@ -55,47 +55,30 @@ def auroc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def categorical_auroc(
-    truth: MixedTable,
-    scores: np.ndarray,
-    mask: np.ndarray,
-    average: str = "macro",
-) -> float:
+def categorical_auroc(truth: MixedTable, scores: np.ndarray, mask: np.ndarray) -> float:
     """AUROC of imputation scores over missing categorical cells.
 
-    macro: mean of per-column AUROCs across columns with both classes
-    among their missing cells. micro: pool all missing categorical cells
-    into one score/label vector.
+    The macro mean of per-column AUROCs, over the columns with both classes
+    among their missing cells.
     """
-    if average not in ("macro", "micro"):
-        raise ValueError(f"unknown averaging mode {average!r}")
     mask = np.asarray(mask)
     scores = np.asarray(scores, dtype=float)
     per_column = []
-    pooled_scores, pooled_labels = [], []
     any_missing = False
     for j in truth.schema.categorical_indices:
         rows = mask[:, j] == 0
         if not rows.any():
             continue
         any_missing = True
-        y = truth.values[rows, j]
-        s = scores[rows, j]
-        pooled_scores.append(s)
-        pooled_labels.append(y)
         try:
-            per_column.append(auroc(s, y))
+            per_column.append(auroc(scores[rows, j], truth.values[rows, j]))
         except UndefinedMetricError:
-            continue  # single-class column: excluded from the macro mean
+            continue  # single-class column: excluded from the mean
     if not any_missing:
         raise UndefinedMetricError("no missing categorical cells to score")
-    if average == "macro":
-        if not per_column:
-            raise UndefinedMetricError(
-                "every categorical column is single-class among missing cells"
-            )
-        return float(np.mean(per_column))
-    return auroc(np.concatenate(pooled_scores), np.concatenate(pooled_labels))
+    if not per_column:
+        raise UndefinedMetricError("every categorical column is single-class among missing cells")
+    return float(np.mean(per_column))
 
 
 def f1(predictions, labels) -> float:

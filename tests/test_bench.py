@@ -90,13 +90,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(methods=["simple"], rates=(0.0,))
     bad_fields = [
-        {"auroc_average": "weighted"},
         {"post_rate": 0.0},
         {"post_rate": 1.0},
         {"forest_trees": 0},
-        {"smote_k": 0},
         {"rates": ()},
-        {"forest_max_depth": 0},
         {"rates": (0.2, 0.4, 0.2)},
         {"method_overrides": {"inna": {"epochs": 2}}},  # a method not run
     ]

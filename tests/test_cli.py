@@ -203,6 +203,23 @@ def test_predict_rate_is_the_recorded_post_rate(tmp_path, small_schema_file):
     assert [r["rate"] for r in doc["f1_records"]] == [0.3, 0.3]
 
 
+def test_protocol_flags_are_not_abbreviated_or_ignored(tmp_path, capsys, small_schema_file):
+    """`predict --rates` and the prefix `bench --rate` are refused, not ignored or expanded."""
+    _, schema_path = small_schema_file
+    for command, flag in (("predict", "--rates"), ("bench", "--rate")):
+        out_dir = tmp_path / command
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    command, "--schema", schema_path, "--synthetic", "60", "--methods", "simple",
+                    "--folds", "2", "--repeats", "1", flag, "0.5", "--out-dir", str(out_dir),
+                ]
+            )
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
     _, schema_path = small_schema_file
     code = main(
@@ -234,6 +251,10 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
             {"methods": ["inaa"], "method_overrides": {"inaa": {"rotation": {"period": 5}}}},
             ("'inaa'", "'rotation'"),
         ),
+        # settings the protocol fixes, refused even at their old defaults
+        ({"methods": ["simple"], "auroc_average": "macro"}, ("'auroc_average'",)),
+        ({"methods": ["simple"], "forest_max_depth": None}, ("'forest_max_depth'",)),
+        ({"methods": ["simple"], "smote_k": 5}, ("'smote_k'",)),
     ],
 )
 def test_bad_config_is_a_named_error(tmp_path, capsys, small_schema_file, cfg, named):
@@ -258,7 +279,6 @@ def test_config_refuses_protocol_flags(tmp_path, capsys, small_schema_file):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"methods": ["simple"], "rates": [0.2]}))
     flags = ["--methods", "knn", "--rates", "0.4", "--folds", "3", "--repeats", "2"]
-    flags += ["--auroc-average", "micro"]
     out_dir = tmp_path / "out"
     code = main(
         [

@@ -152,18 +152,6 @@ def test_categorical_auroc_macro_mean():
     assert categorical_auroc(truth, scores, mask) == pytest.approx(np.mean(expected), abs=1e-12)
 
 
-def test_categorical_auroc_micro_pools_cells():
-    schema = mixed_schema(0, 2)
-    truth = random_table(schema, 50, seed=22)
-    rng = make_rng(9)
-    scores = rng.random(truth.values.shape)
-    mask = np.zeros_like(truth.values, dtype=int)
-    micro = categorical_auroc(truth, scores, mask, average="micro")
-    assert micro == pytest.approx(
-        brute_force_auroc(scores.ravel(), truth.values.ravel()), abs=1e-12
-    )
-
-
 def test_categorical_auroc_undefined():
     schema = mixed_schema(1, 1)
     truth = random_table(schema, 10, seed=23)
