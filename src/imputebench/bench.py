@@ -17,11 +17,11 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import forest as rf
 from .metrics import UndefinedMetricError, categorical_auroc, f1, normalized_rmse
 from .missingness import MissSpec, assign_folds, inject_mcar
+from .normal import ndtr, ndtri
 from .registry import make_imputer
 from .resample import SmoteConfig, smote
 from .seeding import derive_seed, make_rng
@@ -62,6 +62,8 @@ class SyntheticSpec:
     matrix. Numerical columns map the latent normal CDF into their target
     range; binary columns threshold the latent variable at the quantile
     matching the requested prevalence, so imbalance is configurable.
+    `generate_synthetic` rejects a key naming no schema column, a
+    non-finite range bound and a prevalence outside [0, 1].
     """
 
     schema: Schema
@@ -80,6 +82,15 @@ def generate_synthetic(spec: SyntheticSpec, n_rows: int, seed: int) -> MixedTabl
         chol = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
         raise ValueError("correlation matrix is not positive semidefinite") from None
+    stray = sorted((set(spec.numeric_ranges) | set(spec.prevalence)) - set(schema.names))
+    if stray:
+        raise ValueError(f"synthetic spec names columns not in the schema: {stray}")
+    for name, bounds in spec.numeric_ranges.items():
+        if not np.isfinite(bounds).all():
+            raise ValueError(f"numeric range of column {name!r} has a non-finite bound")
+    for name, prev in spec.prevalence.items():
+        if not 0.0 <= prev <= 1.0:
+            raise ValueError(f"prevalence of column {name!r} is {prev}, not in [0, 1]")
     rng = make_rng(seed, "synthetic")
     z = rng.standard_normal((n_rows, c)) @ chol.T
     values = np.empty_like(z)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -18,7 +19,7 @@ from imputebench.bench import (
     run_imputation_experiment,
     run_post_imputation,
 )
-from imputebench.cli import main
+from imputebench.cli import default_synthetic_spec, main
 from imputebench.imputers import ImputationResult, Imputer, SimpleImputer
 from imputebench.tabular import MixedTable
 
@@ -80,6 +81,36 @@ def test_synthetic_bad_correlation():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="positive"):
         generate_synthetic(SyntheticSpec(schema, bad), 10, seed=0)
+
+
+def test_synthetic_bad_spec_is_a_named_error():
+    schema = mixed_schema(1, 1)
+    cases = [
+        ({"prevalence": {"c0": 1.5}}, "'c0'"),
+        ({"prevalence": {"c0": -0.2}}, "'c0'"),
+        ({"prevalence": {"c0": float("nan")}}, "'c0'"),
+        ({"prevalence": {"c9": 0.3}}, "'c9'"),
+        ({"numeric_ranges": {"age": (0.0, 1.0)}}, "'age'"),
+        ({"numeric_ranges": {"n0": (0.0, float("nan"))}}, "'n0'"),
+        ({"numeric_ranges": {"n0": (-np.inf, 1.0)}}, "'n0'"),
+    ]
+    for fields, named in cases:
+        with pytest.raises(ValueError, match=named):
+            generate_synthetic(SyntheticSpec(schema, identity_corr(2), **fields), 10, seed=0)
+
+
+def test_synthetic_prevalence_bounds_are_constant_columns():
+    schema = mixed_schema(0, 2)
+    spec = SyntheticSpec(schema, identity_corr(2), prevalence={"c0": 0.0, "c1": 1.0})
+    t = generate_synthetic(spec, 200, seed=6)
+    assert (t.values[:, 0] == 0.0).all() and (t.values[:, 1] == 1.0).all()
+
+
+def test_default_synthetic_table_bytes_are_pinned():
+    # sha256 taken when the generator still called scipy.special.ndtr/ndtri
+    values = generate_synthetic(default_synthetic_spec(), 9310, 0).values
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digest == "c2e214484a01fefb14f0330bc46a00d55f9b06b1da135faac26b67fe1b10d3d7"
 
 
 def test_config_validation():

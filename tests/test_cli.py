@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from imputebench.tabular import (
 )
 
 from conftest import mixed_schema
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+RECIPE = Path(__file__).with_name("same_bytes_recipe.json")
 
 
 @pytest.fixture
@@ -292,3 +299,35 @@ def test_config_refuses_protocol_flags(tmp_path, capsys, small_schema_file):
     for flag in flags[::2]:
         assert flag in err
     assert not out_dir.exists()
+
+
+def run_python(code, *args):
+    """Run `python -c code args` in a fresh interpreter on this checkout's `src/`."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, imputebench.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert run_python(code).stdout.strip() == "[]"
+
+
+def test_bench_without_scipy_writes_the_same_bytes(tmp_path):
+    args = ["bench", "--synthetic", "160", "--seed", "3", "--config", str(RECIPE)]
+    # a None entry in sys.modules makes every `import scipy` raise ImportError
+    no_scipy = (
+        "import sys; sys.modules['scipy'] = None; from imputebench.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    run_python(no_scipy, *args, "--out-dir", str(tmp_path / "blocked"))
+    assert main([*args, "--out-dir", str(tmp_path / "open")]) == 0
+    names = sorted(p.name for p in (tmp_path / "open").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "blocked").iterdir())
+    for name in names:
+        blocked, open_ = (tmp_path / run / name for run in ("blocked", "open"))
+        assert blocked.read_bytes() == open_.read_bytes(), name

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -95,16 +90,6 @@ def test_auroc_nan_score_is_a_named_error():
     with pytest.raises(ValueError, match="NaN") as info:
         auroc([0.9, np.nan, 0.2], [1, 0, 0])
     assert not isinstance(info.value, UndefinedMetricError)
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, imputebench; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_auroc_matches_pairwise_oracle():
