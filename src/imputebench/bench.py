@@ -12,6 +12,7 @@ SMOTE-balanced training folds, scored by F1.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -19,11 +20,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import forest as rf
+from .imputers import _check_int
 from .metrics import UndefinedMetricError, categorical_auroc, f1, normalized_rmse
 from .missingness import MissSpec, assign_folds, inject_mcar
 from .normal import ndtr, ndtri
 from .registry import make_imputer
-from .resample import SmoteConfig, smote
+from .resample import smote
 from .seeding import derive_seed, make_rng
 from .tabular import (
     ColumnKind,
@@ -122,6 +124,28 @@ class ExperimentConfig:
     dataset: str | None = None  # CSV path, echoed into reports
 
     def __post_init__(self):
+        # a JSON config file can give any field any type: check each one
+        # before it is used, so a wrong type is named, not a later traceback
+        listed = isinstance(self.methods, (list, tuple))
+        if not listed or not all(isinstance(m, str) for m in self.methods):
+            raise ValueError(f"methods must be a list of method names, got {self.methods!r}")
+        listed = isinstance(self.rates, (list, tuple))
+        if not listed or not all(map(_is_number, self.rates)):
+            raise ValueError(f"rates must be a list of numbers, got {self.rates!r}")
+        self.rates = tuple(self.rates)
+        if not _is_number(self.post_rate):
+            raise ValueError(f"post_rate must be a number, got {self.post_rate!r}")
+        for name, least in (("folds", 2), ("repeats", 1), ("forest_trees", 1)):
+            _check_int(name, getattr(self, name), least)
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int (not a bool), got {self.seed!r}")
+        if not isinstance(self.method_overrides, dict) or not all(
+            isinstance(v, dict) for v in self.method_overrides.values()
+        ):
+            raise ValueError(
+                "method_overrides must map method names to dicts of settings, "
+                f"got {self.method_overrides!r}"
+            )
         if not self.methods or not self.rates:
             raise ValueError("config needs at least one method and one rate")
         for name, values in (("methods", self.methods), ("rates", self.rates)):
@@ -130,13 +154,13 @@ class ExperimentConfig:
         stray = sorted(set(self.method_overrides) - set(self.methods))
         if stray:
             raise ValueError(f"method_overrides for methods not in methods: {stray}")
-        if self.folds < 2 or self.repeats < 1:
-            raise ValueError("folds must be >= 2 and repeats >= 1")
         for r in (*self.rates, self.post_rate):
             if not 0.0 < r < 1.0:
                 raise ValueError(f"rate {r} outside (0, 1)")
-        if self.forest_trees < 1:
-            raise ValueError("forest_trees must be >= 1")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -186,11 +210,27 @@ class MetricsReport:
     def from_json(cls, path) -> "MetricsReport":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+            raise ValueError(f"report {path} is not a JSON object with a 'config' object")
         return cls(
-            [RunRecord(**_null_to_nan(r)) for r in doc["records"]],
-            [F1Record(**_null_to_nan(r)) for r in doc["f1_records"]],
+            _read_records(doc, "records", RunRecord, path),
+            _read_records(doc, "f1_records", F1Record, path),
             doc["config"],
         )
+
+
+def _read_records(doc: dict, key: str, record_type, path) -> list:
+    """`doc[key]` as records; a missing list or a bad record is named with the file."""
+    rows = doc.get(key)
+    if not isinstance(rows, list):
+        raise ValueError(f"report {path} has no {key!r} list")
+    records = []
+    for i, row in enumerate(rows):
+        try:
+            records.append(record_type(**_null_to_nan(row)))
+        except (TypeError, AttributeError) as exc:  # a missing or unknown field; not an object
+            raise ValueError(f"report {path}, {key}[{i}]: {exc}") from None
+    return records
 
 
 def _nan_to_null(row: dict) -> dict:
@@ -329,10 +369,7 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
         y_test = table.values[test_rows, label_j]
         try:
             X_bal, y_bal = smote(
-                X_train,
-                y_train,
-                SmoteConfig(seed=derive_seed(seed, "smote", fold)),
-                categorical_indices=cat_local,
+                X_train, y_train, derive_seed(seed, "smote", fold), categorical_indices=cat_local
             )
         except ValueError as exc:
             raise ValueError(

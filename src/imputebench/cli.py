@@ -72,13 +72,14 @@ def _build_config(args) -> ExperimentConfig:
             raise ValueError(f"{flags} cannot be combined with --config, which sets the protocol")
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            kind = type(doc).__name__
+            raise ValueError(f"config file {args.config} must hold a JSON object, not a {kind}")
         unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
         if unknown:
             raise ValueError(f"unknown config key(s) {unknown} in {args.config}")
         doc.setdefault("methods", list(METHOD_NAMES))
         doc.setdefault("dataset", args.input)
-        if "rates" in doc:
-            doc["rates"] = tuple(doc["rates"])
         return ExperimentConfig(**doc)
     if "rates" in given:
         given["rates"] = _parse_rates(given["rates"])

@@ -1,7 +1,7 @@
 """Deep imputation methods: denoising autoencoders and adversarial imputers.
 
 Four variants share the engine in `nn`; the method name picks the variant,
-and the keywords of `DaeConfig` / `GainConfig` set the training settings:
+and `epochs` is the one training setting (the others are module constants):
 
 * naa   -- overcomplete denoising autoencoder, one-time KNN (k=5)
            pre-imputation and a fixed training corruption mask.
@@ -23,11 +23,9 @@ share one completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .imputers import ImputationResult, Imputer, _finish, column_stats, knn_fill
+from .imputers import ImputationResult, Imputer, _check_int, _finish, column_stats, knn_fill
 from .missingness import drop_cells
 from .nn import Adam, LayerSpec, Network, _activate, mixed_loss
 from .seeding import derive_seed, make_rng
@@ -35,8 +33,6 @@ from .tabular import MixedTable, Schema, denormalize, fit_normalizer, normalize
 
 __all__ = [
     "RotatingPreimputer",
-    "DaeConfig",
-    "GainConfig",
     "DaeImputer",
     "GainImputer",
     "make_hint",
@@ -44,6 +40,11 @@ __all__ = [
 
 NOISE_HIGH = 0.01
 CLIP_EPS = 1e-7
+CORRUPTION_RATE = 0.2  # share of training cells dropped by each internal corruption
+BATCH_SIZE = 128
+LEARNING_RATE = 1e-3  # Adam's step size, for every network
+HINT_RATE = 0.9  # gain/igain: share of mask cells the discriminator is told
+ALPHA = 10.0  # gain/igain: weight of the reconstruction term in the generator loss
 
 
 ROTATION_PERIOD = 10  # epochs between refreshes of the inaa/igain KNN pre-fill
@@ -112,37 +113,6 @@ def make_hint(mask: np.ndarray, hint_rate: float, rng: np.random.Generator):
     return h, b
 
 
-@dataclass(frozen=True)
-class DaeConfig:
-    """Training settings of both deep families, given as imputer keywords."""
-
-    epochs: int = 200
-    batch_size: int = 128
-    corruption_rate: float = 0.2
-    learning_rate: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.corruption_rate < 1.0:
-            raise ValueError("corruption_rate must be in (0, 1)")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class GainConfig(DaeConfig):
-    """`DaeConfig` plus the hint rate and reconstruction weight of gain and igain."""
-
-    hint_rate: float = 0.9
-    alpha: float = 10.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.hint_rate <= 1.0:
-            raise ValueError("hint_rate must be in (0, 1]")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-
-
 def _map_outputs(raw: np.ndarray, cat_idx: np.ndarray) -> np.ndarray:
     """Column-wise output head: sigmoid on categoricals, identity elsewhere."""
     out = raw.copy()
@@ -170,21 +140,20 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator, min_size: int = 
 
 
 class _DeepImputer(Imputer):
-    """Shared config / normalization / completion plumbing for the deep methods.
+    """Shared settings / normalization / completion plumbing for the deep methods.
 
-    `variant` is one of the family's two method names; every other setting
-    is a keyword of the family's config type.
+    `variant` is one of the family's two method names; `epochs` is the
+    number of passes over the training fold.
     """
 
     variants: tuple
-    config_type: type
 
-    def __init__(self, schema: Schema, seed: int = 0, *, variant: str, **settings):
+    def __init__(self, schema: Schema, seed: int = 0, *, variant: str, epochs: int = 200):
         if variant not in self.variants:
             raise ValueError(f"unknown variant {variant!r}, expected one of {self.variants}")
         super().__init__(schema, seed)
         self.name = variant
-        self.config = self.config_type(**settings)
+        self.epochs = _check_int("epochs", epochs)
 
     def _prepare_training_matrix(self, train: MixedTable) -> np.ndarray:
         self._check_schema(train)
@@ -211,7 +180,6 @@ class DaeImputer(_DeepImputer):
     """Denoising-autoencoder imputer (variants naa and inaa)."""
 
     variants = ("naa", "inaa")
-    config_type = DaeConfig
 
     def _build_network(self, n_features: int) -> Network:
         if self.name == "naa":
@@ -222,29 +190,28 @@ class DaeImputer(_DeepImputer):
         return Network(n_features, specs, seed=self.seed)
 
     def fit(self, train: MixedTable) -> "DaeImputer":
-        cfg = self.config
         clean = self._prepare_training_matrix(train)
         n, c = clean.shape
         self.net_ = self._build_network(c)
-        optimizer = Adam(self.net_, lr=cfg.learning_rate)
+        optimizer = Adam(self.net_, lr=LEARNING_RATE)
         cat_idx = self.schema.categorical_indices
         corrupt_rng = make_rng(self.seed, "dae-corrupt")
         batch_rng = make_rng(self.seed, "dae-batches")
         rotator = RotatingPreimputer(self.seed)
         pre = None
         self.loss_history_ = []
-        for epoch in range(cfg.epochs):
+        for epoch in range(self.epochs):
             if self.name == "naa":
                 if pre is None:
-                    corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
+                    corrupted = drop_cells(clean, CORRUPTION_RATE, corrupt_rng)
                     pre, _, _ = knn_fill(
                         corrupted, corrupted, FIXED_K, self.schema, self.norm_stats_
                     )
             elif epoch % ROTATION_PERIOD == 0:
-                corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
+                corrupted = drop_cells(clean, CORRUPTION_RATE, corrupt_rng)
                 pre = rotator.preimpute(corrupted, self.schema, self.norm_stats_)
             epoch_loss = 0.0
-            for rows in _batches(n, cfg.batch_size, batch_rng, min_size=1):
+            for rows in _batches(n, BATCH_SIZE, batch_rng, min_size=1):
                 out_raw, cache = self.net_.forward(pre[rows], train=True)
                 out = _map_outputs(out_raw, cat_idx)
                 loss, grad = mixed_loss(out, clean[rows], self.schema)
@@ -270,7 +237,6 @@ class GainImputer(_DeepImputer):
     """Adversarial imputer (variants gain and igain)."""
 
     variants = ("gain", "igain")
-    config_type = GainConfig
 
     def _build_networks(self, c: int):
         if self.name == "gain":
@@ -299,28 +265,27 @@ class GainImputer(_DeepImputer):
         return gen, disc
 
     def fit(self, train: MixedTable) -> "GainImputer":
-        cfg = self.config
         clean = self._prepare_training_matrix(train)
         n, c = clean.shape
         cat_idx = self.schema.categorical_indices
         self.gen_, self.disc_ = self._build_networks(c)
-        opt_g = Adam(self.gen_, lr=cfg.learning_rate)
-        opt_d = Adam(self.disc_, lr=cfg.learning_rate)
+        opt_g = Adam(self.gen_, lr=LEARNING_RATE)
+        opt_d = Adam(self.disc_, lr=LEARNING_RATE)
         corrupt_rng = make_rng(self.seed, "gain-corrupt")
         batch_rng = make_rng(self.seed, "gain-batches")
         hint_rng = make_rng(self.seed, "gain-hint")
         noise_rng = make_rng(self.seed, "gain-noise")
         rotator = RotatingPreimputer(self.seed)
         filled_all = mask_all = None
-        for epoch in range(cfg.epochs):
+        for epoch in range(self.epochs):
             if self.name == "igain" and epoch % ROTATION_PERIOD == 0:
-                corrupted = drop_cells(clean, cfg.corruption_rate, corrupt_rng)
+                corrupted = drop_cells(clean, CORRUPTION_RATE, corrupt_rng)
                 mask_all = (~np.isnan(corrupted)).astype(float)
                 filled_all = rotator.preimpute(corrupted, self.schema, self.norm_stats_)
-            for rows in _batches(n, cfg.batch_size, batch_rng):
+            for rows in _batches(n, BATCH_SIZE, batch_rng):
                 target_batch = clean[rows]
                 if self.name == "gain":
-                    m = (corrupt_rng.random(target_batch.shape) >= cfg.corruption_rate).astype(float)
+                    m = (corrupt_rng.random(target_batch.shape) >= CORRUPTION_RATE).astype(float)
                     noise = noise_rng.uniform(0.0, NOISE_HIGH, size=target_batch.shape)
                     xf = m * target_batch + (1.0 - m) * noise
                 else:
@@ -331,12 +296,11 @@ class GainImputer(_DeepImputer):
         return self
 
     def _train_step(self, xf, m, clean, cat_idx, opt_g, opt_d, hint_rng):
-        cfg = self.config
         g_in = np.concatenate([xf, m], axis=1)
         g_raw, g_cache = self.gen_.forward(g_in, train=True)
         g_out = _map_outputs(g_raw, cat_idx)
         imputed = m * xf + (1.0 - m) * g_out
-        h, b = make_hint(m, cfg.hint_rate, hint_rng)
+        h, b = make_hint(m, HINT_RATE, hint_rng)
         region = ~b  # cells whose status the discriminator must infer
         d_in = np.concatenate([imputed, h], axis=1)
 
@@ -362,7 +326,7 @@ class GainImputer(_DeepImputer):
             grad_rec = 2.0 * m * (g_out - clean) / m_sum
         else:
             _, grad_rec = mixed_loss(g_out, clean, self.schema, m)
-        grad_gout += cfg.alpha * grad_rec
+        grad_gout += ALPHA * grad_rec
         g_param_grad, _ = self.gen_.backward(
             g_cache, _map_grad(g_out, grad_gout, cat_idx), inputs=False
         )

@@ -62,6 +62,17 @@ class Imputer:
             raise ValueError(f"{self.name}: table schema differs from fit schema")
 
 
+def _check_int(name: str, value, least: int = 1) -> int:
+    """`value` if it is an int >= `least`, else a ValueError naming `name`.
+
+    bool is an int subclass, so True would pass as 1; it is refused, as is
+    a float such as 2.5, which would otherwise fail only at the first cell.
+    """
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be >= {least} and an int (not a bool), got {value!r}")
+    return value
+
+
 def _finish(
     target: MixedTable, filled: np.ndarray, cat_scores: np.ndarray, params: NormParams
 ) -> ImputationResult:
@@ -354,11 +365,7 @@ class KnnImputer(Imputer):
 
     def __init__(self, schema: Schema, seed: int = 0, k: int = 5):
         super().__init__(schema, seed)
-        # bool is an int subclass; True would pass as k = 1, and 0 or 2.5
-        # would fail only once the first cell imputes
-        if type(k) is not int or k < 1:
-            raise ValueError(f"k must be an int >= 1, got {k!r}")
-        self.k = k
+        self.k = _check_int("k", k)
 
     def fit(self, train: MixedTable) -> "KnnImputer":
         self._check_schema(train)
@@ -377,6 +384,13 @@ class KnnImputer(Imputer):
         return _finish(target, denormalize(filled, self.params_), cat_scores, self.params_)
 
 
+# MissForest's trees: depth at most 12, sqrt(features) candidates per split
+_REG_TREE, _CLS_TREE = (
+    rf.TreeConfig(task=task, max_depth=12, n_features_per_split="sqrt")
+    for task in (rf.REGRESSION, rf.CLASSIFICATION)
+)
+
+
 class MissForestImputer(Imputer):
     """Iterative per-column random-forest imputation.
 
@@ -390,33 +404,17 @@ class MissForestImputer(Imputer):
 
     name = "missforest"
 
-    def __init__(
-        self,
-        schema: Schema,
-        seed: int = 0,
-        n_trees: int = 50,
-        max_depth: int | None = 12,
-        max_iter: int = 10,
-        n_features_per_split="sqrt",
-    ):
+    def __init__(self, schema: Schema, seed: int = 0, n_trees: int = 50, max_iter: int = 10):
         super().__init__(schema, seed)
-        if n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_trees = n_trees
-        self.max_iter = max_iter
-        self.reg_config, self.cls_config = (
-            rf.TreeConfig(task=task, max_depth=max_depth, n_features_per_split=n_features_per_split)
-            for task in (rf.REGRESSION, rf.CLASSIFICATION)
-        )
+        self.n_trees = _check_int("n_trees", n_trees)
+        self.max_iter = _check_int("max_iter", max_iter)
 
     def _fit_column_forest(self, values: np.ndarray, observed_rows, j: int, tag):
         other = np.delete(np.arange(values.shape[1]), j)
         X = values[np.ix_(observed_rows, other)]
         y = values[observed_rows, j]
         seed = derive_seed(self.seed, "missforest", tag, j)
-        config = self.cls_config if self.schema.is_categorical[j] else self.reg_config
+        config = _CLS_TREE if self.schema.is_categorical[j] else _REG_TREE
         return rf.fit_forest(X, y, config, self.n_trees, seed), other
 
     def _deltas(self, new, old, observed):

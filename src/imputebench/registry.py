@@ -35,5 +35,5 @@ def make_imputer(name: str, schema: Schema, seed: int = 0, **overrides) -> Imput
         ) from None
     try:
         return factory(schema, seed, **overrides)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # a setting the method lacks; a bad value
         raise ValueError(f"method {name!r} rejects arguments {overrides}: {exc}") from None

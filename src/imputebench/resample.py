@@ -3,34 +3,26 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .seeding import make_rng
 
-__all__ = ["SmoteConfig", "smote"]
+__all__ = ["smote"]
 
+# minority neighbours each synthetic row may interpolate towards
+K_NEIGHBORS = 5
 # (row, minority row) distance pairs computed per block of the neighbor search
 _SMOTE_BLOCK = 2**16
 
 
-@dataclass(frozen=True)
-class SmoteConfig:
-    k_neighbors: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-
-
-def smote(X, y, config: SmoteConfig, categorical_indices=()):
+def smote(X, y, seed: int, categorical_indices=()):
     """Balance the classes 1:1 with minority rows interpolated between neighbors.
 
     Each synthetic sample lies on the segment between a seeded random
-    minority row `a` and one of its k nearest minority neighbors;
-    categorical coordinates are copied from `a` rather than interpolated.
+    minority row `a` and one of its `K_NEIGHBORS` nearest minority
+    neighbors; categorical coordinates are copied from `a` rather than
+    interpolated.
     Original rows are preserved first, in order. Returns (X', y').
     """
     X = np.asarray(X, dtype=float)
@@ -45,12 +37,10 @@ def smote(X, y, config: SmoteConfig, categorical_indices=()):
     n_needed = n_maj - n_min
     if n_needed <= 0:
         return X.copy(), y.copy()
-    k = config.k_neighbors
+    k = K_NEIGHBORS
     if n_min <= k:
         k = n_min - 1
-        warnings.warn(
-            f"minority count {n_min} <= k_neighbors; reducing k to {k}"
-        )
+        warnings.warn(f"minority count {n_min} <= k = {K_NEIGHBORS}; reducing k to {k}")
         if k < 1:
             raise ValueError("need at least 2 minority samples for SMOTE")
     Xm = X[minority_rows]
@@ -61,7 +51,7 @@ def smote(X, y, config: SmoteConfig, categorical_indices=()):
         d2 = ((Xm[rows, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
         d2[rows - start, rows] = np.inf
         neighbor_ids[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    rng = make_rng(config.seed, "smote")
+    rng = make_rng(seed, "smote")
     cat = np.asarray(list(categorical_indices), dtype=int)
     synthetic = np.empty((n_needed, X.shape[1]))
     for s in range(n_needed):

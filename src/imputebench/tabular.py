@@ -234,8 +234,12 @@ def load_schema(path) -> Schema:
     kinds = {k.value: k for k in ColumnKind}
     try:
         columns = [Column(c["name"], kinds[c["kind"]]) for c in doc["columns"]]
-    except KeyError as exc:
-        raise SchemaError(f"bad schema file {path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        # TypeError: the file is not an object, or "columns" not a list of objects
+        raise SchemaError(
+            f"bad schema file {path}: {exc!r}; expected an object whose \"columns\" "
+            "list holds objects with a \"name\" and a \"kind\""
+        ) from exc
     return Schema(columns, label=doc.get("label"))
 
 

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from imputebench import deep_imputers
 from imputebench.tabular import Column, ColumnKind, MixedTable, Schema
 
 try:
@@ -47,3 +48,9 @@ def random_table(schema, n_rows, seed, missing_rate=0.0):
 @pytest.fixture
 def rng():
     return make_rng(1234)
+
+
+@pytest.fixture
+def small_batches(monkeypatch):
+    """The deep methods train on batches of 16 rows instead of 128."""
+    monkeypatch.setattr(deep_imputers, "BATCH_SIZE", 16)

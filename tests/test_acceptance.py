@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from imputebench import deep_imputers
 from imputebench.bench import ExperimentConfig, run_imputation_experiment, run_post_imputation
 from imputebench.deep_imputers import make_hint
 from imputebench.imputers import KnnImputer
@@ -26,7 +27,7 @@ from imputebench.tabular import (
     load_csv,
     normalize,
 )
-from imputebench.resample import SmoteConfig, smote
+from imputebench.resample import smote
 from imputebench.cli import main as cli_main
 
 from conftest import make_rng, mixed_schema, random_table
@@ -281,13 +282,11 @@ def test_criterion_9_knn_brute_force_equivalence():
     _report(9, f"KNN matches the brute-force oracle on {checked} cells over 50 tables")
 
 
+@pytest.mark.usefixtures("small_batches")
 def test_criterion_10_imputer_contract_suite():
     overrides = {
         "missforest": {"n_trees": 5, "max_iter": 3},
-        "naa": {"epochs": 6, "batch_size": 16},
-        "inaa": {"epochs": 6, "batch_size": 16},
-        "gain": {"epochs": 6, "batch_size": 16},
-        "igain": {"epochs": 6, "batch_size": 16},
+        **{name: {"epochs": 6} for name in ("naa", "inaa", "gain", "igain")},
     }
     schema = mixed_schema(3, 2)
     train = random_table(schema, 35, seed=101)
@@ -329,7 +328,7 @@ def test_criterion_11_mcar_injector_statistics():
     _report(11, f"exact counts; co-missingness {co.mean():.4f} vs {rate * rate:.4f}")
 
 
-def test_criterion_12_correlation_recovery_ordering():
+def test_criterion_12_correlation_recovery_ordering(monkeypatch):
     # x2 duplicates x1; two independent distractor columns keep KNN honest
     schema = mixed_schema(4, 0)
     rng = make_rng(120)
@@ -343,9 +342,11 @@ def test_criterion_12_correlation_recovery_ordering():
     params = fit_normalizer(corrupted)
     overrides = {
         "missforest": {"n_trees": 20},
-        "inaa": {"epochs": 300, "learning_rate": 3e-3},
-        "igain": {"epochs": 300, "learning_rate": 3e-3},
+        "inaa": {"epochs": 300},
+        "igain": {"epochs": 300},
     }
+    # inaa and igain, the deep methods run here, step at 3e-3
+    monkeypatch.setattr(deep_imputers, "LEARNING_RATE", 3e-3)
     scores = {}
     for name in ("simple", "knn", "missforest", "inaa", "igain"):
         imp = make_imputer(name, schema, seed=1, **overrides.get(name, {}))
@@ -370,7 +371,7 @@ def test_criterion_13_smote_counts_and_betweenness():
     Xmaj = rng.uniform(0, 1, size=(100, 3))
     X = np.vstack([Xmaj, Xmin])
     y = np.concatenate([np.zeros(100), np.ones(25)])
-    X2, y2 = smote(X, y, SmoteConfig(seed=4))
+    X2, y2 = smote(X, y, seed=4)
     assert (y2 == 1).sum() == 100 and (y2 == 0).sum() == 100
     synth = X2[125:]
     lo = Xmin.min(axis=0) - 1e-12

@@ -436,7 +436,7 @@ def test_bad_knn_k_fails_before_any_work(k):
     cfg = ExperimentConfig(
         methods=["recording", "knn"], folds=3, repeats=1, method_overrides={"knn": {"k": k}}
     )
-    with pytest.raises(ValueError, match="k must be an int >= 1"):
+    with pytest.raises(ValueError, match="'knn'.*k must be >= 1 and an int"):
         run_imputation_experiment(small_table(), cfg)
     assert RecordingImputer.fit_tables == []
 

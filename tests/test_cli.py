@@ -131,6 +131,26 @@ def test_bench_synthetic_and_report_round_trip(tmp_path, small_schema_file, caps
         assert (render_dir / name).read_bytes() == (out_dir / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"config": {}, "f1_records": []}, "has no 'records' list"),
+        (
+            {"config": {}, "records": [{"method": "knn", "rate": 0.2}], "f1_records": []},
+            "records[0]: ",
+        ),
+    ],
+    ids=["no-records", "record-missing-fields"],
+)
+def test_report_on_a_malformed_file_is_a_named_error(tmp_path, capsys, doc, named):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--report", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {path}")
+    assert named in err
+
+
 def test_bench_config_file(tmp_path, small_schema_file):
     _, schema_path = small_schema_file
     cfg = {"methods": ["simple"], "rates": [0.2], "folds": 3, "repeats": 1, "seed": 5}
@@ -262,23 +282,52 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
         ({"methods": ["simple"], "auroc_average": "macro"}, ("'auroc_average'",)),
         ({"methods": ["simple"], "forest_max_depth": None}, ("'forest_max_depth'",)),
         ({"methods": ["simple"], "smote_k": 5}, ("'smote_k'",)),
+        # method settings the protocol fixes, refused even at their old values
+        (
+            {"methods": ["missforest"], "method_overrides": {"missforest": {"max_depth": 8}}},
+            ("'missforest'", "'max_depth'"),
+        ),
+        ({"methods": ["naa"], "method_overrides": {"naa": {"batch_size": 64}}}, ("'naa'", "'batch_size'")),
+        ({"methods": ["gain"], "method_overrides": {"gain": {"alpha": 5}}}, ("'gain'", "'alpha'")),
+        # a setting that is not an int, refused before the first cell
+        ({"methods": ["naa"], "method_overrides": {"naa": {"epochs": 2.5}}}, ("'naa'", "epochs")),
+        (
+            {"methods": ["missforest"], "method_overrides": {"missforest": {"n_trees": 2.5}}},
+            ("'missforest'", "n_trees"),
+        ),
+        (
+            {"methods": ["missforest"], "method_overrides": {"missforest": {"max_iter": True}}},
+            ("'missforest'", "max_iter"),
+        ),
+        # config fields of the wrong type
+        ({"methods": ["simple"], "rates": 0.2}, ("rates must",)),
+        ({"methods": ["simple"], "folds": "5"}, ("folds must",)),
+        ({"methods": ["simple"], "repeats": 1.5}, ("repeats must",)),
+        ({"methods": ["simple"], "repeats": True}, ("repeats must",)),
+        ({"methods": ["simple"], "forest_trees": 2.5}, ("forest_trees must",)),
+        ({"methods": "knn"}, ("methods must", "'knn'")),
+        ({"methods": ["knn"], "method_overrides": {"knn": 3}}, ("method_overrides must",)),
+        ([1, 2], ("must hold a JSON object",)),
     ],
 )
 def test_bad_config_is_a_named_error(tmp_path, capsys, small_schema_file, cfg, named):
     _, schema_path = small_schema_file
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    code = main(
-        [
-            "bench", "--schema", schema_path, "--synthetic", "30",
-            "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    for text in named:
-        assert text in err
+    for command in ("bench", "predict"):
+        out_dir = tmp_path / f"out-{command}"
+        code = main(
+            [
+                command, "--schema", schema_path, "--synthetic", "30",
+                "--config", str(cfg_path), "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for text in named:
+            assert text in err
+        assert not out_dir.exists()
 
 
 def test_config_refuses_protocol_flags(tmp_path, capsys, small_schema_file):

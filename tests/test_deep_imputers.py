@@ -3,9 +3,7 @@ import pytest
 
 import imputebench.deep_imputers as deep
 from imputebench.deep_imputers import (
-    DaeConfig,
     DaeImputer,
-    GainConfig,
     GainImputer,
     RotatingPreimputer,
     make_hint,
@@ -32,6 +30,7 @@ def test_rotating_k_without_repetition_and_reset():
 
 
 @pytest.mark.parametrize("variant", ["naa", "inaa", "gain", "igain"])
+@pytest.mark.usefixtures("small_batches")
 def test_knn_prefill_ks(variant, monkeypatch):
     ks = []
 
@@ -45,7 +44,7 @@ def test_knn_prefill_ks(variant, monkeypatch):
     train = random_table(schema, 40, seed=28, missing_rate=0.1)
     corrupted, _ = inject_mcar(random_table(schema, 12, seed=29), MissSpec(0.2, 6))
     imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
-    imp = imputer_type(schema, seed=3, variant=variant, epochs=91, batch_size=16).fit(train)
+    imp = imputer_type(schema, seed=3, variant=variant, epochs=91).fit(train)
     # the incomplete training fold is completed with k = 5 first
     fold_k, *prefill_ks = ks
     assert fold_k == 5
@@ -63,7 +62,7 @@ def test_knn_prefill_ks(variant, monkeypatch):
 
 def _fit(variant, train):
     imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
-    return imputer_type(train.schema, seed=3, variant=variant, epochs=2, batch_size=16).fit(train)
+    return imputer_type(train.schema, seed=3, variant=variant, epochs=2).fit(train)
 
 
 def _record_knn_inputs(monkeypatch):
@@ -79,6 +78,7 @@ def _record_knn_inputs(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("small_batches")
 def test_deep_methods_share_one_fold_completion(monkeypatch):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=32, missing_rate=0.1)
@@ -94,6 +94,7 @@ def test_deep_methods_share_one_fold_completion(monkeypatch):
         fitted[0].train_ref_[0, 0] = 0.5
 
 
+@pytest.mark.usefixtures("small_batches")
 def test_fold_completion_recomputed_for_another_fold_or_schema(monkeypatch):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=33, missing_rate=0.1)
@@ -135,41 +136,40 @@ def test_dae_config_validation():
     bad = [
         (DaeImputer, {"variant": "foo"}),
         (DaeImputer, {"variant": "gain"}),
-        (DaeImputer, {"variant": "naa", "corruption_rate": 0.0}),
         (DaeImputer, {"variant": "inaa", "epochs": 0}),
-        (DaeImputer, {"variant": "inaa", "batch_size": 0}),
+        (DaeImputer, {"variant": "naa", "epochs": 2.5}),
         (GainImputer, {"variant": "foo"}),
         (GainImputer, {"variant": "naa"}),
-        (GainImputer, {"variant": "gain", "corruption_rate": 0.0}),
-        (GainImputer, {"variant": "igain", "corruption_rate": 1.5}),
         (GainImputer, {"variant": "gain", "epochs": 0}),
-        (GainImputer, {"variant": "gain", "batch_size": 0}),
-        (GainImputer, {"variant": "igain", "hint_rate": 1.5}),
-        (GainImputer, {"variant": "igain", "alpha": -1.0}),
+        (GainImputer, {"variant": "igain", "epochs": True}),
     ]
     schema = mixed_schema(2, 1)
     for imputer_type, kwargs in bad:
         with pytest.raises(ValueError):
             imputer_type(schema, **kwargs)
-    # settings are keywords of the family's config; nothing else is accepted
+    # epochs is the one setting; the fixed ones are module constants
     for imputer_type, kwargs in [
         (DaeImputer, {"variant": "naa", "hint_rate": 0.5}),
+        (DaeImputer, {"variant": "inaa", "batch_size": 16}),
         (DaeImputer, {"variant": "inaa", "rotation": {"period": 5}}),
-        (GainImputer, {"variant": "igain", "config": GainConfig()}),
+        (GainImputer, {"variant": "gain", "corruption_rate": 0.2}),
+        (GainImputer, {"variant": "igain", "learning_rate": 1e-3}),
+        (GainImputer, {"variant": "igain", "alpha": 10.0}),
     ]:
         with pytest.raises(TypeError):
             imputer_type(schema, **kwargs)
-    assert DaeImputer(schema, variant="naa", epochs=3).config == DaeConfig(epochs=3)
+    assert DaeImputer(schema, variant="naa", epochs=3).epochs == 3
 
 
 @pytest.mark.parametrize("variant", ["naa", "inaa"])
+@pytest.mark.usefixtures("small_batches")
 def test_dae_training_is_deterministic(variant):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=10)
     corrupted, _ = inject_mcar(random_table(schema, 12, seed=11), MissSpec(0.2, 2))
 
     def run():
-        imp = DaeImputer(schema, seed=4, variant=variant, epochs=12, batch_size=16)
+        imp = DaeImputer(schema, seed=4, variant=variant, epochs=12)
         return imp.fit(train), imp.impute(corrupted)
 
     (a_imp, a), (b_imp, b) = run(), run()
@@ -178,12 +178,12 @@ def test_dae_training_is_deterministic(variant):
 
 
 @pytest.mark.parametrize("variant", ["naa", "inaa"])
-def test_dae_loss_decreases(variant):
+def test_dae_loss_decreases(variant, monkeypatch):
     schema = mixed_schema(3, 1)
     train = random_table(schema, 60, seed=12)
-    imp = DaeImputer(
-        schema, seed=1, variant=variant, epochs=40, batch_size=32, learning_rate=3e-3
-    )
+    monkeypatch.setattr(deep, "BATCH_SIZE", 32)
+    monkeypatch.setattr(deep, "LEARNING_RATE", 3e-3)
+    imp = DaeImputer(schema, seed=1, variant=variant, epochs=40)
     imp.fit(train)
     hist = imp.loss_history_
     assert np.mean(hist[-5:]) < np.mean(hist[:5])
@@ -216,44 +216,46 @@ def test_gain_network_shapes():
 
 
 @pytest.mark.parametrize("variant", ["gain", "igain"])
+@pytest.mark.usefixtures("small_batches")
 def test_gain_training_is_deterministic(variant):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=20)
     corrupted, _ = inject_mcar(random_table(schema, 12, seed=21), MissSpec(0.2, 3))
 
     def run():
-        imp = GainImputer(schema, seed=8, variant=variant, epochs=10, batch_size=16)
+        imp = GainImputer(schema, seed=8, variant=variant, epochs=10)
         return imp.fit(train).impute(corrupted)
 
     a, b = run(), run()
     assert np.array_equal(a.table.values, b.table.values)
 
 
-def test_gain_full_hint_rate_runs():
+@pytest.mark.usefixtures("small_batches")
+def test_gain_full_hint_rate_runs(monkeypatch):
     # hint_rate 1 leaves no inference region: discriminator never updates,
     # generator trains on reconstruction only, and the method still imputes
     schema = mixed_schema(2, 1)
     train = random_table(schema, 30, seed=22)
     corrupted, _ = inject_mcar(random_table(schema, 10, seed=23), MissSpec(0.2, 4))
-    imp = GainImputer(
-        schema, seed=2, variant="gain", epochs=6, batch_size=16, hint_rate=1.0
-    )
+    monkeypatch.setattr(deep, "HINT_RATE", 1.0)
+    imp = GainImputer(schema, seed=2, variant="gain", epochs=6)
     result = imp.fit(train).impute(corrupted)
     assert not np.isnan(result.table.values).any()
 
 
 @pytest.mark.parametrize("variant", ["naa", "inaa", "gain", "igain"])
+@pytest.mark.usefixtures("small_batches")
 def test_deep_zero_missing_target_is_identity(variant):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 30, seed=24)
     target = random_table(schema, 8, seed=25)
     imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
-    imp = imputer_type(schema, seed=1, variant=variant, epochs=4, batch_size=16)
+    imp = imputer_type(schema, seed=1, variant=variant, epochs=4)
     result = imp.fit(train).impute(target)
     assert np.array_equal(result.table.values, target.values)
 
 
-def test_inaa_recovers_duplicated_feature():
+def test_inaa_recovers_duplicated_feature(monkeypatch):
     """Hold-out oracle: with x2 = x1, a trained DAE beats the column mean."""
     schema = mixed_schema(2, 0)
     rng = make_rng(30)
@@ -263,16 +265,16 @@ def test_inaa_recovers_duplicated_feature():
     target_vals = np.column_stack([xt, xt])
     target_vals[:, 1] = np.nan
     target = MixedTable(schema, target_vals)
-    imp = DaeImputer(
-        schema, seed=3, variant="inaa", epochs=120, batch_size=64, learning_rate=3e-3
-    )
+    monkeypatch.setattr(deep, "BATCH_SIZE", 64)
+    monkeypatch.setattr(deep, "LEARNING_RATE", 3e-3)
+    imp = DaeImputer(schema, seed=3, variant="inaa", epochs=120)
     result = imp.fit(train).impute(target)
     err = np.sqrt(np.mean((result.table.values[:, 1] - xt) ** 2))
     baseline = np.sqrt(np.mean((x.mean() - xt) ** 2))
     assert err < 0.5 * baseline
 
 
-def test_gain_recovers_duplicated_feature():
+def test_gain_recovers_duplicated_feature(monkeypatch):
     schema = mixed_schema(2, 0)
     rng = make_rng(31)
     x = rng.uniform(0.0, 10.0, 300)
@@ -281,20 +283,21 @@ def test_gain_recovers_duplicated_feature():
     target_vals = np.column_stack([xt, xt])
     target_vals[:, 1] = np.nan
     target = MixedTable(schema, target_vals)
-    imp = GainImputer(
-        schema, seed=3, variant="igain", epochs=300, batch_size=64, learning_rate=3e-3
-    )
+    monkeypatch.setattr(deep, "BATCH_SIZE", 64)
+    monkeypatch.setattr(deep, "LEARNING_RATE", 3e-3)
+    imp = GainImputer(schema, seed=3, variant="igain", epochs=300)
     result = imp.fit(train).impute(target)
     err = np.sqrt(np.mean((result.table.values[:, 1] - xt) ** 2))
     baseline = np.sqrt(np.mean((x.mean() - xt) ** 2))
     assert err < 0.5 * baseline
 
 
+@pytest.mark.usefixtures("small_batches")
 def test_dae_seed_changes_result():
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=26)
     corrupted, _ = inject_mcar(random_table(schema, 12, seed=27), MissSpec(0.3, 5))
-    settings = {"variant": "inaa", "epochs": 10, "batch_size": 16}
+    settings = {"variant": "inaa", "epochs": 10}
     a = DaeImputer(schema, seed=1, **settings).fit(train).impute(corrupted)
     b = DaeImputer(schema, seed=2, **settings).fit(train).impute(corrupted)
     assert not np.array_equal(a.table.values, b.table.values)

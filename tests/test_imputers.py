@@ -22,11 +22,10 @@ from conftest import make_rng, mixed_schema, random_table
 
 FAST_OVERRIDES = {
     "missforest": {"n_trees": 5, "max_iter": 3},
-    "naa": {"epochs": 8, "batch_size": 16},
-    "inaa": {"epochs": 8, "batch_size": 16},
-    "gain": {"epochs": 8, "batch_size": 16},
-    "igain": {"epochs": 8, "batch_size": 16},
+    **{name: {"epochs": 8} for name in ("naa", "inaa", "gain", "igain")},
 }
+# the deep methods of every test here train on batches of 16 rows
+pytestmark = pytest.mark.usefixtures("small_batches")
 
 
 def build(name, schema, seed=0):
@@ -267,8 +266,9 @@ def test_missforest_no_missing_target_unchanged():
         ({"max_iter": 0}, "max_iter must be >= 1"),
         ({"max_iter": -2}, "max_iter must be >= 1"),
         ({"n_trees": 0}, "n_trees must be >= 1"),
-        ({"max_depth": 0}, "max_depth must be >= 1 or None"),
-        ({"n_features_per_split": "bogus"}, "n_features_per_split must be"),
+        # a float or a bool is refused too
+        ({"n_trees": 2.5}, "n_trees must be >= 1 and an int"),
+        ({"max_iter": True}, "max_iter must be >= 1 and an int"),
     ],
 )
 def test_missforest_rejects_bad_settings(kwargs, message):
@@ -278,7 +278,7 @@ def test_missforest_rejects_bad_settings(kwargs, message):
 
 @pytest.mark.parametrize("k", [0, -2, 2.5, True])
 def test_knn_rejects_bad_k(k):
-    with pytest.raises(ValueError, match="k must be an int >= 1"):
+    with pytest.raises(ValueError, match="k must be >= 1 and an int"):
         KnnImputer(mixed_schema(2, 1), k=k)
 
 

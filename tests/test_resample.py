@@ -2,22 +2,17 @@ import numpy as np
 import pytest
 
 from imputebench import resample
-from imputebench.resample import SmoteConfig, smote
+from imputebench.resample import smote
 from imputebench.seeding import make_rng as seeded_rng
 
 from conftest import make_rng
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SmoteConfig(k_neighbors=0)
 
 
 def test_balanced_input_is_noop():
     rng = make_rng(1)
     X = rng.uniform(0, 1, size=(20, 3))
     y = np.array([0.0, 1.0] * 10)
-    X2, y2 = smote(X, y, SmoteConfig(seed=0))
+    X2, y2 = smote(X, y, seed=0)
     assert np.array_equal(X2, X)
     assert np.array_equal(y2, y)
     assert X2 is not X  # defensive copy
@@ -27,7 +22,7 @@ def test_exact_synthetic_count():
     rng = make_rng(2)
     X = rng.uniform(0, 1, size=(125, 4))
     y = np.concatenate([np.zeros(100), np.ones(25)])
-    X2, y2 = smote(X, y, SmoteConfig(seed=3))
+    X2, y2 = smote(X, y, seed=3)
     assert X2.shape == (200, 4)
     assert (y2 == 1).sum() == 100
     # originals preserved first, in order
@@ -42,7 +37,7 @@ def test_synthetic_rows_between_minority_pairs():
     Xmaj = rng.uniform(0, 1, size=(60, 3))
     X = np.vstack([Xmaj, Xmin])
     y = np.concatenate([np.zeros(60), np.ones(30)])
-    X2, y2 = smote(X, y, SmoteConfig(seed=7))
+    X2, y2 = smote(X, y, seed=7)
     synth = X2[90:]
     lo = Xmin.min(axis=0) - 1e-12
     hi = Xmin.max(axis=0) + 1e-12
@@ -78,7 +73,7 @@ def test_categorical_coordinates_copied_from_base():
     )
     X = np.vstack([Xmaj, Xmin])
     y = np.concatenate([np.zeros(50), np.ones(n_min)])
-    X2, _ = smote(X, y, SmoteConfig(seed=9), categorical_indices=[1])
+    X2, _ = smote(X, y, seed=9, categorical_indices=[1])
     synth = X2[70:]
     assert set(np.unique(synth[:, 1])) <= {0.0, 1.0}
 
@@ -87,9 +82,9 @@ def test_determinism_and_seed_sensitivity():
     rng = make_rng(6)
     X = rng.uniform(0, 1, size=(60, 3))
     y = np.concatenate([np.zeros(45), np.ones(15)])
-    a, _ = smote(X, y, SmoteConfig(seed=11))
-    b, _ = smote(X, y, SmoteConfig(seed=11))
-    c, _ = smote(X, y, SmoteConfig(seed=12))
+    a, _ = smote(X, y, seed=11)
+    b, _ = smote(X, y, seed=11)
+    c, _ = smote(X, y, seed=12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -99,18 +94,18 @@ def test_k_reduction_warning():
     X = rng.uniform(0, 1, size=(23, 2))
     y = np.concatenate([np.zeros(20), np.ones(3)])
     with pytest.warns(UserWarning, match="reducing k"):
-        X2, y2 = smote(X, y, SmoteConfig(seed=0, k_neighbors=5))
+        X2, y2 = smote(X, y, seed=0)
     assert (y2 == 1).sum() == 20
 
 
 def test_single_class_and_tiny_minority_errors():
     X = np.zeros((5, 2))
     with pytest.raises(ValueError, match="both classes"):
-        smote(X, np.zeros(5), SmoteConfig())
+        smote(X, np.zeros(5), seed=0)
     y = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="at least 2"):
-            smote(X, y, SmoteConfig())
+            smote(X, y, seed=0)
 
 
 def test_minority_is_detected_by_count_not_value():
@@ -118,7 +113,7 @@ def test_minority_is_detected_by_count_not_value():
     X = rng.uniform(0, 1, size=(30, 2))
     y = np.concatenate([np.ones(25), np.zeros(5)])  # class 0 is the minority
     with pytest.warns(UserWarning, match="reducing k"):
-        _, y2 = smote(X, y, SmoteConfig(seed=2))
+        _, y2 = smote(X, y, seed=2)
     assert (y2 == 0).sum() == 25
 
 
@@ -133,17 +128,16 @@ def test_blocked_neighbor_search_matches_one_block(monkeypatch, rows_per_block):
     )
     X[-1] = X[-2]
     y = np.concatenate([np.zeros(200), np.ones(n_min)])
-    config = SmoteConfig(seed=4, k_neighbors=5)
     # at this size the default block holds every minority row at once
-    X_ref, y_ref = smote(X, y, config, categorical_indices=[2])
+    X_ref, y_ref = smote(X, y, seed=4, categorical_indices=[2])
     monkeypatch.setattr(resample, "_SMOTE_BLOCK", rows_per_block * n_min)
-    X_blk, y_blk = smote(X, y, config, categorical_indices=[2])
+    X_blk, y_blk = smote(X, y, seed=4, categorical_indices=[2])
     assert np.array_equal(X_blk, X_ref)
     assert np.array_equal(y_blk, y_ref)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 8])
-def test_tied_neighbors_follow_the_stable_index_order(k):
+def test_tied_neighbors_follow_the_stable_index_order(k, monkeypatch):
     # duplicated minority rows on integer coordinates tie many distances;
     # replaying smote's draws over the first k of a stable sort of all
     # distances must give its synthetic rows bit for bit
@@ -153,7 +147,8 @@ def test_tied_neighbors_follow_the_stable_index_order(k):
     n_min = Xm.shape[0]
     X = np.vstack([rng.uniform(0, 1, size=(60, 3)), Xm])
     y = np.concatenate([np.zeros(60), np.ones(n_min)])
-    X2, _ = smote(X, y, SmoteConfig(seed=5, k_neighbors=k))
+    monkeypatch.setattr(resample, "K_NEIGHBORS", k)
+    X2, _ = smote(X, y, seed=5)
     d2 = ((Xm[:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]

@@ -116,6 +116,14 @@ def test_schema_file_round_trip(tmp_path):
     assert load_schema(path) == FRAMINGHAM_SCHEMA
 
 
+@pytest.mark.parametrize("text", ['{"columns": 3}', "[1]"], ids=["columns-not-a-list", "not-an-object"])
+def test_malformed_schema_file_is_a_named_error(tmp_path, text):
+    path = tmp_path / "schema.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=f"bad schema file {path}"):
+        load_schema(path)
+
+
 def test_complete_subset_identity_and_filter():
     full = random_table(mixed_schema(), 10, seed=3)
     assert complete_subset(full) == full
