@@ -227,8 +227,9 @@ def _read_records(doc: dict, key: str, record_type, path) -> list:
     records = []
     for i, row in enumerate(rows):
         try:
-            records.append(record_type(**_null_to_nan(row)))
-        except (TypeError, AttributeError) as exc:  # a missing or unknown field; not an object
+            fields = {k: _field(record_type, k, v) for k, v in row.items()}
+            records.append(record_type(**fields))
+        except (TypeError, AttributeError) as exc:  # a bad, missing or unknown field; not an object
             raise ValueError(f"report {path}, {key}[{i}]: {exc}") from None
     return records
 
@@ -237,8 +238,17 @@ def _nan_to_null(row: dict) -> dict:
     return {k: None if isinstance(v, float) and np.isnan(v) else v for k, v in row.items()}
 
 
-def _null_to_nan(row: dict) -> dict:
-    return {k: np.nan if v is None else v for k, v in row.items()}
+# the JSON types of each record field; any other field is a metric, null if undefined
+_FIELD_TYPES = {"method": (str,), "rate": (int, float), "repeat": (int,), "fold": (int,)}
+
+
+def _field(record_type, name: str, value):
+    """A record field's JSON value, null as NaN; a TypeError if a known field's type is wrong."""
+    types = _FIELD_TYPES.get(name, (int, float, type(None)))
+    if name in record_type.__dataclass_fields__ and type(value) not in types:
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise TypeError(f"field {name!r} must be {expected}, not {value!r}")
+    return np.nan if value is None else value
 
 
 def _group_stats(records, metrics) -> list:

@@ -74,8 +74,16 @@ def _complete_fold(norm: np.ndarray, schema: Schema, stats: np.ndarray) -> np.nd
     return _completed_fold[1]
 
 
+def _drop_and_fill(clean: np.ndarray, rng, k: int, schema: Schema, stats):
+    """(mask, filled): CORRUPTION_RATE of each column's cells of `clean` are
+    dropped (mask 0, else 1) and refilled by KNN self-imputation with `k`."""
+    corrupted = drop_cells(clean, CORRUPTION_RATE, rng)
+    filled, _, _ = knn_fill(corrupted, corrupted, k, schema, stats)
+    return (~np.isnan(corrupted)).astype(float), filled
+
+
 class RotatingPreimputer:
-    """KNN self-imputation with a k drawn anew on each call from `ROTATION_KS`,
+    """`_drop_and_fill` with a k drawn anew on each call from `ROTATION_KS`,
     without repetition; the history resets once every k has been used."""
 
     def __init__(self, seed: int):
@@ -84,31 +92,26 @@ class RotatingPreimputer:
         self.n_knn_calls = 0
 
     def _next_k(self) -> int:
-        choices = [k for k in ROTATION_KS if k not in self.used_ks]
-        if not choices:
+        if len(self.used_ks) == len(ROTATION_KS):
             self.used_ks = []
-            choices = list(ROTATION_KS)
-        k = int(self._rng.choice(choices))
+        k = int(self._rng.choice([k for k in ROTATION_KS if k not in self.used_ks]))
         self.used_ks.append(k)
         return k
 
-    def preimpute(self, corrupted_norm: np.ndarray, schema: Schema, stats):
-        """KNN self-imputation of the corrupted matrix; one call per rotation period."""
-        k = self._next_k()
-        filled, _, _ = knn_fill(corrupted_norm, corrupted_norm, k, schema, stats)
+    def preimpute(self, clean: np.ndarray, rng, schema: Schema, stats):
+        """(mask, filled) of `_drop_and_fill`; one call per rotation period."""
+        result = _drop_and_fill(clean, rng, self._next_k(), schema, stats)
         self.n_knn_calls += 1
-        return filled
+        return result
 
 
-def make_hint(mask: np.ndarray, hint_rate: float, rng: np.random.Generator):
-    """Hint grid H = B*M + 0.5*(1-B) with B ~ Bernoulli(hint_rate).
+def make_hint(mask: np.ndarray, rng: np.random.Generator):
+    """Hint grid H = B*M + 0.5*(1-B) with B ~ Bernoulli(HINT_RATE).
 
     Returns (H, B): H equals the mask where B is 1 and 0.5 where the
     discriminator must infer the cell's status.
     """
-    if not 0.0 < hint_rate <= 1.0:
-        raise ValueError("hint_rate must be in (0, 1]")
-    b = rng.random(mask.shape) < hint_rate
+    b = rng.random(mask.shape) < HINT_RATE
     h = np.where(b, mask.astype(float), 0.5)
     return h, b
 
@@ -116,16 +119,14 @@ def make_hint(mask: np.ndarray, hint_rate: float, rng: np.random.Generator):
 def _map_outputs(raw: np.ndarray, cat_idx: np.ndarray) -> np.ndarray:
     """Column-wise output head: sigmoid on categoricals, identity elsewhere."""
     out = raw.copy()
-    if cat_idx.size:
-        out[:, cat_idx] = _activate("sigmoid", raw[:, cat_idx])
+    out[:, cat_idx] = _activate("sigmoid", raw[:, cat_idx])
     return out
 
 
 def _map_grad(mapped: np.ndarray, grad: np.ndarray, cat_idx: np.ndarray) -> np.ndarray:
     g = grad.copy()
-    if cat_idx.size:
-        s = mapped[:, cat_idx]
-        g[:, cat_idx] = grad[:, cat_idx] * s * (1.0 - s)
+    s = mapped[:, cat_idx]
+    g[:, cat_idx] = grad[:, cat_idx] * s * (1.0 - s)
     return g
 
 
@@ -165,6 +166,12 @@ class _DeepImputer(Imputer):
             norm = _complete_fold(norm, self.schema, self.norm_stats_)
         return norm
 
+    def _knn_prefill(self, target_norm: np.ndarray) -> np.ndarray:
+        """`target_norm` KNN-filled from the completed training fold."""
+        k = FIXED_K if self.name == "naa" else ROTATED_IMPUTE_K
+        pre, _, _ = knn_fill(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
+        return pre
+
     def _result(self, target: MixedTable, out_raw: np.ndarray) -> ImputationResult:
         """Map raw network outputs (normalized units) into an ImputationResult."""
         num, cat = self.schema.numerical_indices, self.schema.categorical_indices
@@ -182,10 +189,7 @@ class DaeImputer(_DeepImputer):
     variants = ("naa", "inaa")
 
     def _build_network(self, n_features: int) -> Network:
-        if self.name == "naa":
-            hidden = 2 * n_features
-        else:
-            hidden = max(1, n_features // 2)
+        hidden = 2 * n_features if self.name == "naa" else max(1, n_features // 2)
         specs = [LayerSpec(hidden, "relu"), LayerSpec(n_features, "linear")]
         return Network(n_features, specs, seed=self.seed)
 
@@ -198,18 +202,12 @@ class DaeImputer(_DeepImputer):
         corrupt_rng = make_rng(self.seed, "dae-corrupt")
         batch_rng = make_rng(self.seed, "dae-batches")
         rotator = RotatingPreimputer(self.seed)
-        pre = None
+        if self.name == "naa":
+            pre = _drop_and_fill(clean, corrupt_rng, FIXED_K, self.schema, self.norm_stats_)[1]
         self.loss_history_ = []
         for epoch in range(self.epochs):
-            if self.name == "naa":
-                if pre is None:
-                    corrupted = drop_cells(clean, CORRUPTION_RATE, corrupt_rng)
-                    pre, _, _ = knn_fill(
-                        corrupted, corrupted, FIXED_K, self.schema, self.norm_stats_
-                    )
-            elif epoch % ROTATION_PERIOD == 0:
-                corrupted = drop_cells(clean, CORRUPTION_RATE, corrupt_rng)
-                pre = rotator.preimpute(corrupted, self.schema, self.norm_stats_)
+            if self.name == "inaa" and epoch % ROTATION_PERIOD == 0:
+                pre = rotator.preimpute(clean, corrupt_rng, self.schema, self.norm_stats_)[1]
             epoch_loss = 0.0
             for rows in _batches(n, BATCH_SIZE, batch_rng, min_size=1):
                 out_raw, cache = self.net_.forward(pre[rows], train=True)
@@ -226,9 +224,7 @@ class DaeImputer(_DeepImputer):
 
     def impute(self, target: MixedTable) -> ImputationResult:
         self._check_schema(target)
-        k = FIXED_K if self.name == "naa" else ROTATED_IMPUTE_K
-        target_norm = normalize(target.values, self.params_)
-        pre, _, _ = knn_fill(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
+        pre = self._knn_prefill(normalize(target.values, self.params_))
         out_raw, _ = self.net_.forward(pre, train=False)
         return self._result(target, out_raw)
 
@@ -239,30 +235,15 @@ class GainImputer(_DeepImputer):
     variants = ("gain", "igain")
 
     def _build_networks(self, c: int):
-        if self.name == "gain":
-            # 3 equal-width dense layers in both networks
-            gen_specs = [
-                LayerSpec(c, "relu"),
-                LayerSpec(c, "relu"),
-                LayerSpec(c, "linear"),
-            ]
-            disc_specs = [
-                LayerSpec(c, "relu"),
-                LayerSpec(c, "relu"),
-                LayerSpec(c, "sigmoid"),
-            ]
-        else:
-            # 5-layer undercomplete generator; discriminator mirrors the depth
-            widths = [c, max(1, c // 2), max(1, c // 4), max(1, c // 2), c]
-            gen_specs = [
-                LayerSpec(w, "relu", batch_norm=True) for w in widths[:-1]
-            ] + [LayerSpec(widths[-1], "linear")]
-            disc_specs = [
-                LayerSpec(w, "relu", batch_norm=True) for w in widths[:-1]
-            ] + [LayerSpec(widths[-1], "sigmoid")]
-        gen = Network(2 * c, gen_specs, seed=derive_seed(self.seed, "gen"))
-        disc = Network(2 * c, disc_specs, seed=derive_seed(self.seed, "disc"))
-        return gen, disc
+        """(generator, discriminator): the same relu hidden layers, batch-normed
+        in igain, then a width-c linear or sigmoid output."""
+        igain = self.name == "igain"
+        hidden = [c, max(1, c // 2), max(1, c // 4), max(1, c // 2)] if igain else [c, c]
+        specs = [LayerSpec(w, "relu", igain) for w in hidden]
+        return tuple(
+            Network(2 * c, specs + [LayerSpec(c, out)], seed=derive_seed(self.seed, role))
+            for out, role in (("linear", "gen"), ("sigmoid", "disc"))
+        )
 
     def fit(self, train: MixedTable) -> "GainImputer":
         clean = self._prepare_training_matrix(train)
@@ -276,12 +257,11 @@ class GainImputer(_DeepImputer):
         hint_rng = make_rng(self.seed, "gain-hint")
         noise_rng = make_rng(self.seed, "gain-noise")
         rotator = RotatingPreimputer(self.seed)
-        filled_all = mask_all = None
         for epoch in range(self.epochs):
             if self.name == "igain" and epoch % ROTATION_PERIOD == 0:
-                corrupted = drop_cells(clean, CORRUPTION_RATE, corrupt_rng)
-                mask_all = (~np.isnan(corrupted)).astype(float)
-                filled_all = rotator.preimpute(corrupted, self.schema, self.norm_stats_)
+                mask_all, filled_all = rotator.preimpute(
+                    clean, corrupt_rng, self.schema, self.norm_stats_
+                )
             for rows in _batches(n, BATCH_SIZE, batch_rng):
                 target_batch = clean[rows]
                 if self.name == "gain":
@@ -289,8 +269,7 @@ class GainImputer(_DeepImputer):
                     noise = noise_rng.uniform(0.0, NOISE_HIGH, size=target_batch.shape)
                     xf = m * target_batch + (1.0 - m) * noise
                 else:
-                    m = mask_all[rows]
-                    xf = filled_all[rows]
+                    m, xf = mask_all[rows], filled_all[rows]
                 self._train_step(xf, m, target_batch, cat_idx, opt_g, opt_d, hint_rng)
         self.train_ref_ = clean
         return self
@@ -300,7 +279,7 @@ class GainImputer(_DeepImputer):
         g_raw, g_cache = self.gen_.forward(g_in, train=True)
         g_out = _map_outputs(g_raw, cat_idx)
         imputed = m * xf + (1.0 - m) * g_out
-        h, b = make_hint(m, HINT_RATE, hint_rng)
+        h, b = make_hint(m, hint_rng)
         region = ~b  # cells whose status the discriminator must infer
         d_in = np.concatenate([imputed, h], axis=1)
 
@@ -341,8 +320,6 @@ class GainImputer(_DeepImputer):
             noise = rng.uniform(0.0, NOISE_HIGH, size=target_norm.shape)
             pre = np.where(mask == 1, target_norm, noise)
         else:
-            pre, _, _ = knn_fill(
-                self.train_ref_, target_norm, ROTATED_IMPUTE_K, self.schema, self.norm_stats_
-            )
+            pre = self._knn_prefill(target_norm)
         out_raw, _ = self.gen_.forward(np.concatenate([pre, mask], axis=1), train=False)
         return self._result(target, out_raw)

@@ -358,14 +358,13 @@ def knn_fill(
     return filled, cat_scores, hole_cells.size - cells.size
 
 
+KNN_K = 5  # neighbours averaged per missing cell
+
+
 class KnnImputer(Imputer):
-    """k-nearest-neighbor imputation (k = 5 by default) on normalized data."""
+    """k-nearest-neighbor imputation (k = KNN_K) on normalized data."""
 
     name = "knn"
-
-    def __init__(self, schema: Schema, seed: int = 0, k: int = 5):
-        super().__init__(schema, seed)
-        self.k = _check_int("k", k)
 
     def fit(self, train: MixedTable) -> "KnnImputer":
         self._check_schema(train)
@@ -379,7 +378,7 @@ class KnnImputer(Imputer):
         self._check_schema(target)
         target_norm = normalize(target.values, self.params_)
         filled, cat_scores, _ = knn_fill(
-            self.train_norm_, target_norm, self.k, self.schema, self.norm_stats_
+            self.train_norm_, target_norm, KNN_K, self.schema, self.norm_stats_
         )
         return _finish(target, denormalize(filled, self.params_), cat_scores, self.params_)
 
@@ -418,17 +417,14 @@ class MissForestImputer(Imputer):
         return rf.fit_forest(X, y, config, self.n_trees, seed), other
 
     def _deltas(self, new, old, observed):
-        num = self.schema.numerical_indices
-        cat = self.schema.categorical_indices
+        num, cat = self.schema.numerical_indices, self.schema.categorical_indices
         d_num = d_cat = None
-        if num.size and (~observed[:, num]).any():
-            sel = ~observed[:, num]
-            denom = (new[:, num][sel] ** 2).sum()
-            d_num = ((new[:, num][sel] - old[:, num][sel]) ** 2).sum() / max(
-                denom, 1e-300
-            )
-        if cat.size and (~observed[:, cat]).any():
-            sel = ~observed[:, cat]
+        sel = ~observed[:, num]
+        if sel.any():
+            new_num = new[:, num][sel]
+            d_num = ((new_num - old[:, num][sel]) ** 2).sum() / max((new_num**2).sum(), 1e-300)
+        sel = ~observed[:, cat]
+        if sel.any():
             d_cat = (new[:, cat][sel] != old[:, cat][sel]).sum() / sel.sum()
         return d_num, d_cat
 

@@ -130,9 +130,8 @@ class Network:
             raise ValueError("batch norm in train mode needs batch size >= 2")
         steps = []
         for spec, layer in zip(self.specs, self.layers):
-            x_in = x
-            z = x_in @ layer["W"] + layer["b"]
-            step = {"x_in": x_in, "z": z}
+            z = x @ layer["W"] + layer["b"]
+            step = {"x_in": x, "z": z}
             if spec.batch_norm:
                 if train:
                     mu, centred, var = _batch_stats(z)
@@ -146,16 +145,13 @@ class Network:
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
                 xhat = centred * inv_std
                 h = layer["gamma"] * xhat + layer["beta"]
-                step.update(xhat=xhat, inv_std=inv_std, h=h)
+                step.update(xhat=xhat, inv_std=inv_std)
             else:
                 h = z
-            a = _activate(spec.activation, h)
-            step["h"] = h
-            step["a"] = a
+            x = _activate(spec.activation, h)
+            step.update(h=h, a=x)
             steps.append(step)
-            x = a
-        cache = {"steps": steps, "train": train, "version": self._version}
-        return x, cache
+        return x, {"steps": steps, "train": train, "version": self._version}
 
     def backward(
         self, cache, loss_grad: np.ndarray, *, params: bool = True, inputs: bool = True
@@ -250,47 +246,43 @@ def mixed_loss(pred: np.ndarray, target: np.ndarray, schema, weights=None):
 
     Both branches honour the optional per-cell weight grid (used to
     restrict the loss to corrupted or observed cells); without one every
-    cell counts once. Returns the scalar loss and its gradient w.r.t.
-    `pred`. Categorical predictions are clamped to [eps, 1-eps] before the
-    log terms.
+    cell counts once, a grid of ones, which changes no bit. Returns the
+    scalar loss and its gradient w.r.t. `pred`. Categorical predictions are
+    clamped to [eps, 1-eps] before the log terms.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError("pred and target shapes differ")
-    w = None if weights is None else np.asarray(weights, float)
-    if w is not None and w.shape != pred.shape:
+    w = np.ones_like(pred) if weights is None else np.asarray(weights, float)
+    if w.shape != pred.shape:
         raise ValueError("weight grid shape differs from pred")
     grad = np.zeros_like(pred)
     loss = 0.0
 
     num = schema.numerical_indices
     if num.size:
-        wn = None if w is None else w[:, num]
-        total = float(pred.shape[0] * num.size) if wn is None else wn.sum()
+        wn = w[:, num]
+        total = wn.sum()
         if total == 0:
             warnings.warn("all numerical weights zero; RMSE branch skipped")
         else:
             diff = pred[:, num] - target[:, num]
-            sq = diff**2
-            mse = (sq if wn is None else wn * sq).sum() / total
-            rmse = np.sqrt(mse)
+            rmse = np.sqrt((wn * diff**2).sum() / total)
             loss += rmse
-            denom = max(rmse, 1e-12) * total
-            grad[:, num] = (diff if wn is None else wn * diff) / denom
+            grad[:, num] = wn * diff / (max(rmse, 1e-12) * total)
 
     cat = schema.categorical_indices
     if cat.size:
-        wc = None if w is None else w[:, cat]
-        total = float(pred.shape[0] * cat.size) if wc is None else wc.sum()
+        wc = w[:, cat]
+        total = wc.sum()
         if total == 0:
             warnings.warn("all categorical weights zero; BCE branch skipped")
         else:
             p = np.clip(pred[:, cat], CLAMP_EPS, 1.0 - CLAMP_EPS)
             t = target[:, cat]
             bce = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
-            loss += (bce if wc is None else wc * bce).sum() / total
+            loss += (wc * bce).sum() / total
             inside = (pred[:, cat] > CLAMP_EPS) & (pred[:, cat] < 1.0 - CLAMP_EPS)
-            dp = p - t if wc is None else wc * (p - t)
-            grad[:, cat] = np.where(inside, dp / (p * (1.0 - p)) / total, 0.0)
+            grad[:, cat] = np.where(inside, wc * (p - t) / (p * (1.0 - p)) / total, 0.0)
     return float(loss), grad

@@ -240,6 +240,11 @@ def load_schema(path) -> Schema:
             f"bad schema file {path}: {exc!r}; expected an object whose \"columns\" "
             "list holds objects with a \"name\" and a \"kind\""
         ) from exc
+    for j, column in enumerate(columns):
+        if not isinstance(column.name, str):
+            raise SchemaError(
+                f"bad schema file {path}: columns[{j}] has the name {column.name!r}, not a string"
+            )
     return Schema(columns, label=doc.get("label"))
 
 

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from imputebench import deep_imputers
+from imputebench import deep_imputers, imputers
 from imputebench.bench import ExperimentConfig, run_imputation_experiment, run_post_imputation
 from imputebench.deep_imputers import make_hint
 from imputebench.imputers import KnnImputer
@@ -173,7 +173,7 @@ def _gain_composite_instance(seed):
     disc = Network(2 * c, [LayerSpec(c, "sigmoid"), LayerSpec(c, "sigmoid")], seed=seed + 50)
     xf = rng.uniform(0, 1, size=(5, c))
     m = (rng.random((5, c)) > 0.3).astype(float)
-    hint, _ = make_hint(m, 0.9, rng)
+    hint, _ = make_hint(m, rng)
     target = rng.uniform(0, 1, size=(5, c))
 
     def composite_loss():
@@ -237,15 +237,16 @@ def test_criterion_8_auroc_oracle_equivalence():
     _report(8, "rank AUROC equals pairwise counting on 200 vectors")
 
 
-def test_criterion_9_knn_brute_force_equivalence():
+def test_criterion_9_knn_brute_force_equivalence(monkeypatch):
     k = 5
+    monkeypatch.setattr(imputers, "KNN_K", k)
     checked = 0
     for trial in range(50):
         schema = mixed_schema(4, 2)
         train = random_table(schema, 12, seed=900 + trial)
         truth = random_table(schema, 12, seed=950 + trial)
         corrupted, _ = inject_mcar(truth, MissSpec(0.3, trial))
-        result = KnnImputer(schema, k=k).fit(train).impute(corrupted)
+        result = KnnImputer(schema).fit(train).impute(corrupted)
 
         params = fit_normalizer(train)
         tn = normalize(train.values, params)

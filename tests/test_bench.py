@@ -430,13 +430,14 @@ def test_post_imputation_checks_methods_before_any_work():
     assert RecordingImputer.fit_tables == []
 
 
-@pytest.mark.parametrize("k", [0, 2.5])
+@pytest.mark.parametrize("k", [0, 2.5, 5])
 @pytest.mark.usefixtures("recording")
 def test_bad_knn_k_fails_before_any_work(k):
+    # k is a constant: any k override is an unknown setting
     cfg = ExperimentConfig(
         methods=["recording", "knn"], folds=3, repeats=1, method_overrides={"knn": {"k": k}}
     )
-    with pytest.raises(ValueError, match="'knn'.*k must be >= 1 and an int"):
+    with pytest.raises(ValueError, match="'knn'.*'k'"):
         run_imputation_experiment(small_table(), cfg)
     assert RecordingImputer.fit_tables == []
 
@@ -462,6 +463,63 @@ def test_report_json_round_trip(tmp_path):
     loaded = MetricsReport.from_json(path)
     assert loaded.records == report.records
     assert loaded.config == report.config
+
+
+def _report_doc():
+    """A report.json document with four run records and one F1 record."""
+    records = [
+        {"method": "knn", "rate": 0.2, "repeat": 0, "fold": fold, "rmse": 0.1, "auroc": None}
+        for fold in range(4)
+    ]
+    f1_records = [{"method": "knn", "rate": 0.2, "repeat": 0, "fold": 0, "f1": 0.5}]
+    return {"config": {}, "records": records, "f1_records": f1_records}
+
+
+@pytest.mark.parametrize(
+    "key, field, value",
+    [
+        ("records", "method", 3),
+        ("records", "rate", "0.2"),
+        ("records", "rate", True),
+        ("records", "rate", None),
+        ("records", "repeat", 1.0),
+        ("records", "repeat", True),
+        ("records", "fold", "0"),
+        ("records", "fold", False),
+        ("records", "rmse", "0.1"),
+        ("records", "auroc", True),
+        ("f1_records", "f1", [0.5]),
+    ],
+)
+def test_report_record_of_the_wrong_type_is_a_named_error(tmp_path, key, field, value):
+    doc = _report_doc()
+    doc[key][-1][field] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    named = f"report {path}, {key}[{len(doc[key]) - 1}]: field {field!r}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        MetricsReport.from_json(path)
+
+
+def test_report_record_with_an_unknown_field_is_named_as_unknown(tmp_path):
+    # the field type check leaves a field the record lacks to the record
+    doc = _report_doc()
+    doc["records"][0]["note"] = "x"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"records\[0\]: .*unexpected keyword argument 'note'"):
+        MetricsReport.from_json(path)
+
+
+def test_report_record_types_that_load(tmp_path):
+    # an int rate or metric is a number; a null metric is undefined
+    doc = _report_doc()
+    doc["records"][0].update(rate=1, rmse=0, auroc=1)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    loaded = MetricsReport.from_json(path)
+    assert loaded.records[0] == RunRecord("knn", 1, 0, 0, 0, 1)
+    assert np.isnan(loaded.records[1].auroc)
 
 
 def test_emit_report_files(tmp_path):

@@ -139,8 +139,19 @@ def test_bench_synthetic_and_report_round_trip(tmp_path, small_schema_file, caps
             {"config": {}, "records": [{"method": "knn", "rate": 0.2}], "f1_records": []},
             "records[0]: ",
         ),
+        (
+            {
+                "config": {},
+                "records": [
+                    {"method": "knn", "rate": "0.2", "repeat": 0, "fold": 0, "rmse": 0.1,
+                     "auroc": None}
+                ],
+                "f1_records": [],
+            },
+            "records[0]: field 'rate'",
+        ),
     ],
-    ids=["no-records", "record-missing-fields"],
+    ids=["no-records", "record-missing-fields", "record-rate-a-string"],
 )
 def test_report_on_a_malformed_file_is_a_named_error(tmp_path, capsys, doc, named):
     path = tmp_path / "report.json"
@@ -289,6 +300,7 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
         ),
         ({"methods": ["naa"], "method_overrides": {"naa": {"batch_size": 64}}}, ("'naa'", "'batch_size'")),
         ({"methods": ["gain"], "method_overrides": {"gain": {"alpha": 5}}}, ("'gain'", "'alpha'")),
+        ({"methods": ["knn"], "method_overrides": {"knn": {"k": 5}}}, ("'knn'", "'k'")),
         # a setting that is not an int, refused before the first cell
         ({"methods": ["naa"], "method_overrides": {"naa": {"epochs": 2.5}}}, ("'naa'", "epochs")),
         (

@@ -20,9 +20,10 @@ def test_rotating_k_without_repetition_and_reset():
     schema = mixed_schema(1, 0)
     mat = np.array([[0.1], [0.9], [np.nan]])
     stats = column_stats(mat, schema)
+    rng = make_rng(5)
     ks = []
     for _ in range(26):
-        rot.preimpute(mat, schema, stats)
+        rot.preimpute(mat, rng, schema, stats)
         ks.append(rot.used_ks[-1])
     assert rot.n_knn_calls == 26
     # each run of 13 draws uses every k in 3..15 once; the history then resets
@@ -118,18 +119,18 @@ def test_fold_completion_recomputed_for_another_fold_or_schema(monkeypatch):
     assert calls[0][1] == calls[2][1] == calls[3][1]
 
 
-def test_make_hint_entries_and_rate():
+def test_make_hint_entries_and_rate(monkeypatch):
     rng = make_rng(3)
     mask = rng.integers(0, 2, size=(200, 10)).astype(float)
-    h, b = make_hint(mask, 0.9, rng)
+    monkeypatch.setattr(deep, "HINT_RATE", 0.9)
+    h, b = make_hint(mask, rng)
     assert np.array_equal(h[b], mask[b])
     assert np.all(h[~b] == 0.5)
     frac = b.mean()
     assert abs(frac - 0.9) < 0.03
-    h1, b1 = make_hint(mask, 1.0, rng)
+    monkeypatch.setattr(deep, "HINT_RATE", 1.0)
+    h1, b1 = make_hint(mask, rng)
     assert b1.all() and np.array_equal(h1, mask)
-    with pytest.raises(ValueError):
-        make_hint(mask, 0.0, rng)
 
 
 def test_dae_config_validation():
@@ -213,6 +214,29 @@ def test_gain_network_shapes():
     assert all(s.batch_norm for s in gen.specs[:-1])
     assert not gen.specs[-1].batch_norm
     assert gen.specs[-1].activation == "linear"
+
+
+def test_every_layer_of_the_deep_networks():
+    """(width, activation, batch norm) of every layer on an 8-column schema."""
+    schema = mixed_schema(5, 3)
+
+    def layers(net):
+        return [(s.width, s.activation, s.batch_norm) for s in net.specs]
+
+    relu, bn_relu = (8, "relu", False), (8, "relu", True)
+    gen, disc = GainImputer(schema, variant="gain")._build_networks(8)
+    assert gen.input_width == disc.input_width == 16
+    assert layers(gen) == [relu, relu, (8, "linear", False)]
+    assert layers(disc) == [relu, relu, (8, "sigmoid", False)]
+    gen, disc = GainImputer(schema, variant="igain")._build_networks(8)
+    assert gen.input_width == disc.input_width == 16
+    hidden = [bn_relu, (4, "relu", True), (2, "relu", True), (4, "relu", True)]
+    assert layers(gen) == hidden + [(8, "linear", False)]
+    assert layers(disc) == hidden + [(8, "sigmoid", False)]
+    for variant, width in (("naa", 16), ("inaa", 4)):
+        net = DaeImputer(schema, variant=variant)._build_network(8)
+        assert net.input_width == 8
+        assert layers(net) == [(width, "relu", False), (8, "linear", False)]
 
 
 @pytest.mark.parametrize("variant", ["gain", "igain"])

@@ -21,7 +21,6 @@ from conftest import make_rng, mixed_schema  # noqa: E402
 
 # the fewest epochs, trees and sweeps that still run every step of a method
 TINY = {
-    "knn": {"k": 5},
     "missforest": {"n_trees": 2, "max_iter": 2},
     **{name: {"epochs": 2} for name in ("naa", "inaa", "gain", "igain")},
 }

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from imputebench import imputers
 from imputebench.imputers import (
     KnnImputer,
     MissForestImputer,
@@ -193,12 +194,13 @@ def test_knn_tie_break_prefers_lower_index():
     assert filled[0, 1] == 0.3
 
 
-def test_knn_reconstructs_duplicated_rows():
+def test_knn_reconstructs_duplicated_rows(monkeypatch):
+    monkeypatch.setattr(imputers, "KNN_K", 1)
     schema = mixed_schema(3, 2)
     base = random_table(schema, 12, seed=31)
     train = MixedTable(schema, np.vstack([base.values, base.values]))
     corrupted, mask = inject_mcar(base, MissSpec(0.3, 7))
-    imp = KnnImputer(schema, k=1).fit(train)
+    imp = KnnImputer(schema).fit(train)
     result = imp.impute(corrupted)
     # rows that kept at least one observed cell match their duplicate exactly;
     # fully-erased rows have no anchor and are excluded
@@ -207,14 +209,15 @@ def test_knn_reconstructs_duplicated_rows():
     assert np.array_equal(mask == 0, np.isnan(corrupted.values))
 
 
-def test_knn_brute_force_oracle():
+def test_knn_brute_force_oracle(monkeypatch):
     """Cross-check every imputed cell against a naive nested-loop KNN."""
     schema = mixed_schema(4, 2)
     train = random_table(schema, 12, seed=41)
     target_full = random_table(schema, 6, seed=42)
     corrupted, _ = inject_mcar(target_full, MissSpec(0.4, 3))
     k = 3
-    imp = KnnImputer(schema, k=k).fit(train)
+    monkeypatch.setattr(imputers, "KNN_K", k)
+    imp = KnnImputer(schema).fit(train)
     result = imp.impute(corrupted)
 
     params = fit_normalizer(train)
@@ -278,7 +281,8 @@ def test_missforest_rejects_bad_settings(kwargs, message):
 
 @pytest.mark.parametrize("k", [0, -2, 2.5, True])
 def test_knn_rejects_bad_k(k):
-    with pytest.raises(ValueError, match="k must be >= 1 and an int"):
+    # k is the constant KNN_K: any k, valid or not, is an unknown setting
+    with pytest.raises(TypeError, match="'k'"):
         KnnImputer(mixed_schema(2, 1), k=k)
 
 

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,14 @@ def test_malformed_schema_file_is_a_named_error(tmp_path, text):
     path = tmp_path / "schema.json"
     path.write_text(text)
     with pytest.raises(SchemaError, match=f"bad schema file {path}"):
+        load_schema(path)
+
+
+def test_schema_column_name_not_a_string_is_a_named_error(tmp_path):
+    path = tmp_path / "schema.json"
+    columns = [{"name": "a", "kind": "numerical"}, {"name": 3, "kind": "numerical"}]
+    path.write_text(json.dumps({"columns": columns}))
+    with pytest.raises(SchemaError, match=re.escape(f"bad schema file {path}: columns[1]")):
         load_schema(path)
 
 
