@@ -162,11 +162,12 @@ def _pairwise_partial_distances(train: np.ndarray, row: np.ndarray) -> np.ndarra
 
 
 # Elements in each (target rows x training rows) temporary of knn_fill:
-# 2**16 float64 values, 512 KiB per array. Against 2**16, perfbench's
-# bench-knn-9310 (7,448 training rows) took 20 % longer at 2**15 and 12 %
-# longer at 2**17, and bench-deep-1000 (800) moved -1 % and +2 %, within
-# its spread; peak RSS rose 1-5 % at 2**17 (medians of 6 seeds on a
-# 2-CPU Xeon, one BLAS thread).
+# 2**16, 256 KiB per float32 bound array. Against 2**16 with the float32
+# bounds, perfbench's bench-knn-9310 (7,448 training rows) took 14 % longer
+# at 2**17 (median wall 1.00 against 0.88 s, slower in 8 of 10 alternating
+# seeds) and bench-deep-1000 (800) moved -4 %, within its spread (lower in
+# 4 of 10); peak RSS rose 1.4 and 2.1 MiB (2-CPU Xeon, one BLAS thread).
+# With float64 bounds, 2**15 took 20 % longer on bench-knn-9310.
 _KNN_BLOCK = 1 << 16
 # Training rows shortlisted per target row, as a multiple of k. A hole whose
 # column fewer than k of them observe gets an infinite threshold, so its row
@@ -174,62 +175,91 @@ _KNN_BLOCK = 1 << 16
 # bench-deep-1000 (seeds 1-3), none in bench-knn-9310 or the full-size
 # 7,448-row fold calls
 _SHORTLIST = 4
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_U32 = float(np.finfo(np.float32).eps) / 2  # float32 unit roundoff, 2**-24
+_TINY32 = float(np.finfo(np.float32).tiny)  # smallest normal float32, 2**-126
 
 
 class _DistanceBounds:
-    """Lower and upper bounds on the partial distances to one training set.
+    """Float32 lower and upper bounds on the partial distances of two tables.
 
-    Called on a block of target rows, it returns (lower, upper) over
-    (rows x training rows). A pair with a co-observed feature has its
-    scaled squared distance, d2 * c / count as `_pairwise_partial_distances`
-    computes it before the square root, within [lower, upper], and upper
+    Built from the training and the target table, and called on a block of
+    target rows, it returns float32 (lower, upper) over (rows x training
+    rows). Every value is first multiplied by 2^e, the power of two that
+    puts the largest magnitude in either table in [0.5, 1), so no float32
+    square overflows; bounds compare only with bounds, so they stay in
+    these units. A pair with a co-observed feature has its scaled squared
+    distance, d2 * c / count as `_pairwise_partial_distances` computes it
+    before the square root, times 4^e, within [lower, upper], and upper
     also bounds every pair whose distance equals this one's after the
     square root. A pair with no co-observed feature gets lower = NaN and
     upper = inf, so no comparison with a bound keeps it.
 
     One product gives the co-observed sum of squares as
-    S = [O_r, r0^2, r0] . [t0^2, O_t, -2 t0], where O is the observed mask
-    and r0, t0 are the rows with missing cells set to 0, so every term of
-    a feature that is not co-observed is exactly zero. With u the unit
-    roundoff, g_n = n u / (1 - n u) and E = |r0|^2 + |t0|^2 >= d2 / 2:
-    - rounding r0^2 and t0^2 moves the exact S by at most u E;
-    - the 3c-term dot product, in any order and with or without fused
-      multiply-add, errs by at most g_3c sum |a_i b_i| <= g_3c (2 + u) E;
-    - the reference sums c rounded squares of rounded differences, all
-      non-negative, so it errs by at most g_(c+2) d2 <= 2 g_(c+2) E.
-    So |S - d2| <= 5 g_(3c+2) E, and 8 g_(3c+2) E also covers rounding E.
-    Adding the slack rounds twice, under 5 u E; scaling by c / count
-    rounds twice in the reference and twice here, under 8 u E; the square
-    root maps values within a relative 4 u of each other to one float,
-    under 8 u E: 64 u E covers all three. 16 c subnormal spacings cover
-    underflow. Inputs are assumed finite, with squares that do not overflow.
+    S = [O_r, r^2, r] . [t^2, O_t, -2 t], where O is the observed mask and
+    r, t are the prescaled rows cast to float32 with missing cells set to
+    0, so every term of a feature that is not co-observed is exactly zero.
+    Let u = 2^-24, g_n = n u / (1 - n u), h = 2^-126, the smallest normal
+    float32, x and y a feature's exact prescaled values (|x|, |y| < 1), and
+    E the sum of x^2 and y^2 over each row's observed features, d2 <= 2 E:
+    - the prescale is exact in float64 but for underflow below 2^-1074;
+      a cast then errs by at most u |x| + h, and a float32 operation by u
+      times its result plus h, flushed to zero or not; with |x|, |y| < 1
+      the two casts and two squares per feature move the exact S by at
+      most 6 u E + 13 c h;
+    - the 3c-term product, in any order and with or without fused
+      multiply-add, errs by at most g_3c sum |a_i b_i| + 6 c h, which is at
+      most 3 g_3c E + 7 c h;
+    - the float64 reference sums c rounded squares of rounded differences,
+      so it errs by at most g_(c+2) d2 in float64, under u E, plus c
+      spacings of 2^-1074 from its own underflow, 4^e times that here;
+    - adding the slack rounds twice, under 7 u E; scaling by c / count
+      rounds twice here and twice in float64 in the reference, and the
+      square root maps values within a relative 2^-51 of each other to one
+      float: under 5 u E together.
+    So (3 g_3c + 19 u) E covers every relative term; 8 g_(3c+2) + 64 u is
+    over twice that, which also covers computing E in float32. 32 c
+    (h + 4^e 2^-1074) covers the absolute terms. This holds for every
+    finite input with c < 2^20, which keeps g_(c+2) in float64 under u / 2
+    and 3 c u far below 1. Where the largest magnitude is below about
+    1e-180, past the 1e-154 at which the reference's own squares
+    underflow, the last term passes the float32 range: upper is inf and
+    every pair is measured.
     """
 
-    def __init__(self, train: np.ndarray):
+    def __init__(self, train: np.ndarray, target: np.ndarray):
         n_train, self.n_cols = train.shape
         c = self.n_cols
-        observed = ~np.isnan(train)
-        train0 = np.where(observed, train, 0.0)
+        top = max(np.fmax.reduce(np.abs(a), axis=None, initial=0.0) for a in (train, target))
+        self.exponent = -int(np.frexp(top)[1])
+        train0 = self._prescaled(train)
         # (3c x training rows), C-ordered: the product's fastest layout
-        side = np.empty((3 * c, n_train))
+        side = np.empty((3 * c, n_train), dtype=np.float32)
         np.square(train0.T, out=side[:c])
-        side[c : 2 * c] = observed.T
-        np.multiply(train0.T, -2.0, out=side[2 * c :])
+        side[c : 2 * c] = ~np.isnan(train.T)
+        np.multiply(train0.T, -2, out=side[2 * c :])
         self.train_side = side
         n_terms = 3 * c + 2
-        gamma = n_terms * _UNIT_ROUNDOFF / (1 - n_terms * _UNIT_ROUNDOFF)
-        self.slack_factor = 8 * gamma + 64 * _UNIT_ROUNDOFF
+        gamma = n_terms * _U32 / (1 - n_terms * _U32)
+        self.slack_factor = np.float32(8 * gamma + 64 * _U32)
         self.train_slack = self.slack_factor * side[:c].sum(axis=0)
-        self.train_slack += 16 * c * np.finfo(float).smallest_subnormal
+        with np.errstate(over="ignore"):
+            self.train_slack += np.float32(
+                32 * c * (_TINY32 + np.ldexp(1.0, 2 * self.exponent - 1074))
+            )
+
+    def _prescaled(self, values: np.ndarray) -> np.ndarray:
+        """`values` times 2^e in float32, missing cells 0."""
+        values0 = np.where(np.isnan(values), 0.0, values)
+        return np.ldexp(values0, self.exponent).astype(np.float32)
 
     def __call__(self, rows: np.ndarray):
         c = self.n_cols
         observed = ~np.isnan(rows)
-        rows0 = np.where(observed, rows, 0.0)
-        rows_slack = (self.slack_factor * (rows0**2).sum(axis=1))[:, None]
-        lower = np.hstack([observed, rows0**2, rows0]) @ self.train_side
-        scale = observed.astype(float) @ self.train_side[c : 2 * c]
+        rows0 = self._prescaled(rows)
+        squares = rows0 * rows0
+        rows_slack = (self.slack_factor * squares.sum(axis=1))[:, None]
+        lower = np.hstack([observed, squares, rows0]) @ self.train_side
+        scale = observed.astype(np.float32) @ self.train_side[c : 2 * c]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(c, scale, out=scale)
             upper = lower + rows_slack
@@ -253,7 +283,7 @@ def _nearest_in_block(bounds, train_norm, obs_train, target_norm, holes, rows, k
     hole = holes[rows]
     # a cell's threshold: the k-th smallest upper bound among the training
     # rows that observe its column; -inf at observed cells keeps nothing
-    thr = np.full(hole.shape, -np.inf)
+    thr = np.full(hole.shape, -np.inf, dtype=np.float32)
     if k > n_train:
         thr[hole] = np.inf
     else:
@@ -272,10 +302,14 @@ def _nearest_in_block(bounds, train_norm, obs_train, target_norm, holes, rows, k
         )
         kth.partition(k - 1, axis=1)
         thr[hr, hc] = kth[:, k - 1]
-    # one candidate filter per row; exact distances, once per pair
-    li, t = np.nonzero(lower <= thr.max(axis=1, keepdims=True))
+    # one candidate filter per row; exact distances, once per pair; a pair
+    # whose distance overflows float64 counts as sharing no feature. The
+    # filter keeps few pairs, which a 1-D nonzero and divmod find about 10
+    # times faster than a 2-D nonzero
+    li, t = np.divmod(np.flatnonzero(lower <= thr.max(axis=1, keepdims=True)), n_train)
     dist = _pairwise_partial_distances(train_norm[t], target_norm[rows[li]])
-    pair, j = np.nonzero(obs_train[t] & (lower[li, t][:, None] <= thr[li]))
+    keep = obs_train[t] & (lower[li, t][:, None] <= thr[li]) & np.isfinite(dist)[:, None]
+    pair, j = np.nonzero(keep)
     cell = rows[li[pair]] * n_cols + j
     t = t[pair]
     order = np.lexsort((t, dist[pair], cell))
@@ -328,7 +362,7 @@ def knn_fill(
     n_train, n_cols = train_norm.shape
     holes = np.isnan(target_norm)
     obs_train = ~np.isnan(train_norm)
-    bounds = _DistanceBounds(train_norm)
+    bounds = _DistanceBounds(train_norm, target_norm)
     rows_with_holes = np.flatnonzero(holes.any(axis=1))
     block = max(1, _KNN_BLOCK // max(n_train, 1))
     chosen = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]

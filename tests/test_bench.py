@@ -437,7 +437,7 @@ def test_bad_knn_k_fails_before_any_work(k):
     cfg = ExperimentConfig(
         methods=["recording", "knn"], folds=3, repeats=1, method_overrides={"knn": {"k": k}}
     )
-    with pytest.raises(ValueError, match="'knn'.*'k'"):
+    with pytest.raises(ValueError, match=r"'knn' \(KnnImputer\) has no setting 'k'"):
         run_imputation_experiment(small_table(), cfg)
     assert RecordingImputer.fit_tables == []
 

@@ -282,7 +282,7 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
 @pytest.mark.parametrize(
     "cfg, named",
     [
-        ({"methods": ["knn"], "method_overrides": {"knn": {"kk": 3}}}, ("'knn'", "'kk'")),
+        ({"methods": ["knn"], "method_overrides": {"knn": {"kk": 3}}}, ("'knn'", "KnnImputer", "'kk'")),
         ({"methods": ["simple"], "fold": 3}, ("'fold'",)),
         ({"methods": ["naa"], "method_overrides": {"naa": {"variant": "inaa"}}}, ("'naa'", "'variant'")),
         (
@@ -300,7 +300,7 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
         ),
         ({"methods": ["naa"], "method_overrides": {"naa": {"batch_size": 64}}}, ("'naa'", "'batch_size'")),
         ({"methods": ["gain"], "method_overrides": {"gain": {"alpha": 5}}}, ("'gain'", "'alpha'")),
-        ({"methods": ["knn"], "method_overrides": {"knn": {"k": 5}}}, ("'knn'", "'k'")),
+        ({"methods": ["knn"], "method_overrides": {"knn": {"k": 5}}}, ("'knn'", "KnnImputer", "'k'")),
         # a setting that is not an int, refused before the first cell
         ({"methods": ["naa"], "method_overrides": {"naa": {"epochs": 2.5}}}, ("'naa'", "epochs")),
         (

@@ -420,3 +420,19 @@ def test_schema_mismatch_rejected():
 def test_registry_unknown_name():
     with pytest.raises(ValueError, match="unknown"):
         make_imputer("nope", mixed_schema())
+
+
+@pytest.mark.parametrize(
+    "name, overrides, message",
+    [
+        ("knn", {"k": 5}, r"method 'knn' \(KnnImputer\) has no setting 'k'; its settings: none"),
+        ("simple", {"k": 5}, r"'simple' \(SimpleImputer\) has no setting 'k'"),
+        ("inaa", {"variant": "naa"}, r"'inaa' \(DaeImputer\) has no setting 'variant'; .*'epochs'"),
+        ("igain", {"alpha": 5}, r"'igain' \(GainImputer\) has no setting 'alpha'"),
+        ("missforest", {"max_depth": 8}, r"'missforest' \(MissForestImputer\) has no setting"),
+        ("missforest", {"n_trees": 0}, r"'missforest' \(MissForestImputer\) rejects .*n_trees"),
+    ],
+)
+def test_registry_names_the_method_class_and_setting(name, overrides, message):
+    with pytest.raises(ValueError, match=message):
+        make_imputer(name, mixed_schema(), 1, **overrides)

@@ -164,3 +164,46 @@ def test_bad_inputs_raise_named_errors(target_shape, k, message):
     train = np.zeros((5, 3))
     with pytest.raises(ValueError, match=message):
         knn_fill(train, np.zeros(target_shape), k, schema, column_stats(train, schema))
+
+
+def _float32_extremes(rng, n_rows, scale):
+    """Three numerical columns at `scale` beside a unit-range column observed in
+    about 30 % of rows and a categorical column of zeros, with 30 % MCAR holes.
+
+    At 1e20 the float32 squares pass the float32 range (about 3.4e38), and
+    after the prescale the unit-range column's squares underflow. At 1e-22
+    the squares fall below the smallest normal float32 (about 1.2e-38),
+    where float32 rounding is absolute, and pairs that share no observed
+    unit-range cell are ordered by differences that small. At 1e-25 the
+    squares flush to zero. At 1e200 the float64 distances overflow too.
+    """
+    schema = mixed_schema(4, 1)
+    values = rng.random((n_rows, 5)) * np.array([scale, scale, scale, 1.0, 0.0])
+    values[rng.random(values.shape) < 0.3] = np.nan
+    values[rng.random(n_rows) < 0.7, 3] = np.nan
+    values[0] = [scale, scale, scale, 1.0, 0.0]
+    return schema, values
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e-22, 1e-25])
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_float32_extreme_magnitudes_holdout(scale, seed):
+    schema, values = _float32_extremes(make_rng(seed), 90, scale)
+    assert_matches_rowwise(values[:60], values[60:], 3, schema)
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e-22, 1e-25])
+@pytest.mark.parametrize("seed", [24, 25, 26])
+def test_float32_extreme_magnitudes_self_imputation(scale, seed):
+    schema, values = _float32_extremes(make_rng(seed), 60, scale)
+    assert_matches_rowwise(values, values, 3, schema)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("seed", [27, 28])
+def test_pairs_whose_float64_distance_overflows_share_no_feature(seed):
+    # the float32 bounds stay finite, but the reference skips every pair at
+    # an infinite distance, as it skips pairs that share no observed feature
+    schema, values = _float32_extremes(make_rng(seed), 90, 1e200)
+    assert assert_matches_rowwise(values[:60], values[60:], 3, schema) > 0
+    assert_matches_rowwise(values, values, 3, schema)
