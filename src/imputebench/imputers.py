@@ -153,10 +153,12 @@ def _pairwise_partial_distances(train: np.ndarray, row: np.ndarray) -> np.ndarra
     obs_train = ~np.isnan(train)
     both = obs_train & obs_row
     diff = np.where(both, train - row, 0.0)
-    d2 = (diff**2).sum(axis=1)
     count = both.sum(axis=1)
     n_features = train.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a difference past about 1e154 squares to inf, and knn_fill skips an
+    # infinite distance as it skips a pair that shares no observed feature
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d2 = (diff**2).sum(axis=1)
         scaled = np.where(count > 0, d2 * n_features / np.maximum(count, 1), np.inf)
     return np.sqrt(scaled)
 

@@ -12,7 +12,7 @@ __all__ = ["smote"]
 
 # minority neighbours each synthetic row may interpolate towards
 K_NEIGHBORS = 5
-# (row, minority row) distance pairs computed per block of the neighbor search
+# (row, minority row, feature) differences computed per block of the neighbor search
 _SMOTE_BLOCK = 2**16
 
 
@@ -45,12 +45,12 @@ def smote(X, y, seed: int, categorical_indices=()):
             raise ValueError("need at least 2 minority samples for SMOTE")
     Xm = X[minority_rows]
     neighbor_ids = np.empty((n_min, k), dtype=np.intp)
-    block = max(1, _SMOTE_BLOCK // n_min)
+    block = max(1, _SMOTE_BLOCK // max(1, n_min * X.shape[1]))
     for start in range(0, n_min, block):
         rows = np.arange(start, min(start + block, n_min))
         d2 = ((Xm[rows, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
         d2[rows - start, rows] = np.inf
-        neighbor_ids[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        neighbor_ids[rows] = _first_k(d2, k)
     rng = make_rng(seed, "smote")
     cat = np.asarray(list(categorical_indices), dtype=int)
     synthetic = np.empty((n_needed, X.shape[1]))
@@ -65,3 +65,18 @@ def smote(X, y, seed: int, categorical_indices=()):
     X_out = np.vstack([X, synthetic])
     y_out = np.concatenate([y, np.full(n_needed, minority)])
     return X_out, y_out
+
+
+def _first_k(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's first k columns of a stable argsort of `d2`, without the full sort.
+
+    A partition finds each row's k-th distance; only the entries not above it
+    are then ordered by (row, distance, column). NaN distances are kept, and
+    sort last as in argsort, so a row with fewer than k numbers still gets k.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    r, c = np.nonzero(~(d2 > kth))
+    order = np.lexsort((c, d2[r, c], r))
+    counts = np.bincount(r, minlength=d2.shape[0])
+    starts = np.cumsum(counts) - counts
+    return c[order[starts[:, None] + np.arange(k)]]

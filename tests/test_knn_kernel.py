@@ -1,8 +1,11 @@
 """The blocked knn_fill against the row-by-row reference, bit for bit."""
 
+import resource
+
 import numpy as np
 import pytest
 
+import imputebench
 from imputebench import imputers
 from imputebench.imputers import column_stats, knn_fill
 
@@ -199,7 +202,6 @@ def test_float32_extreme_magnitudes_self_imputation(scale, seed):
     assert_matches_rowwise(values, values, 3, schema)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("seed", [27, 28])
 def test_pairs_whose_float64_distance_overflows_share_no_feature(seed):
     # the float32 bounds stay finite, but the reference skips every pair at
@@ -207,3 +209,22 @@ def test_pairs_whose_float64_distance_overflows_share_no_feature(seed):
     schema, values = _float32_extremes(make_rng(seed), 90, 1e200)
     assert assert_matches_rowwise(values[:60], values[60:], 3, schema) > 0
     assert_matches_rowwise(values, values, 3, schema)
+
+
+@pytest.mark.skipif(
+    not imputebench._FREED_BLOCKS_KEPT, reason="the C library has no mallopt"
+)
+def test_repeated_self_imputation_reuses_freed_blocks():
+    # the bench-deep-1000 call shape: 800 x 800 self-imputation, 14 columns,
+    # 20 % missing; with glibc's default thresholds each call mapped and
+    # zero-faulted its block temporaries afresh (about 2,000 minor faults)
+    schema = mixed_schema(8, 6)
+    values = _grid(schema, 800, make_rng(41), 0.2)
+    stats = column_stats(values, schema)
+    knn_fill(values, values, 5, schema, stats)
+    calls = 5
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        knn_fill(values, values, 5, schema, stats)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / calls < 200

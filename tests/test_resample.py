@@ -130,30 +130,75 @@ def test_blocked_neighbor_search_matches_one_block(monkeypatch, rows_per_block):
     y = np.concatenate([np.zeros(200), np.ones(n_min)])
     # at this size the default block holds every minority row at once
     X_ref, y_ref = smote(X, y, seed=4, categorical_indices=[2])
-    monkeypatch.setattr(resample, "_SMOTE_BLOCK", rows_per_block * n_min)
+    monkeypatch.setattr(resample, "_SMOTE_BLOCK", rows_per_block * n_min * X.shape[1])
     X_blk, y_blk = smote(X, y, seed=4, categorical_indices=[2])
     assert np.array_equal(X_blk, X_ref)
     assert np.array_equal(y_blk, y_ref)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5, 8])
-def test_tied_neighbors_follow_the_stable_index_order(k, monkeypatch):
-    # duplicated minority rows on integer coordinates tie many distances;
-    # replaying smote's draws over the first k of a stable sort of all
-    # distances must give its synthetic rows bit for bit
-    rng = make_rng(10)
-    base = rng.integers(0, 3, size=(12, 3)).astype(float)
-    Xm = np.vstack([base, base[:5], base[:5], base[2:4]])
+def smote_reference(X, y, seed, k=resample.K_NEIGHBORS, categorical_indices=()):
+    """The minority rows' full distance block, a stable argsort, its first k
+    neighbors, then smote's draws replayed one synthetic row at a time."""
+    minority = 1.0 if (y == 1).sum() < (y == 0).sum() else 0.0
+    Xm = X[y == minority]
     n_min = Xm.shape[0]
-    X = np.vstack([rng.uniform(0, 1, size=(60, 3)), Xm])
-    y = np.concatenate([np.zeros(60), np.ones(n_min)])
-    monkeypatch.setattr(resample, "K_NEIGHBORS", k)
-    X2, _ = smote(X, y, seed=5)
+    k = min(k, n_min - 1)
     d2 = ((Xm[:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    draw = seeded_rng(5, "smote")
-    for row in X2[X.shape[0] :]:
+    draw = seeded_rng(seed, "smote")
+    cat = list(categorical_indices)
+    n_needed = y.size - 2 * n_min
+    synthetic = np.empty((n_needed, X.shape[1]))
+    for s in range(n_needed):
         a = int(draw.integers(0, n_min))
         b = int(neighbors[a, draw.integers(0, k)])
-        assert np.array_equal(row, Xm[a] + draw.random() * (Xm[b] - Xm[a]))
+        synthetic[s] = Xm[a] + draw.random() * (Xm[b] - Xm[a])
+        synthetic[s, cat] = Xm[a, cat]
+    return np.vstack([X, synthetic]), np.concatenate([y, np.full(n_needed, minority)])
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 8])
+def test_tied_neighbors_follow_the_stable_index_order(k, monkeypatch):
+    # duplicated minority rows on integer coordinates tie many distances
+    rng = make_rng(10)
+    base = rng.integers(0, 3, size=(12, 3)).astype(float)
+    Xm = np.vstack([base, base[:5], base[:5], base[2:4]])
+    X = np.vstack([rng.uniform(0, 1, size=(60, 3)), Xm])
+    y = np.concatenate([np.zeros(60), np.ones(Xm.shape[0])])
+    monkeypatch.setattr(resample, "K_NEIGHBORS", k)
+    X2, y2 = smote(X, y, seed=5)
+    X_ref, y_ref = smote_reference(X, y, seed=5, k=k)
+    assert np.array_equal(X2, X_ref)
+    assert np.array_equal(y2, y_ref)
+
+
+@pytest.mark.parametrize(
+    "n_min, n_features, decimals",
+    [
+        (60, 4, 1),  # rounded values: many tied distances
+        (4, 3, None),  # minority count <= 5: k reduced to 3
+        (5, 2, 0),  # k reduced to 4 among tied integer rows
+        (50, 150, None),  # more than 128 features
+        (300, 230, 1),  # n_min x features > _SMOTE_BLOCK: one-row blocks
+    ],
+)
+@pytest.mark.parametrize("seed", [31, 32])
+def test_smote_matches_the_full_block_stable_argsort(n_min, n_features, decimals, seed):
+    rng = make_rng(seed)
+    n_maj = 2 * n_min + int(rng.integers(1, 20))
+    X = rng.normal(size=(n_maj + n_min, n_features))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    y = np.zeros(n_maj + n_min)
+    y[rng.permutation(y.size)[:n_min]] = 1.0
+    cat = rng.permutation(n_features)[: n_features // 4]
+    X[:, cat] = X[:, cat] > 0
+    if n_min <= resample.K_NEIGHBORS:
+        with pytest.warns(UserWarning, match="reducing k"):
+            X2, y2 = smote(X, y, seed=seed, categorical_indices=cat)
+    else:
+        X2, y2 = smote(X, y, seed=seed, categorical_indices=cat)
+    X_ref, y_ref = smote_reference(X, y, seed, categorical_indices=cat)
+    assert np.array_equal(X2, X_ref)
+    assert np.array_equal(y2, y_ref)
