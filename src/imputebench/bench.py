@@ -23,7 +23,7 @@ from . import forest as rf
 from .imputers import _check_int
 from .metrics import UndefinedMetricError, categorical_auroc, f1, normalized_rmse
 from .missingness import MissSpec, assign_folds, inject_mcar
-from .normal import ndtr, ndtri
+from .normal import ndtr
 from .registry import make_imputer
 from .resample import smote
 from .seeding import derive_seed, make_rng
@@ -61,11 +61,13 @@ class SyntheticSpec:
     """Gaussian-copula generator spec for mixed tables.
 
     Latent variables are multivariate normal with the given correlation
-    matrix. Numerical columns map the latent normal CDF into their target
-    range; binary columns threshold the latent variable at the quantile
-    matching the requested prevalence, so imbalance is configurable.
-    `generate_synthetic` rejects a key naming no schema column, a
-    non-finite range bound and a prevalence outside [0, 1].
+    matrix, and each column takes its latent normal CDF u as its copula
+    uniform. A numerical column maps u into its range, lo + (hi - lo) u; a
+    binary column is 1 where u > 1 - prevalence, so imbalance is
+    configurable. `generate_synthetic` rejects a key naming no schema
+    column, a non-finite range bound, a prevalence outside [0, 1], a
+    correlation entry that is not finite, not symmetric or a diagonal
+    other than 1, and fewer than one row.
     """
 
     schema: Schema
@@ -77,9 +79,19 @@ class SyntheticSpec:
 def generate_synthetic(spec: SyntheticSpec, n_rows: int, seed: int) -> MixedTable:
     schema = spec.schema
     c = schema.n_cols
+    _check_int("n_rows", n_rows, 1)
     corr = np.asarray(spec.correlation, dtype=float)
     if corr.shape != (c, c):
         raise ValueError(f"correlation must be {c}x{c}")
+    # cholesky reads the lower triangle only and lets NaN through
+    for bad, message in (
+        (~np.isfinite(corr), "correlation[{i}, {j}] is {v}, not finite"),
+        (corr != corr.T, "correlation[{i}, {j}] is {v} but correlation[{j}, {i}] is {w}"),
+        (np.eye(c, dtype=bool) & (corr != 1.0), "correlation[{i}, {j}] is {v}, not 1"),
+    ):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(message.format(i=i, j=j, v=corr[i, j], w=corr[j, i]))
     try:
         chol = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
@@ -97,12 +109,12 @@ def generate_synthetic(spec: SyntheticSpec, n_rows: int, seed: int) -> MixedTabl
     z = rng.standard_normal((n_rows, c)) @ chol.T
     values = np.empty_like(z)
     for j, col in enumerate(schema.columns):
+        u = ndtr(z[:, j])  # the column's copula uniform
         if col.kind is ColumnKind.NUMERICAL:
             lo, hi = spec.numeric_ranges.get(col.name, (0.0, 1.0))
-            values[:, j] = lo + (hi - lo) * ndtr(z[:, j])
+            values[:, j] = lo + (hi - lo) * u
         else:
-            prev = spec.prevalence.get(col.name, 0.5)
-            values[:, j] = (z[:, j] > ndtri(1.0 - prev)).astype(float)
+            values[:, j] = u > 1.0 - spec.prevalence.get(col.name, 0.5)
     return MixedTable(schema, values)
 
 
@@ -208,8 +220,11 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, path) -> "MetricsReport":
+        def refuse(token):  # NaN, Infinity or -Infinity, which to_json never writes
+            raise ValueError(f"report {path} holds {token}, which is not strict JSON")
+
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=refuse)
         if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
             raise ValueError(f"report {path} is not a JSON object with a 'config' object")
         return cls(

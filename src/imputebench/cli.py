@@ -57,7 +57,13 @@ def _parse_methods(text) -> list:
 
 
 def _parse_rates(text) -> tuple:
-    return tuple(float(r) for r in text.split(","))
+    rates = []
+    for entry in text.split(","):
+        try:
+            rates.append(float(entry))
+        except ValueError:
+            raise ValueError(f"--rates entry {entry!r} of {text!r} is not a number") from None
+    return tuple(rates)
 
 
 # flags that set the protocol; with --config the file alone sets it

@@ -81,6 +81,21 @@ def test_synthetic_bad_correlation():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="positive"):
         generate_synthetic(SyntheticSpec(schema, bad), 10, seed=0)
+    # checked before the Cholesky factorisation, which reads the lower
+    # triangle only and lets NaN through; each names the first bad entry
+    cases = [
+        ([[1.0, 0.0], [0.0, np.nan]], r"correlation\[1, 1\] is nan, not finite"),
+        ([[1.0, 0.3], [np.inf, 1.0]], r"correlation\[1, 0\] is inf, not finite"),
+        ([[1.0, 0.5], [0.0, 1.0]], r"correlation\[0, 1\] is 0.5 but correlation\[1, 0\] is 0.0"),
+        ([[2.0, 0.0], [0.0, 2.0]], r"correlation\[0, 0\] is 2.0, not 1"),
+        ([[1.0, 0.2], [0.2, 0.9]], r"correlation\[1, 1\] is 0.9, not 1"),
+    ]
+    for corr, named in cases:
+        with pytest.raises(ValueError, match=named):
+            generate_synthetic(SyntheticSpec(schema, np.array(corr)), 100, seed=0)
+    for rows in (0, -3, True, 2.5):
+        with pytest.raises(ValueError, match="n_rows must be >= 1"):
+            generate_synthetic(SyntheticSpec(schema, np.eye(2)), rows, seed=0)
 
 
 def test_synthetic_bad_spec_is_a_named_error():
@@ -111,6 +126,22 @@ def test_default_synthetic_table_bytes_are_pinned():
     values = generate_synthetic(default_synthetic_spec(), 9310, 0).values
     digest = hashlib.sha256(values.tobytes()).hexdigest()
     assert digest == "c2e214484a01fefb14f0330bc46a00d55f9b06b1da135faac26b67fe1b10d3d7"
+
+
+def test_nondefault_synthetic_table_bytes_are_pinned():
+    # sha256 taken when binary columns still thresholded the latent normal at
+    # its (1 - prevalence) quantile
+    schema = mixed_schema(3, 5)
+    idx = np.arange(8)
+    spec = SyntheticSpec(
+        schema,
+        (-0.5) ** np.abs(idx[:, None] - idx[None, :]),
+        numeric_ranges={"n0": (-5.0, 5.0), "n1": (100.0, 250.0)},
+        prevalence={"c0": 0.01, "c1": 0.2, "c2": 0.5, "c3": 0.8, "c4": 0.99},
+    )
+    values = generate_synthetic(spec, 5000, 11).values
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digest == "6fbc8046021671dd36c5c6ce8f57bfc4c80f545b4abc76f0b5504e9ffdd52381"
 
 
 def test_config_validation():

@@ -150,8 +150,26 @@ def test_bench_synthetic_and_report_round_trip(tmp_path, small_schema_file, caps
             },
             "records[0]: field 'rate'",
         ),
+        # json.dumps writes NaN, Infinity and -Infinity, which to_json never does
+        *(
+            (
+                {
+                    "config": {},
+                    "records": [
+                        {"method": "knn", "rate": 0.2, "repeat": 0, "fold": 0, "rmse": value,
+                         "auroc": 0.5}
+                    ],
+                    "f1_records": [],
+                },
+                f"holds {json.dumps(value)}, which is not strict JSON",
+            )
+            for value in (float("nan"), float("inf"), float("-inf"))
+        ),
     ],
-    ids=["no-records", "record-missing-fields", "record-rate-a-string"],
+    ids=[
+        "no-records", "record-missing-fields", "record-rate-a-string",
+        "record-rmse-nan", "record-rmse-infinity", "record-rmse-minus-infinity",
+    ],
 )
 def test_report_on_a_malformed_file_is_a_named_error(tmp_path, capsys, doc, named):
     path = tmp_path / "report.json"
@@ -277,6 +295,17 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
     )
     assert code == 1  # neither --input nor --synthetic supplied
     assert "required" in capsys.readouterr().err
+
+    out_dir = tmp_path / "r"
+    code = main(
+        [
+            "bench", "--schema", schema_path, "--synthetic", "30", "--methods", "simple",
+            "--rates", "0.2,", "--out-dir", str(out_dir),
+        ]
+    )
+    assert code == 1
+    assert "error: --rates entry '' of '0.2,' is not a number" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

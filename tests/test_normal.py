@@ -1,11 +1,12 @@
-"""The in-tree normal CDF and quantile against scipy's Cephes, bit for bit."""
+"""The in-tree normal CDF against scipy's Cephes, bit for bit, and the copula's
+binary-column threshold against scipy's normal quantile."""
 
 import math
 
 import numpy as np
 import pytest
 
-from imputebench.normal import ndtr, ndtri
+from imputebench.normal import ndtr
 
 from conftest import make_rng
 
@@ -46,26 +47,15 @@ def test_ndtr_matches_scipy_on_branch_edges():
     assert np.shape(ndtr(0.3)) == () and ndtr(np.zeros((2, 3))).shape == (2, 3)
 
 
-def test_ndtri_matches_scipy_on_seeded_draws():
-    rng = make_rng(20)
-    # the central branch, both tails in [exp(-32), exp(-2)] and the far tails below
-    y = np.concatenate([
-        rng.random(500_000),
-        np.exp(-rng.uniform(2.0, 32.0, 200_000)),
-        -np.expm1(-rng.uniform(2.0, 32.0, 100_000)),
-        np.exp(-rng.uniform(32.0, 700.0, 200_000)),
-    ])
-    got = np.array([ndtri(v) for v in y.tolist()])
-    assert same_bits(got, special.ndtri(y))
-
-
-def test_ndtri_matches_scipy_on_branch_edges():
-    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 0.5, 5e-324, 1e-300]
-    y = with_neighbours(edges)
-    y = y[(y > 0.0) & (y < 1.0)]
-    got = np.array([ndtri(v) for v in y.tolist()])
-    assert same_bits(got, special.ndtri(y))
-    assert ndtri(0.0) == special.ndtri(0.0) == -math.inf
-    assert ndtri(1.0) == special.ndtri(1.0) == math.inf
-    for bad in (-0.2, 1.5, math.nan):
-        assert math.isnan(ndtri(bad))
+def test_uniform_threshold_matches_the_latent_quantile():
+    # generate_synthetic's binary column u > 1 - p, with u = ndtr(z), is the
+    # event that z exceeds its (1 - p) quantile, scipy's Cephes quantile here
+    rng = make_rng(24)
+    prevalences = [0.001, 0.01, 0.04, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.99, 0.999]
+    z = rng.standard_normal(1_000_000)
+    u = ndtr(z)
+    for p in prevalences:
+        cut = special.ndtri(1.0 - p)
+        near = cut + rng.standard_normal(200_000) * 1e-6  # draws that straddle the cut
+        assert np.array_equal(u > 1.0 - p, z > cut), p
+        assert np.array_equal(ndtr(near) > 1.0 - p, near > cut), p
