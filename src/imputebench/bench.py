@@ -224,7 +224,10 @@ class MetricsReport:
             raise ValueError(f"report {path} holds {token}, which is not strict JSON")
 
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=refuse)
+            try:
+                doc = json.load(fh, parse_constant=refuse)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(f"report {path} is not JSON: {exc}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
             raise ValueError(f"report {path} is not a JSON object with a 'config' object")
         return cls(

@@ -77,7 +77,10 @@ def _build_config(args) -> ExperimentConfig:
             flags = ", ".join("--" + f.replace("_", "-") for f in given)
             raise ValueError(f"{flags} cannot be combined with --config, which sets the protocol")
         with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(f"--config file {args.config} is not JSON: {exc}") from None
         if not isinstance(doc, dict):
             kind = type(doc).__name__
             raise ValueError(f"config file {args.config} must hold a JSON object, not a {kind}")
@@ -93,9 +96,16 @@ def _build_config(args) -> ExperimentConfig:
     return ExperimentConfig(methods=methods, seed=args.seed, dataset=args.input, **given)
 
 
+def _synthetic(schema: Schema, flag: str, rows: int, seed: int) -> MixedTable:
+    """`rows` synthetic rows; fewer than one is an error naming `flag`."""
+    if rows < 1:
+        raise ValueError(f"{flag} must be >= 1, got {rows}")
+    return generate_synthetic(default_synthetic_spec(schema), rows, seed)
+
+
 def _dataset_for_bench(args, schema: Schema) -> MixedTable:
-    if args.synthetic:
-        return generate_synthetic(default_synthetic_spec(schema), args.synthetic, args.seed)
+    if args.synthetic is not None:
+        return _synthetic(schema, "--synthetic", args.synthetic, args.seed)
     if not args.input:
         raise ValueError("either --input CSV or --synthetic ROWS is required")
     return _load_table(args, schema)
@@ -103,7 +113,7 @@ def _dataset_for_bench(args, schema: Schema) -> MixedTable:
 
 def cmd_synth(args) -> int:
     schema = _load_schema_arg(args)
-    table = generate_synthetic(default_synthetic_spec(schema), args.rows, args.seed)
+    table = _synthetic(schema, "--rows", args.rows, args.seed)
     save_csv(table, args.out)
     print(f"wrote {table.n_rows}x{table.n_cols} synthetic table to {args.out}")
     return 0

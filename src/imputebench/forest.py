@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import derive_seed, make_rng
+from .split import map_blocks
 
 __all__ = [
     "TreeConfig",
@@ -59,6 +60,10 @@ _MIN_SAMPLES_SPLIT = 2
 # of trees lays out (8 bytes each per temporary); it also bounds the
 # (tree, row) pairs predict moves at once.
 _FOREST_BLOCK = 1 << 16
+# Fewest tree blocks a fit splits with a forked child (`split.map_blocks`).
+# A 100-tree fit on 800 rows under sqrt features has 4 blocks; the 16-tree
+# MissForest forests of a 150-row table have one.
+_FOREST_SPLIT_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -348,7 +353,7 @@ def _best_splits(
     return best_feature, best_threshold
 
 
-def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig, first_id: int) -> Tree:
+def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig) -> Tree:
     """Grow one tree per entry of ``counts``, level by level.
 
     Element g is row ``rows[g]`` of X; tree t owns the ``counts[t]``
@@ -356,8 +361,8 @@ def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig, first_id
     sample (``weights`` None), in draw order; a classification element is
     one distinct row of the tree's sample, ``weights[g]`` samples of it.
     ``ranks`` are `_dense_ranks(X)`; ``rngs[t]`` draws tree t's feature
-    subsets. Returns the block's nodes as one `Tree` whose ids count from
-    ``first_id`` level by level, so tree t's root is ``first_id + t``.
+    subsets. Returns the block's nodes as one `Tree` whose ids count from 0
+    level by level, so tree t's root is t.
     Within a level, nodes are laid out by ascending number of samples (ties
     in their parents' order, left child first), so nodes and segments of
     equal size are contiguous.
@@ -378,7 +383,7 @@ def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig, first_id
     # elements per node slice members; samples per node (sizes) count for all else
     sizes = np.add.reduceat(weights, np.cumsum(counts) - counts) if classify else counts
     levels = []
-    depth = 0
+    depth = first_id = 0
     while counts.size:
         starts = np.cumsum(counts) - counts
         yv = ys[members]
@@ -457,15 +462,19 @@ def fit_forest(
     seed: int = 0,
     bootstrap: bool = True,
 ) -> ForestModel:
-    """Bagged CART ensemble with pre-split per-tree seeds."""
+    """Bagged CART ensemble with pre-split per-tree seeds.
+
+    Trees grow in blocks of at most `_FOREST_BLOCK` laid-out elements; a
+    forked child may grow the later half of the blocks (`split.map_blocks`).
+    """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     X, y = _check_xy(X, y, config.task)
     n, n_features = X.shape
     ranks = _dense_ranks(X)
     per_block = max(1, _FOREST_BLOCK // (n * max(1, config.features_per_split(n_features))))
-    blocks, roots, n_nodes = [], [], 0
-    for lo in range(0, n_trees, per_block):
+
+    def grow_block(lo):
         seeds = [derive_seed(seed, "forest", t) for t in range(lo, min(lo + per_block, n_trees))]
         samples = [
             make_rng(s, "bootstrap").integers(0, n, size=n) if bootstrap else np.arange(n)
@@ -479,11 +488,17 @@ def fit_forest(
             weights = np.concatenate([t[rows] for t, rows in zip(drawn, samples)]).astype(float)
         counts = np.array([rows.size for rows in samples])
         rngs = [make_rng(s, "tree") for s in seeds]
-        blocks.append(
-            _grow(X, ranks, y, np.concatenate(samples), weights, counts, rngs, config, n_nodes)
-        )
-        roots.append(n_nodes + np.arange(len(seeds)))
-        n_nodes += blocks[-1].left.size
+        return _grow(X, ranks, y, np.concatenate(samples), weights, counts, rngs, config)
+
+    starts = range(0, n_trees, per_block)
+    blocks = map_blocks(grow_block, starts, _FOREST_SPLIT_BLOCKS)
+    # each block's ids count from 0; shift them past the blocks before it
+    roots, n_nodes = [], 0
+    for lo, block in zip(starts, blocks):
+        for child in (block.left, block.right):
+            child[child >= 0] += n_nodes
+        roots.append(n_nodes + np.arange(min(per_block, n_trees - lo)))
+        n_nodes += block.left.size
     tree = Tree(*(np.concatenate(a) for a in zip(*(vars(b).values() for b in blocks))))
     return ForestModel(tree, np.concatenate(roots), n_features)
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import forest as rf
 from .seeding import derive_seed
+from .split import map_blocks
 from .tabular import (
     MixedTable,
     NormParams,
@@ -177,6 +178,12 @@ _KNN_BLOCK = 1 << 16
 # bench-deep-1000 (seeds 1-3), none in bench-knn-9310 or the full-size
 # 7,448-row fold calls
 _SHORTLIST = 4
+# Fewest target-row blocks a knn_fill call splits with a forked child
+# (`split.map_blocks`). A 7,448 x 1,862 hold-out call has 233 blocks. The
+# 800 x 800 self-imputation calls have about 10 and stay in one process:
+# split, one took 26 against 13 ms and drew 970 against 27 minor faults
+# (2-CPU Xeon, one BLAS thread).
+_KNN_SPLIT_BLOCKS = 16
 _U32 = float(np.finfo(np.float32).eps) / 2  # float32 unit roundoff, 2**-24
 _TINY32 = float(np.finfo(np.float32).tiny)  # smallest normal float32, 2**-126
 
@@ -348,7 +355,8 @@ def knn_fill(
     picks the pairs measured with `_pairwise_partial_distances`, and each
     cell keeps its observing candidates within its own threshold, so the
     neighbors, their order and their means are exactly those of a
-    row-by-row search.
+    row-by-row search. With `_KNN_SPLIT_BLOCKS` blocks or more, a forked
+    child may search the later half of them (`split.map_blocks`).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -368,11 +376,14 @@ def knn_fill(
     rows_with_holes = np.flatnonzero(holes.any(axis=1))
     block = max(1, _KNN_BLOCK // max(n_train, 1))
     chosen = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
-    for start in range(0, rows_with_holes.size, block):
-        rows = rows_with_holes[start : start + block]
-        chosen.append(
-            _nearest_in_block(bounds, train_norm, obs_train, target_norm, holes, rows, k)
-        )
+    chosen += map_blocks(
+        lambda start: _nearest_in_block(
+            bounds, train_norm, obs_train, target_norm, holes,
+            rows_with_holes[start : start + block], k,
+        ),
+        range(0, rows_with_holes.size, block),
+        _KNN_SPLIT_BLOCKS,
+    )
     cell = np.concatenate([c for c, _ in chosen])
     vals = train_norm[np.concatenate([t for _, t in chosen]), cell % n_cols]
     cells, starts, sizes = np.unique(cell, return_index=True, return_counts=True)

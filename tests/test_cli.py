@@ -180,6 +180,18 @@ def test_report_on_a_malformed_file_is_a_named_error(tmp_path, capsys, doc, name
     assert named in err
 
 
+# a truncated file, and bytes that are not UTF-8
+NOT_JSON = [b'{"config": {}, "records": [', b'\xff\xfe{}']
+
+
+@pytest.mark.parametrize("content", NOT_JSON, ids=["truncated", "not-utf8"])
+def test_report_that_is_not_json_is_a_named_error(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    assert main(["report", "--report", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: report {path} is not JSON: ")
+
+
 def test_bench_config_file(tmp_path, small_schema_file):
     _, schema_path = small_schema_file
     cfg = {"methods": ["simple"], "rates": [0.2], "folds": 3, "repeats": 1, "seed": 5}
@@ -389,6 +401,38 @@ def test_config_refuses_protocol_flags(tmp_path, capsys, small_schema_file):
     for flag in flags[::2]:
         assert flag in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("content", NOT_JSON, ids=["truncated", "not-utf8"])
+def test_config_that_is_not_json_is_a_named_error(tmp_path, capsys, small_schema_file, content):
+    _, schema_path = small_schema_file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    for command in ("bench", "predict"):
+        out_dir = tmp_path / f"out-{command}"
+        code = main(
+            [
+                command, "--schema", schema_path, "--synthetic", "30",
+                "--config", str(cfg_path), "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: --config file {cfg_path} is not JSON: ")
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("rows", ["0", "-3"])
+def test_row_counts_below_one_name_the_flag(tmp_path, capsys, rows):
+    for command in ("bench", "predict"):
+        out_dir = tmp_path / f"out-{command}"
+        code = main([command, "--synthetic", rows, "--methods", "simple", "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --synthetic must be >= 1, got {rows}\n"
+        assert not out_dir.exists()
+    out = tmp_path / "synth.csv"
+    assert main(["synth", "--rows", rows, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --rows must be >= 1, got {rows}\n"
+    assert not out.exists()
 
 
 def run_python(code, *args):
