@@ -1,16 +1,19 @@
 """Experiment orchestration: corruption protocol, CV scoring, reporting.
 
-The imputation experiment corrupts the complete subset at each missing
-rate, then for every (repeat, rate, fold, method) fits the imputer on the
-corrupted training folds, imputes the corrupted hold-out fold, and scores
-normalized RMSE (numerical cells) and AUROC (categorical cells) against
-the ground truth. The post-imputation experiment imputes one complete
-dataset per method and cross-validates a random forest CVD predictor with
-SMOTE-balanced training folds, scored by F1.
+Each protocol is a plan of units run in order by one loop. The imputation
+experiment's unit is a fold group (repeat, rate, fold): it corrupts the
+complete subset at the rate, then each method in turn fits on the corrupted
+training folds, imputes the corrupted hold-out fold and is scored by
+normalized RMSE (numerical cells) and AUROC (categorical cells) against the
+ground truth. The post-imputation unit (repeat, method) imputes the
+repeat's corrupted dataset and cross-validates a random forest label
+predictor with SMOTE-balanced training folds, scored by F1. A unit draws
+its folds and corruption from the seeds, so it depends on no other unit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 import os
@@ -230,11 +233,13 @@ class MetricsReport:
                 raise ValueError(f"report {path} is not JSON: {exc}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
             raise ValueError(f"report {path} is not a JSON object with a 'config' object")
-        return cls(
-            _read_records(doc, "records", RunRecord, path),
-            _read_records(doc, "f1_records", F1Record, path),
-            doc["config"],
-        )
+        records = _read_records(doc, "records", RunRecord, path)
+        methods = dict.fromkeys(r.method for r in records)
+        pairs = {(r.method, r.rate) for r in records}
+        for rate, method in itertools.product(sorted({r.rate for r in records}), methods):
+            if (method, rate) not in pairs:  # the series tables need every method at every rate
+                raise ValueError(f"report {path} has no record of method {method!r} at rate {rate}")
+        return cls(records, _read_records(doc, "f1_records", F1Record, path), doc["config"])
 
 
 def _read_records(doc: dict, key: str, record_type, path) -> list:
@@ -304,50 +309,50 @@ def _defined_or_nan(name, metric, *args) -> float:
         return np.nan
 
 
-def _build_imputer(method: str, schema: Schema, seed: int, config: ExperimentConfig):
-    """`make_imputer` with the method's `config.method_overrides`."""
-    return make_imputer(method, schema, seed, **config.method_overrides.get(method, {}))
+def _impute(config: ExperimentConfig, path: tuple, train: MixedTable, target: MixedTable):
+    """One cell: method `path[1]`, with its `config.method_overrides` and the
+    seed `derive_seed(config.seed, *path)`, fitted on `train`, imputes `target`."""
+    method = path[1]
+    settings = config.method_overrides.get(method, {})
+    imputer = make_imputer(method, train.schema, derive_seed(config.seed, *path), **settings)
+    imputer.fit(train)
+    return imputer.impute(target)
 
 
-def _check_methods(schema: Schema, config: ExperimentConfig) -> None:
-    """Build every configured imputer once, so a bad name or argument fails first."""
+def _run_plan(unit, table: MixedTable, config: ExperimentConfig, *axes) -> list:
+    """`unit(complete subset, config, step)`'s records for every step of the
+    plan `product(*axes)`, in plan order. Every configured imputer is built
+    once first, so a bad name or setting fails before any work."""
     for name in config.methods:
-        _build_imputer(name, schema, 0, config)
+        make_imputer(name, table.schema, 0, **config.method_overrides.get(name, {}))
+    complete = complete_subset(table)
+    return [record for step in itertools.product(*axes) for record in unit(complete, config, step)]
+
+
+def _fold_group(complete: MixedTable, config: ExperimentConfig, step: tuple) -> list:
+    """Every method's record of one (repeat, rate, fold), in config order."""
+    repeat, rate, fold = step
+    folds = assign_folds(complete.n_rows, config.folds, derive_seed(config.seed, "folds", repeat))
+    spec = MissSpec(rate, derive_seed(config.seed, "mcar", repeat, rate))
+    corrupted, mask = inject_mcar(complete, spec)
+    test_rows = folds.fold_rows(fold)
+    train_tbl, test_tbl = corrupted.take(folds.train_rows(fold)), corrupted.take(test_rows)
+    truth_test, mask_test = complete.take(test_rows), mask[test_rows]
+    params = fit_normalizer(train_tbl)
+    records = []
+    for method in config.methods:
+        out = _impute(config, ("imputer", method, repeat, rate, fold), train_tbl, test_tbl)
+        rmse = _defined_or_nan("nRMSE", normalized_rmse, truth_test, out.table, mask_test, params)
+        auroc = _defined_or_nan("AUROC", categorical_auroc, truth_test, out.scores, mask_test)
+        records.append(RunRecord(method, rate, repeat, fold, rmse, auroc))
+    return records
 
 
 def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> MetricsReport:
-    """The corruption / 5-fold CV / repeats protocol on one dataset."""
-    _check_methods(table.schema, config)
-    complete = complete_subset(table)
-    n = complete.n_rows
-    records = []
-    for repeat in range(config.repeats):
-        folds = assign_folds(n, config.folds, derive_seed(config.seed, "folds", repeat))
-        for rate in config.rates:
-            spec = MissSpec(rate, derive_seed(config.seed, "mcar", repeat, rate))
-            corrupted, mask = inject_mcar(complete, spec)
-            for fold in range(config.folds):
-                train_rows = folds.train_rows(fold)
-                test_rows = folds.fold_rows(fold)
-                train_tbl = corrupted.take(train_rows)
-                test_tbl = corrupted.take(test_rows)
-                truth_test = complete.take(test_rows)
-                mask_test = mask[test_rows]
-                params = fit_normalizer(train_tbl)
-                for method in config.methods:
-                    seed = derive_seed(config.seed, "imputer", method, repeat, rate, fold)
-                    imputer = _build_imputer(method, table.schema, seed, config)
-                    imputer.fit(train_tbl)
-                    result = imputer.impute(test_tbl)
-                    rmse = _defined_or_nan(
-                        "nRMSE", normalized_rmse, truth_test, result.table, mask_test, params
-                    )
-                    auroc_value = _defined_or_nan(
-                        "AUROC", categorical_auroc, truth_test, result.scores, mask_test
-                    )
-                    records.append(
-                        RunRecord(method, rate, repeat, fold, rmse, auroc_value)
-                    )
+    """The corruption / k-fold CV / repeats protocol on one dataset: one
+    fold-group unit per (repeat, rate, fold), repeats outermost."""
+    axes = (range(config.repeats), config.rates, range(config.folds))
+    records = _run_plan(_fold_group, table, config, *axes)
     return MetricsReport(records, [], _config_echo(config))
 
 
@@ -403,37 +408,29 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
             raise ValueError(
                 f"label column {schema.label!r}, training rows of fold {fold}: {exc}"
             ) from exc
-        model = rf.fit_forest(
-            X_bal,
-            y_bal,
-            tree_config,
-            n_trees=config.forest_trees,
-            seed=derive_seed(seed, "predict-forest", fold),
-        )
+        forest_seed = derive_seed(seed, "predict-forest", fold)
+        model = rf.fit_forest(X_bal, y_bal, tree_config, config.forest_trees, forest_seed)
         preds = (rf.predict_forest(model, X_test) >= 0.5).astype(float)
         scores.append(f1(preds, y_test))
     return scores
 
 
-def run_post_imputation(table: MixedTable, config: ExperimentConfig) -> MetricsReport:
-    """Impute the full corrupted dataset per method, then CV-predict the label."""
-    schema = table.schema
-    _label_index(table)
-    _check_methods(schema, config)
+def _predict_unit(complete: MixedTable, config: ExperimentConfig, step: tuple) -> list:
+    """The F1 records of one (repeat, method): impute the repeat's corruption, then CV."""
+    repeat, method = step
     rate = config.post_rate
-    complete = complete_subset(table)
-    f1_records = []
-    for repeat in range(config.repeats):
-        spec = MissSpec(rate, derive_seed(config.seed, "post-mcar", repeat, rate))
-        corrupted, _ = inject_mcar(complete, spec, exclude=[schema.label])
-        for method in config.methods:
-            seed = derive_seed(config.seed, "post-imputer", method, repeat, rate)
-            imputer = _build_imputer(method, schema, seed, config)
-            imputer.fit(corrupted)
-            imputed = imputer.impute(corrupted).table
-            fold_scores = predict_cv(imputed, derive_seed(config.seed, "post-cv", repeat), config)
-            for fold, score in enumerate(fold_scores):
-                f1_records.append(F1Record(method, rate, repeat, fold, score))
+    spec = MissSpec(rate, derive_seed(config.seed, "post-mcar", repeat, rate))
+    corrupted, _ = inject_mcar(complete, spec, exclude=[complete.schema.label])
+    imputed = _impute(config, ("post-imputer", method, repeat, rate), corrupted, corrupted).table
+    fold_scores = predict_cv(imputed, derive_seed(config.seed, "post-cv", repeat), config)
+    return [F1Record(method, rate, repeat, fold, score) for fold, score in enumerate(fold_scores)]
+
+
+def run_post_imputation(table: MixedTable, config: ExperimentConfig) -> MetricsReport:
+    """Impute the full corrupted dataset per method, then CV-predict the label:
+    one unit per (repeat, method), repeats outermost."""
+    _label_index(table)
+    f1_records = _run_plan(_predict_unit, table, config, range(config.repeats), config.methods)
     return MetricsReport([], f1_records, _config_echo(config))
 
 
@@ -488,6 +485,4 @@ def emit_report(report: MetricsReport, out_dir) -> list:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    echo = asdict(config)
-    echo["rates"] = list(config.rates)
-    return echo
+    return {**asdict(config), "rates": list(config.rates)}

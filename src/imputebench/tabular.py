@@ -230,7 +230,10 @@ class NormParams:
 def load_schema(path) -> Schema:
     """Read a schema file: JSON with a column list and label designation."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"bad schema file {path}: not JSON: {exc}") from None
     kinds = {k.value: k for k in ColumnKind}
     try:
         columns = [Column(c["name"], kinds[c["kind"]]) for c in doc["columns"]]

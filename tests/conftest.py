@@ -45,6 +45,21 @@ def random_table(schema, n_rows, seed, missing_rate=0.0):
     return MixedTable(schema, values)
 
 
+def record_knn_inputs(monkeypatch):
+    """(k, training matrix bytes) of every knn_fill call the deep module
+    makes from now on, with the fold-completion memo emptied."""
+    calls = []
+    knn_fill = deep_imputers.knn_fill
+
+    def recording_knn_fill(train, target, k, *args):
+        calls.append((k, train.tobytes()))
+        return knn_fill(train, target, k, *args)
+
+    monkeypatch.setattr(deep_imputers, "knn_fill", recording_knn_fill)
+    monkeypatch.setattr(deep_imputers, "_completed_fold", None)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return make_rng(1234)

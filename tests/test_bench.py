@@ -1,13 +1,15 @@
 import hashlib
+import itertools
 import json
 import re
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from imputebench import registry
+from imputebench import bench, deep_imputers, registry
 from imputebench.bench import (
     ExperimentConfig,
     MetricsReport,
@@ -21,9 +23,9 @@ from imputebench.bench import (
 )
 from imputebench.cli import default_synthetic_spec, main
 from imputebench.imputers import ImputationResult, Imputer, SimpleImputer
-from imputebench.tabular import MixedTable
+from imputebench.tabular import MixedTable, complete_subset, fit_normalizer, normalize
 
-from conftest import make_rng, mixed_schema
+from conftest import make_rng, mixed_schema, record_knn_inputs
 
 RECIPE = Path(__file__).with_name("same_bytes_recipe.json")
 BENCH_FILES = (
@@ -290,6 +292,80 @@ def test_repeats_redraw_masks_and_folds():
     r0 = [r.rmse for r in report.records if r.repeat == 0]
     r1 = [r.rmse for r in report.records if r.repeat == 1]
     assert r0 != r1
+
+
+DEEP = ["naa", "inaa", "gain", "igain"]
+
+
+def _bits(records) -> list:
+    """Each record as (method, rate, repeat, fold, metric bytes): NaN equals NaN."""
+    return [(*astuple(r)[:4], np.array(astuple(r)[4:]).tobytes()) for r in records]
+
+
+def _check_units_independent(monkeypatch, unit, table, config, axes, records):
+    """`records`, a full run over the plan `product(*axes)`, is the records of
+    each unit run alone with nothing memoised, and of the plan run backwards."""
+    plan = list(itertools.product(*axes))
+    size = len(records) // len(plan)
+    expected = {step: _bits(records[i * size:(i + 1) * size]) for i, step in enumerate(plan)}
+    complete = complete_subset(table)
+    for step in plan:
+        monkeypatch.setattr(deep_imputers, "_completed_fold", None)
+        assert _bits(unit(complete, config, step)) == expected[step], step
+    for step in reversed(plan):
+        assert _bits(unit(complete, config, step)) == expected[step], step
+
+
+@pytest.mark.usefixtures("small_batches")
+def test_bench_fold_groups_are_independent_units(monkeypatch):
+    t = small_table(n=80)
+    cfg = ExperimentConfig(
+        methods=["knn", "missforest", *DEEP], rates=(0.2, 0.4), folds=2, repeats=2, seed=8,
+        method_overrides={"missforest": {"n_trees": 3, "max_iter": 2}}
+        | {m: {"epochs": 2} for m in DEEP},
+    )
+    axes = (range(cfg.repeats), cfg.rates, range(cfg.folds))
+    # every training fold has missing cells, so the deep methods complete it
+    with pytest.warns(UserWarning, match="AUROC undefined"):
+        records = run_imputation_experiment(t, cfg).records
+        _check_units_independent(monkeypatch, bench._fold_group, t, cfg, axes, records)
+    assert len(records) == 2 * 2 * 2 * 6
+    assert np.isnan([r.auroc for r in records]).any()  # compared NaN-aware
+
+
+@pytest.mark.usefixtures("small_batches")
+def test_predict_units_are_independent(monkeypatch):
+    t = labelled_table()
+    cfg = ExperimentConfig(
+        methods=["knn", "naa", "igain"], folds=3, repeats=2, seed=4, forest_trees=5,
+        method_overrides={m: {"epochs": 2} for m in ("naa", "igain")},
+    )
+    records = run_post_imputation(t, cfg).f1_records
+    assert len(records) == 2 * 3 * 3
+    axes = (range(cfg.repeats), cfg.methods)
+    _check_units_independent(monkeypatch, bench._predict_unit, t, cfg, axes, records)
+
+
+@pytest.mark.usefixtures("small_batches")
+def test_one_fold_completion_per_fold_group(monkeypatch):
+    calls = record_knn_inputs(monkeypatch)
+    folds = []  # the normalized training fold of every deep fit
+    prepare = deep_imputers._DeepImputer._prepare_training_matrix
+
+    def recording_prepare(self, train):
+        folds.append(normalize(train.values, fit_normalizer(train)).tobytes())
+        return prepare(self, train)
+
+    monkeypatch.setattr(deep_imputers._DeepImputer, "_prepare_training_matrix", recording_prepare)
+    cfg = ExperimentConfig(
+        methods=DEEP, rates=(0.2, 0.4), folds=2, repeats=1, seed=2,
+        method_overrides={m: {"epochs": 2} for m in DEEP},
+    )
+    run_imputation_experiment(small_table(n=80), cfg)
+    assert len(folds) == 4 * 4 and len(set(folds)) == 4
+    # each of the 4 fold groups completes its fold once, for all 4 methods
+    completions = [(k, data) for k, data in calls if data in folds]
+    assert sorted(completions) == sorted((5, fold) for fold in set(folds))
 
 
 class RecordingImputer(Imputer):

@@ -192,6 +192,31 @@ def test_report_that_is_not_json_is_a_named_error(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith(f"error: report {path} is not JSON: ")
 
 
+def test_report_missing_a_method_at_a_rate_is_a_named_error(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    flags = ["--methods", "simple,knn", "--rates", "0.2,0.4", "--folds", "2", "--repeats", "1"]
+    assert main(["bench", "--synthetic", "40", *flags, "--out-dir", str(run_dir)]) == 0
+    doc = json.loads((run_dir / "report.json").read_text())
+    doc["records"] = [r for r in doc["records"] if (r["method"], r["rate"]) != ("knn", 0.4)]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["report", "--report", str(path), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: report {path} has no record of method 'knn' at rate 0.4\n"
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("content", NOT_JSON, ids=["truncated", "not-utf8"])
+def test_schema_that_is_not_json_is_a_named_error(tmp_path, capsys, content):
+    path = tmp_path / "schema.json"
+    path.write_bytes(content)
+    code = main(["synth", "--rows", "5", "--schema", str(path), "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: bad schema file {path}: not JSON: ")
+
+
 def test_bench_config_file(tmp_path, small_schema_file):
     _, schema_path = small_schema_file
     cfg = {"methods": ["simple"], "rates": [0.2], "folds": 3, "repeats": 1, "seed": 5}

@@ -12,7 +12,7 @@ from imputebench.imputers import column_stats, knn_fill
 from imputebench.missingness import MissSpec, inject_mcar
 from imputebench.tabular import Column, MixedTable, Schema, fit_normalizer, normalize
 
-from conftest import make_rng, mixed_schema, random_table
+from conftest import make_rng, mixed_schema, random_table, record_knn_inputs
 
 
 def test_rotating_k_without_repetition_and_reset():
@@ -66,25 +66,12 @@ def _fit(variant, train):
     return imputer_type(train.schema, seed=3, variant=variant, epochs=2).fit(train)
 
 
-def _record_knn_inputs(monkeypatch):
-    """(k, training matrix bytes) of every knn_fill call the deep module makes."""
-    calls = []
-
-    def recording_knn_fill(train, target, k, *args):
-        calls.append((k, train.tobytes()))
-        return knn_fill(train, target, k, *args)
-
-    monkeypatch.setattr(deep, "knn_fill", recording_knn_fill)
-    monkeypatch.setattr(deep, "_completed_fold", None)
-    return calls
-
-
 @pytest.mark.usefixtures("small_batches")
 def test_deep_methods_share_one_fold_completion(monkeypatch):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=32, missing_rate=0.1)
     fold = normalize(train.values, fit_normalizer(train)).tobytes()
-    calls = _record_knn_inputs(monkeypatch)
+    calls = record_knn_inputs(monkeypatch)
     fitted = [_fit(variant, train) for variant in ("naa", "inaa", "gain", "igain")]
     assert [k for k, data in calls if data == fold] == [5]
     assert not np.isnan(fitted[0].train_ref_).any()
@@ -105,7 +92,7 @@ def test_fold_completion_recomputed_for_another_fold_or_schema(monkeypatch):
     row = np.flatnonzero((col > np.nanmin(col)) & (col < np.nanmax(col)))[-1]
     values[row, 1] = (col[row] + np.nanmin(col)) / 2
     renamed = Schema([Column(f"m{j}", c.kind) for j, c in enumerate(schema.columns)])
-    calls = _record_knn_inputs(monkeypatch)
+    calls = record_knn_inputs(monkeypatch)
     # gain makes no knn_fill call in fit but the completion
     for table in (
         train,
