@@ -36,6 +36,7 @@ from .tabular import (
     Schema,
     complete_subset,
     fit_normalizer,
+    load_json_object,
     normalize,
 )
 
@@ -223,16 +224,9 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, path) -> "MetricsReport":
-        def refuse(token):  # NaN, Infinity or -Infinity, which to_json never writes
-            raise ValueError(f"report {path} holds {token}, which is not strict JSON")
-
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh, parse_constant=refuse)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ValueError(f"report {path} is not JSON: {exc}") from None
-        if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
-            raise ValueError(f"report {path} is not a JSON object with a 'config' object")
+        doc = load_json_object(path, "report")
+        if not isinstance(doc.get("config"), dict):
+            raise ValueError(f"report {path} has no 'config' object")
         records = _read_records(doc, "records", RunRecord, path)
         methods = dict.fromkeys(r.method for r in records)
         pairs = {(r.method, r.rate) for r in records}

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -25,6 +24,7 @@ from .tabular import (
     MixedTable,
     Schema,
     load_csv,
+    load_json_object,
     load_schema,
     save_csv,
 )
@@ -76,17 +76,14 @@ def _build_config(args) -> ExperimentConfig:
         if given:
             flags = ", ".join("--" + f.replace("_", "-") for f in given)
             raise ValueError(f"{flags} cannot be combined with --config, which sets the protocol")
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ValueError(f"--config file {args.config} is not JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            kind = type(doc).__name__
-            raise ValueError(f"config file {args.config} must hold a JSON object, not a {kind}")
+        doc = load_json_object(args.config, "--config file")
         unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
         if unknown:
-            raise ValueError(f"unknown config key(s) {unknown} in {args.config}")
+            raise ValueError(f"--config file {args.config} has unknown key(s) {unknown}")
+        if "dataset" in doc and args.synthetic is not None:
+            raise ValueError(
+                f"--config file {args.config} has a 'dataset' key, but --synthetic reads no file"
+            )
         doc.setdefault("methods", list(METHOD_NAMES))
         doc.setdefault("dataset", args.input)
         return ExperimentConfig(**doc)
@@ -105,6 +102,8 @@ def _synthetic(schema: Schema, flag: str, rows: int, seed: int) -> MixedTable:
 
 def _dataset_for_bench(args, schema: Schema) -> MixedTable:
     if args.synthetic is not None:
+        if args.input:
+            raise ValueError("--input cannot be combined with --synthetic, which reads no file")
         return _synthetic(schema, "--synthetic", args.synthetic, args.seed)
     if not args.input:
         raise ValueError("either --input CSV or --synthetic ROWS is required")

@@ -26,6 +26,7 @@ __all__ = [
     "EmptySubsetError",
     "FRAMINGHAM_SCHEMA",
     "load_csv",
+    "load_json_object",
     "load_schema",
     "save_schema",
     "complete_subset",
@@ -227,26 +228,38 @@ class NormParams:
         return np.where(self.constant, 1.0, self.col_max - self.col_min)
 
 
+def load_json_object(path, what: str, error=ValueError) -> dict:
+    """The JSON object in a UTF-8 file, a leading byte-order mark skipped. A file
+    that is not JSON, holds NaN, Infinity or -Infinity, or holds anything but an
+    object raises `error`, whose message starts with `what` and the path."""
+    def refuse(token):
+        raise error(f"{what} {path} holds {token}, which is not strict JSON")
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            doc = json.load(fh, parse_constant=refuse)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise error(f"{what} {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must hold a JSON object, not a {type(doc).__name__}")
+    return doc
+
+
 def load_schema(path) -> Schema:
     """Read a schema file: JSON with a column list and label designation."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"bad schema file {path}: not JSON: {exc}") from None
+    doc = load_json_object(path, "schema file", SchemaError)
     kinds = {k.value: k for k in ColumnKind}
     try:
         columns = [Column(c["name"], kinds[c["kind"]]) for c in doc["columns"]]
     except (KeyError, TypeError) as exc:
-        # TypeError: the file is not an object, or "columns" not a list of objects
+        # TypeError: "columns" is not a list of objects
         raise SchemaError(
-            f"bad schema file {path}: {exc!r}; expected an object whose \"columns\" "
+            f"schema file {path}: {exc!r}; expected an object whose \"columns\" "
             "list holds objects with a \"name\" and a \"kind\""
         ) from exc
     for j, column in enumerate(columns):
         if not isinstance(column.name, str):
             raise SchemaError(
-                f"bad schema file {path}: columns[{j}] has the name {column.name!r}, not a string"
+                f"schema file {path}: columns[{j}] has the name {column.name!r}, not a string"
             )
     return Schema(columns, label=doc.get("label"))
 
@@ -262,7 +275,7 @@ def save_schema(schema: Schema, path) -> None:
 
 
 def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
-    """Parse a UTF-8 comma-separated file into a MixedTable.
+    """Parse a UTF-8 comma-separated file, with or without a BOM, into a MixedTable.
 
     The header must contain every schema column (order-insensitive; extra
     columns are ignored). Empty fields, or the configured missing token,
@@ -270,7 +283,7 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
     literal `nan` or `inf` is a ParseError rather than a silent value, and
     so is a record with fewer fields than the header (a blank line included).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -309,12 +322,13 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
 
 
 def save_csv(table: MixedTable, path) -> None:
-    """Write a table as CSV; a missing cell is an empty field."""
+    """Write a table as CSV; a missing cell is an empty field, and every other
+    cell the shortest text that reads back as the same double."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.schema.names)
         for row in table.values:
-            writer.writerow(["" if np.isnan(v) else f"{v:.12g}" for v in row])
+            writer.writerow(["" if np.isnan(v) else repr(float(v)).removesuffix(".0") for v in row])
 
 
 def complete_subset(table: MixedTable) -> MixedTable:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -180,18 +181,6 @@ def test_report_on_a_malformed_file_is_a_named_error(tmp_path, capsys, doc, name
     assert named in err
 
 
-# a truncated file, and bytes that are not UTF-8
-NOT_JSON = [b'{"config": {}, "records": [', b'\xff\xfe{}']
-
-
-@pytest.mark.parametrize("content", NOT_JSON, ids=["truncated", "not-utf8"])
-def test_report_that_is_not_json_is_a_named_error(tmp_path, capsys, content):
-    path = tmp_path / "report.json"
-    path.write_bytes(content)
-    assert main(["report", "--report", str(path), "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: report {path} is not JSON: ")
-
-
 def test_report_missing_a_method_at_a_rate_is_a_named_error(tmp_path, capsys):
     run_dir = tmp_path / "run"
     flags = ["--methods", "simple,knn", "--rates", "0.2,0.4", "--folds", "2", "--repeats", "1"]
@@ -206,15 +195,6 @@ def test_report_missing_a_method_at_a_rate_is_a_named_error(tmp_path, capsys):
         f"error: report {path} has no record of method 'knn' at rate 0.4\n"
     )
     assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("content", NOT_JSON, ids=["truncated", "not-utf8"])
-def test_schema_that_is_not_json_is_a_named_error(tmp_path, capsys, content):
-    path = tmp_path / "schema.json"
-    path.write_bytes(content)
-    code = main(["synth", "--rows", "5", "--schema", str(path), "--out", str(tmp_path / "t.csv")])
-    assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: bad schema file {path}: not JSON: ")
 
 
 def test_bench_config_file(tmp_path, small_schema_file):
@@ -428,22 +408,122 @@ def test_config_refuses_protocol_flags(tmp_path, capsys, small_schema_file):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("content", NOT_JSON, ids=["truncated", "not-utf8"])
-def test_config_that_is_not_json_is_a_named_error(tmp_path, capsys, small_schema_file, content):
-    _, schema_path = small_schema_file
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_bytes(content)
+# each JSON input: the kind its errors start with, and the command lines
+# that read a file of it from `path` and write under the directory `out`
+JSON_INPUTS = {
+    "report": ("report", lambda path, out: [["report", "--report", path, "--out-dir", f"{out}/r"]]),
+    "schema": (
+        "schema file",
+        lambda path, out: [["synth", "--rows", "5", "--schema", path, "--out", f"{out}/t.csv"]],
+    ),
+    "config": (
+        "--config file",
+        lambda path, out: [
+            [command, "--synthetic", "60", "--config", path, "--out-dir", f"{out}/{command}"]
+            for command in ("bench", "predict")
+        ],
+    ),
+}
+
+# a truncated file, bytes that are not UTF-8, a JSON list and a NaN token,
+# each with the text its error names
+NOT_JSON_OBJECTS = {
+    "truncated": (b'{"config": {}, "records": [', "is not JSON: "),
+    "not-utf8": (b"\xff\xfe{}", "is not JSON: "),
+    "list": (b"[1, 2]", "must hold a JSON object, not a list"),
+    "nan": (b'{"seed": NaN}', "holds NaN, which is not strict JSON"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    list(itertools.product(JSON_INPUTS, NOT_JSON_OBJECTS)),
+    ids=[f"{k}-{c}" for k, c in itertools.product(JSON_INPUTS, NOT_JSON_OBJECTS)],
+)
+def test_json_input_that_is_not_a_json_object_is_a_named_error(tmp_path, capsys, kind, content):
+    data, named = NOT_JSON_OBJECTS[content]
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(data)
+    prefix, commands = JSON_INPUTS[kind]
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in commands(str(path), str(out)):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {prefix} {path} {named}")
+        assert list(out.iterdir()) == []
+
+
+def _write_json(tmp_path, doc) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _outputs(root: Path) -> dict:
+    """The bytes of every file under `root`, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("kind", JSON_INPUTS)
+def test_json_input_with_a_byte_order_mark_reads_as_without(tmp_path, kind):
+    cfg = {"methods": ["simple"], "rates": [0.2], "folds": 2, "repeats": 1, "forest_trees": 5}
+    if kind == "report":
+        run = tmp_path / "run"
+        assert main(["bench", "--synthetic", "60", "--config", _write_json(tmp_path, cfg),
+                     "--out-dir", str(run)]) == 0
+        data = (run / "report.json").read_bytes()
+    elif kind == "schema":
+        data = json.dumps({"columns": [{"name": "a", "kind": "numerical"}]}).encode()
+    else:
+        data = json.dumps(cfg).encode()
+    _, commands = JSON_INPUTS[kind]
+    written = {}
+    for side, prefix in (("plain", b""), ("bom", "\ufeff".encode())):
+        path = tmp_path / side / f"{kind}.json"
+        (tmp_path / side / "out").mkdir(parents=True)
+        path.write_bytes(prefix + data)
+        for argv in commands(str(path), str(tmp_path / side / "out")):
+            assert main(argv) == 0
+        written[side] = _outputs(tmp_path / side / "out")
+    assert written["plain"] and written["bom"] == written["plain"]
+
+
+def test_synthetic_refuses_an_input_file_and_a_config_dataset(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    assert main(["synth", "--rows", "40", "--out", str(data)]) == 0
+    cfg = _write_json(tmp_path, {"methods": ["simple"], "dataset": "old.csv"})
     for command in ("bench", "predict"):
         out_dir = tmp_path / f"out-{command}"
-        code = main(
-            [
-                command, "--schema", schema_path, "--synthetic", "30",
-                "--config", str(cfg_path), "--out-dir", str(out_dir),
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: --config file {cfg_path} is not JSON: ")
+        flags = ["--synthetic", "40", "--methods", "simple", "--out-dir", str(out_dir)]
+        assert main([command, "--input", str(data), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--input" in err and "--synthetic" in err
+        assert main([command, "--synthetic", "40", "--config", cfg, "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config file {cfg} ") and "'dataset'" in err
         assert not out_dir.exists()
+    # alone, --synthetic records no dataset
+    out_dir = tmp_path / "out"
+    flags = ["--methods", "simple", "--rates", "0.2", "--folds", "2", "--repeats", "1"]
+    assert main(["bench", "--synthetic", "40", *flags, "--out-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "report.json").read_text())["config"]["dataset"] is None
+
+
+def test_a_saved_table_runs_as_the_synthetic_table(tmp_path):
+    """`synth` writes every value exactly, so `bench --input` on its file
+    gives the same records as `bench --synthetic` on the same rows and seed."""
+    data = tmp_path / "d.csv"
+    assert main(["synth", "--rows", "300", "--seed", "4", "--out", str(data)]) == 0
+    cfg = {
+        "methods": ["simple", "missforest"], "rates": [0.3], "folds": 2, "repeats": 1, "seed": 4,
+        "method_overrides": {"missforest": {"n_trees": 8, "max_iter": 3}},
+    }
+    cfg_path = _write_json(tmp_path, cfg)
+    for name, source in (("file", ["--input", str(data)]), ("synthetic", ["--synthetic", "300"])):
+        argv = ["bench", *source, "--seed", "4", "--config", cfg_path]
+        assert main([*argv, "--out-dir", str(tmp_path / name)]) == 0
+    details = [(tmp_path / name / "details.csv").read_bytes() for name in ("file", "synthetic")]
+    assert details[0] == details[1]
 
 
 @pytest.mark.parametrize("rows", ["0", "-3"])

@@ -110,7 +110,17 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     save_csv(t, path)
     back = load_csv(path, t.schema)
-    assert np.allclose(back.values, t.values, equal_nan=True)
+    assert np.array_equal(back.values, t.values, equal_nan=True)
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    schema = Schema([Column("Glucose", ColumnKind.NUMERICAL), Column("Sex", ColumnKind.CATEGORICAL_BINARY)])
+    text = "Sex,Glucose\n1,100\n0,\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbfSex,")
+    assert load_csv(bom, schema) == load_csv(plain, schema)
 
 
 def test_schema_file_round_trip(tmp_path):
@@ -123,7 +133,7 @@ def test_schema_file_round_trip(tmp_path):
 def test_malformed_schema_file_is_a_named_error(tmp_path, text):
     path = tmp_path / "schema.json"
     path.write_text(text)
-    with pytest.raises(SchemaError, match=f"bad schema file {path}"):
+    with pytest.raises(SchemaError, match=f"schema file {path}"):
         load_schema(path)
 
 
@@ -131,7 +141,7 @@ def test_schema_column_name_not_a_string_is_a_named_error(tmp_path):
     path = tmp_path / "schema.json"
     columns = [{"name": "a", "kind": "numerical"}, {"name": 3, "kind": "numerical"}]
     path.write_text(json.dumps({"columns": columns}))
-    with pytest.raises(SchemaError, match=re.escape(f"bad schema file {path}: columns[1]")):
+    with pytest.raises(SchemaError, match=re.escape(f"schema file {path}: columns[1]")):
         load_schema(path)
 
 
