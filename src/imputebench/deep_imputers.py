@@ -6,9 +6,11 @@ and `epochs` is the one training setting (the others are module constants):
 * naa   -- overcomplete denoising autoencoder, one-time KNN (k=5)
            pre-imputation and a fixed training corruption mask.
 * inaa  -- undercomplete autoencoder; corruption mask and KNN neighbor
-           count are refreshed on a rotating schedule; mixed RMSE+BCE loss.
+           count are refreshed on a rotating schedule. Both autoencoders
+           train on the mixed RMSE+BCE loss.
 * gain  -- adversarial imputer: the generator fills corrupted cells from
-           uniform noise, the discriminator predicts the mask under hints.
+           uniform noise, the discriminator predicts the mask under hints;
+           its reconstruction term is the masked squared error.
 * igain -- gain with batch normalization in both networks, a 5-layer
            undercomplete generator, rotating-k KNN pre-fill, and the mixed
            loss for reconstruction.
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imputers import ImputationResult, Imputer, _check_int, _finish, column_stats, knn_fill
+from .imputers import ImputationResult, Imputer, _check_int, _finish, knn_fill
 from .missingness import drop_cells
 from .nn import Adam, LayerSpec, Network, _activate, mixed_loss
 from .seeding import derive_seed, make_rng
-from .tabular import MixedTable, Schema, denormalize, fit_normalizer, normalize
+from .tabular import MixedTable, Schema, denormalize, normalize
 
 __all__ = [
     "RotatingPreimputer",
@@ -141,7 +143,7 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator, min_size: int = 
 
 
 class _DeepImputer(Imputer):
-    """Shared settings / normalization / completion plumbing for the deep methods.
+    """Shared settings, training loop and network input of the deep methods.
 
     `variant` is one of the family's two method names; `epochs` is the
     number of passes over the training fold.
@@ -156,18 +158,44 @@ class _DeepImputer(Imputer):
         self.name = variant
         self.epochs = _check_int("epochs", epochs)
 
-    def _prepare_training_matrix(self, train: MixedTable) -> np.ndarray:
-        self._check_schema(train)
-        self.params_ = fit_normalizer(train)
-        norm = normalize(train.values, self.params_)
-        self.norm_stats_ = column_stats(norm, self.schema)
-        if np.isnan(norm).any():
+    def _train(self, train: MixedTable, tag: str, min_batch: int, step) -> list:
+        """Each epoch's `step(clean, rows, refill, corrupt_rng)` results, one per
+        shuffled batch of at least `min_batch` rows of `clean`, the normalized
+        and completed fold. `refill` is the refill schedule's (mask, filled):
+        naa's one `_drop_and_fill` with FIXED_K, inaa's and igain's
+        `RotatingPreimputer.preimpute` every ROTATION_PERIOD epochs, or None
+        for gain. `tag` scopes the corruption and batch generators.
+        """
+        clean = self._normalized_fold(train)
+        if np.isnan(clean).any():
             # complete the incomplete training fold before internal corruption
-            norm = _complete_fold(norm, self.schema, self.norm_stats_)
-        return norm
+            clean = _complete_fold(clean, self.schema, self.norm_stats_)
+        corrupt_rng = make_rng(self.seed, f"{tag}-corrupt")
+        batch_rng = make_rng(self.seed, f"{tag}-batches")
+        rotator = RotatingPreimputer(self.seed)
+        refill = None
+        if self.name == "naa":
+            refill = _drop_and_fill(clean, corrupt_rng, FIXED_K, self.schema, self.norm_stats_)
+        results = []
+        for epoch in range(self.epochs):
+            if self.name in ("inaa", "igain") and epoch % ROTATION_PERIOD == 0:
+                refill = rotator.preimpute(clean, corrupt_rng, self.schema, self.norm_stats_)
+            results.append([
+                step(clean, rows, refill, corrupt_rng)
+                for rows in _batches(len(clean), BATCH_SIZE, batch_rng, min_batch)
+            ])
+        self.train_ref_ = clean
+        return results
 
-    def _knn_prefill(self, target_norm: np.ndarray) -> np.ndarray:
-        """`target_norm` KNN-filled from the completed training fold."""
+    def _network_input(self, target: MixedTable) -> np.ndarray:
+        """`target` normalized, its missing cells pre-filled: gain's by noise, the
+        others' by KNN from `train_ref_` with FIXED_K or ROTATED_IMPUTE_K."""
+        self._check_schema(target)
+        target_norm = normalize(target.values, self.params_)
+        if self.name == "gain":
+            rng = make_rng(self.seed, "gain-impute-noise")
+            noise = rng.uniform(0.0, NOISE_HIGH, size=target_norm.shape)
+            return np.where(target.mask() == 1, target_norm, noise)
         k = FIXED_K if self.name == "naa" else ROTATED_IMPUTE_K
         pre, _, _ = knn_fill(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
         return pre
@@ -194,38 +222,24 @@ class DaeImputer(_DeepImputer):
         return Network(n_features, specs, seed=self.seed)
 
     def fit(self, train: MixedTable) -> "DaeImputer":
-        clean = self._prepare_training_matrix(train)
-        n, c = clean.shape
-        self.net_ = self._build_network(c)
+        self.net_ = self._build_network(self.schema.n_cols)
         optimizer = Adam(self.net_, lr=LEARNING_RATE)
         cat_idx = self.schema.categorical_indices
-        corrupt_rng = make_rng(self.seed, "dae-corrupt")
-        batch_rng = make_rng(self.seed, "dae-batches")
-        rotator = RotatingPreimputer(self.seed)
-        if self.name == "naa":
-            pre = _drop_and_fill(clean, corrupt_rng, FIXED_K, self.schema, self.norm_stats_)[1]
-        self.loss_history_ = []
-        for epoch in range(self.epochs):
-            if self.name == "inaa" and epoch % ROTATION_PERIOD == 0:
-                pre = rotator.preimpute(clean, corrupt_rng, self.schema, self.norm_stats_)[1]
-            epoch_loss = 0.0
-            for rows in _batches(n, BATCH_SIZE, batch_rng, min_size=1):
-                out_raw, cache = self.net_.forward(pre[rows], train=True)
-                out = _map_outputs(out_raw, cat_idx)
-                loss, grad = mixed_loss(out, clean[rows], self.schema)
-                param_grad, _ = self.net_.backward(
-                    cache, _map_grad(out, grad, cat_idx), inputs=False
-                )
-                optimizer.step(param_grad)
-                epoch_loss += loss * rows.size
-            self.loss_history_.append(epoch_loss / n)
-        self.train_ref_ = clean
+
+        def step(clean, rows, refill, corrupt_rng):
+            out_raw, cache = self.net_.forward(refill[1][rows], train=True)
+            out = _map_outputs(out_raw, cat_idx)
+            loss, grad = mixed_loss(out, clean[rows], self.schema)
+            param_grad, _ = self.net_.backward(cache, _map_grad(out, grad, cat_idx), inputs=False)
+            optimizer.step(param_grad)
+            return loss * rows.size
+
+        epochs = self._train(train, "dae", 1, step)
+        self.loss_history_ = [sum(losses) / train.n_rows for losses in epochs]
         return self
 
     def impute(self, target: MixedTable) -> ImputationResult:
-        self._check_schema(target)
-        pre = self._knn_prefill(normalize(target.values, self.params_))
-        out_raw, _ = self.net_.forward(pre, train=False)
+        out_raw, _ = self.net_.forward(self._network_input(target), train=False)
         return self._result(target, out_raw)
 
 
@@ -246,80 +260,62 @@ class GainImputer(_DeepImputer):
         )
 
     def fit(self, train: MixedTable) -> "GainImputer":
-        clean = self._prepare_training_matrix(train)
-        n, c = clean.shape
         cat_idx = self.schema.categorical_indices
-        self.gen_, self.disc_ = self._build_networks(c)
+        self.gen_, self.disc_ = self._build_networks(self.schema.n_cols)
         opt_g = Adam(self.gen_, lr=LEARNING_RATE)
         opt_d = Adam(self.disc_, lr=LEARNING_RATE)
-        corrupt_rng = make_rng(self.seed, "gain-corrupt")
-        batch_rng = make_rng(self.seed, "gain-batches")
         hint_rng = make_rng(self.seed, "gain-hint")
         noise_rng = make_rng(self.seed, "gain-noise")
-        rotator = RotatingPreimputer(self.seed)
-        for epoch in range(self.epochs):
-            if self.name == "igain" and epoch % ROTATION_PERIOD == 0:
-                mask_all, filled_all = rotator.preimpute(
-                    clean, corrupt_rng, self.schema, self.norm_stats_
-                )
-            for rows in _batches(n, BATCH_SIZE, batch_rng):
-                target_batch = clean[rows]
-                if self.name == "gain":
-                    m = (corrupt_rng.random(target_batch.shape) >= CORRUPTION_RATE).astype(float)
-                    noise = noise_rng.uniform(0.0, NOISE_HIGH, size=target_batch.shape)
-                    xf = m * target_batch + (1.0 - m) * noise
-                else:
-                    m, xf = mask_all[rows], filled_all[rows]
-                self._train_step(xf, m, target_batch, cat_idx, opt_g, opt_d, hint_rng)
-        self.train_ref_ = clean
+
+        def step(clean, rows, refill, corrupt_rng):
+            target = clean[rows]
+            if refill is None:  # gain: a new corruption mask and noise per batch
+                m = (corrupt_rng.random(target.shape) >= CORRUPTION_RATE).astype(float)
+                noise = noise_rng.uniform(0.0, NOISE_HIGH, size=target.shape)
+                xf = m * target + (1.0 - m) * noise
+            else:
+                m, xf = refill[0][rows], refill[1][rows]
+            g_in = np.concatenate([xf, m], axis=1)
+            g_raw, g_cache = self.gen_.forward(g_in, train=True)
+            g_out = _map_outputs(g_raw, cat_idx)
+            imputed = m * xf + (1.0 - m) * g_out
+            h, b = make_hint(m, hint_rng)
+            region = ~b  # cells whose status the discriminator must infer
+            d_in = np.concatenate([imputed, h], axis=1)
+
+            if region.any():
+                # the discriminator never runs in eval mode: no running statistics
+                d_out, d_cache = self.disc_.forward(d_in, train=True, track_running=False)
+                p = np.clip(d_out, CLIP_EPS, 1.0 - CLIP_EPS)
+                d_grad = np.where(region, (p - m) / (p * (1.0 - p)) / region.sum(), 0.0)
+                d_param_grad, _ = self.disc_.backward(d_cache, d_grad, inputs=False)
+                opt_d.step(d_param_grad)
+
+            # generator step: adversarial term over corrupted cells + alpha * recon
+            grad_gout = np.zeros_like(g_out)
+            n_miss = (1.0 - m).sum()
+            if region.any() and n_miss > 0:
+                d_out2, d_cache2 = self.disc_.forward(d_in, train=True, track_running=False)
+                p2 = np.clip(d_out2, CLIP_EPS, 1.0 - CLIP_EPS)
+                adv_grad = -(1.0 - m) / p2 / n_miss
+                _, d_input_grad = self.disc_.backward(d_cache2, adv_grad, params=False)
+                grad_gout += d_input_grad[:, : g_out.shape[1]] * (1.0 - m)
+            if self.name == "gain":
+                m_sum = max(m.sum(), 1.0)
+                grad_rec = 2.0 * m * (g_out - target) / m_sum
+            else:
+                _, grad_rec = mixed_loss(g_out, target, self.schema, m)
+            grad_gout += ALPHA * grad_rec
+            g_param_grad, _ = self.gen_.backward(
+                g_cache, _map_grad(g_out, grad_gout, cat_idx), inputs=False
+            )
+            opt_g.step(g_param_grad)
+
+        self._train(train, "gain", 2, step)
         return self
 
-    def _train_step(self, xf, m, clean, cat_idx, opt_g, opt_d, hint_rng):
-        g_in = np.concatenate([xf, m], axis=1)
-        g_raw, g_cache = self.gen_.forward(g_in, train=True)
-        g_out = _map_outputs(g_raw, cat_idx)
-        imputed = m * xf + (1.0 - m) * g_out
-        h, b = make_hint(m, hint_rng)
-        region = ~b  # cells whose status the discriminator must infer
-        d_in = np.concatenate([imputed, h], axis=1)
-
-        if region.any():
-            # the discriminator never runs in eval mode: no running statistics
-            d_out, d_cache = self.disc_.forward(d_in, train=True, track_running=False)
-            p = np.clip(d_out, CLIP_EPS, 1.0 - CLIP_EPS)
-            d_grad = np.where(region, (p - m) / (p * (1.0 - p)) / region.sum(), 0.0)
-            d_param_grad, _ = self.disc_.backward(d_cache, d_grad, inputs=False)
-            opt_d.step(d_param_grad)
-
-        # generator step: adversarial term over corrupted cells + alpha * recon
-        grad_gout = np.zeros_like(g_out)
-        n_miss = (1.0 - m).sum()
-        if region.any() and n_miss > 0:
-            d_out2, d_cache2 = self.disc_.forward(d_in, train=True, track_running=False)
-            p2 = np.clip(d_out2, CLIP_EPS, 1.0 - CLIP_EPS)
-            adv_grad = -(1.0 - m) / p2 / n_miss
-            _, d_input_grad = self.disc_.backward(d_cache2, adv_grad, params=False)
-            grad_gout += d_input_grad[:, : g_out.shape[1]] * (1.0 - m)
-        if self.name == "gain":
-            m_sum = max(m.sum(), 1.0)
-            grad_rec = 2.0 * m * (g_out - clean) / m_sum
-        else:
-            _, grad_rec = mixed_loss(g_out, clean, self.schema, m)
-        grad_gout += ALPHA * grad_rec
-        g_param_grad, _ = self.gen_.backward(
-            g_cache, _map_grad(g_out, grad_gout, cat_idx), inputs=False
-        )
-        opt_g.step(g_param_grad)
-
     def impute(self, target: MixedTable) -> ImputationResult:
-        self._check_schema(target)
-        target_norm = normalize(target.values, self.params_)
         mask = target.mask().astype(float)
-        if self.name == "gain":
-            rng = make_rng(self.seed, "gain-impute-noise")
-            noise = rng.uniform(0.0, NOISE_HIGH, size=target_norm.shape)
-            pre = np.where(mask == 1, target_norm, noise)
-        else:
-            pre = self._knn_prefill(target_norm)
-        out_raw, _ = self.gen_.forward(np.concatenate([pre, mask], axis=1), train=False)
+        g_in = np.concatenate([self._network_input(target), mask], axis=1)
+        out_raw, _ = self.gen_.forward(g_in, train=False)
         return self._result(target, out_raw)

@@ -62,6 +62,14 @@ class Imputer:
         if table.schema != self.schema:
             raise ValueError(f"{self.name}: table schema differs from fit schema")
 
+    def _normalized_fold(self, train: MixedTable) -> np.ndarray:
+        """`train` normalized; sets `params_` and its column means `norm_stats_`."""
+        self._check_schema(train)
+        self.params_ = fit_normalizer(train)
+        norm = normalize(train.values, self.params_)
+        self.norm_stats_ = column_stats(norm, self.schema)
+        return norm
+
 
 def _check_int(name: str, value, least: int = 1) -> int:
     """`value` if it is an int >= `least`, else a ValueError naming `name`.
@@ -414,11 +422,7 @@ class KnnImputer(Imputer):
     name = "knn"
 
     def fit(self, train: MixedTable) -> "KnnImputer":
-        self._check_schema(train)
-        self.params_ = fit_normalizer(train)
-        self.train_norm_ = normalize(train.values, self.params_)
-        # fallback statistics in normalized units
-        self.norm_stats_ = column_stats(self.train_norm_, self.schema)
+        self.train_norm_ = self._normalized_fold(train)
         return self
 
     def impute(self, target: MixedTable) -> ImputationResult:

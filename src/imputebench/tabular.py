@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -230,13 +231,19 @@ class NormParams:
 
 def load_json_object(path, what: str, error=ValueError) -> dict:
     """The JSON object in a UTF-8 file, a leading byte-order mark skipped. A file
-    that is not JSON, holds NaN, Infinity or -Infinity, or holds anything but an
-    object raises `error`, whose message starts with `what` and the path."""
+    that is not JSON, holds NaN, Infinity, -Infinity or a number literal that
+    overflows a float, such as 1e400, or holds anything but an object raises
+    `error`, whose message starts with `what` and the path."""
     def refuse(token):
         raise error(f"{what} {path} holds {token}, which is not strict JSON")
+    def finite(literal):
+        value = float(literal)
+        if not math.isfinite(value):
+            raise error(f"{what} {path} holds {literal}, which is not a finite number")
+        return value
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            doc = json.load(fh, parse_constant=refuse)
+            doc = json.load(fh, parse_constant=refuse, parse_float=finite)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise error(f"{what} {path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):

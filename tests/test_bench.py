@@ -350,13 +350,13 @@ def test_predict_units_are_independent(monkeypatch):
 def test_one_fold_completion_per_fold_group(monkeypatch):
     calls = record_knn_inputs(monkeypatch)
     folds = []  # the normalized training fold of every deep fit
-    prepare = deep_imputers._DeepImputer._prepare_training_matrix
+    train_fold = deep_imputers._DeepImputer._train
 
-    def recording_prepare(self, train):
+    def recording_train(self, train, *args):
         folds.append(normalize(train.values, fit_normalizer(train)).tobytes())
-        return prepare(self, train)
+        return train_fold(self, train, *args)
 
-    monkeypatch.setattr(deep_imputers._DeepImputer, "_prepare_training_matrix", recording_prepare)
+    monkeypatch.setattr(deep_imputers._DeepImputer, "_train", recording_train)
     cfg = ExperimentConfig(
         methods=DEEP, rates=(0.2, 0.4), folds=2, repeats=1, seed=2,
         method_overrides={m: {"epochs": 2} for m in DEEP},

@@ -432,6 +432,7 @@ NOT_JSON_OBJECTS = {
     "not-utf8": (b"\xff\xfe{}", "is not JSON: "),
     "list": (b"[1, 2]", "must hold a JSON object, not a list"),
     "nan": (b'{"seed": NaN}', "holds NaN, which is not strict JSON"),
+    "overflow": (b'{"seed": 1e400}', "holds 1e400, which is not a finite number"),
 }
 
 

@@ -7,7 +7,9 @@ and `predict` on `--synthetic 160 --seed 3`) once on `git archive REV` and
 once on the working tree, each from its own `src/`, with BLAS limited to
 one thread. Both sides use the working tree's recipe. Prints every output
 file's sha256 per side and exits 1 if any file differs or is missing on one
-side, 0 otherwise. Run it from anywhere inside the repository.
+side, 0 otherwise. Run it from anywhere inside the repository. If git fails,
+as on a revision that does not exist, it prints git's message on one line and
+exits 2, as it does on wrong usage.
 """
 
 from __future__ import annotations
@@ -43,23 +45,27 @@ def _run(src: Path, recipe: Path, out: Path) -> dict:
     }
 
 
+def _git(*args: str, cwd=None) -> bytes:
+    """The stdout of `git ARGS`; if git fails, its message on one line and exit 2."""
+    done = subprocess.run(["git", *args], cwd=cwd, capture_output=True)
+    if done.returncode:
+        message = " ".join(done.stderr.decode(errors="replace").split())
+        print(f"error: git {' '.join(args)} failed: {message}", file=sys.stderr)
+        sys.exit(2)
+    return done.stdout
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    root = Path(
-        subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"], check=True, capture_output=True, text=True
-        ).stdout.strip()
-    )
-    archive = subprocess.run(
-        ["git", "archive", argv[0]], cwd=root, check=True, capture_output=True
-    )
+    root = Path(_git("rev-parse", "--show-toplevel").decode().strip())
+    archive = _git("archive", argv[0], cwd=root)
     recipe = root / "tests" / "same_bytes_recipe.json"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "rev", filter="data")
         sides = {
             argv[0]: _run(tmp / "rev" / "src", recipe, tmp / "out_rev"),
