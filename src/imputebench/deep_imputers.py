@@ -158,20 +158,19 @@ class _DeepImputer(Imputer):
         self.name = variant
         self.epochs = _check_int("epochs", epochs)
 
-    def _train(self, train: MixedTable, tag: str, min_batch: int, step) -> list:
+    def _train(self, train: MixedTable, step) -> list:
         """Each epoch's `step(clean, rows, refill, corrupt_rng)` results, one per
-        shuffled batch of at least `min_batch` rows of `clean`, the normalized
-        and completed fold. `refill` is the refill schedule's (mask, filled):
-        naa's one `_drop_and_fill` with FIXED_K, inaa's and igain's
-        `RotatingPreimputer.preimpute` every ROTATION_PERIOD epochs, or None
-        for gain. `tag` scopes the corruption and batch generators.
+        shuffled batch of at least `min_batch` rows of the normalized, completed fold
+        `clean`; `tag` names the generators. `refill` is the (mask, filled) of naa's
+        one `_drop_and_fill` with FIXED_K, of inaa's and igain's `preimpute` every
+        ROTATION_PERIOD epochs, or None for gain, whose step draws its own per batch.
         """
         clean = self._normalized_fold(train)
         if np.isnan(clean).any():
             # complete the incomplete training fold before internal corruption
             clean = _complete_fold(clean, self.schema, self.norm_stats_)
-        corrupt_rng = make_rng(self.seed, f"{tag}-corrupt")
-        batch_rng = make_rng(self.seed, f"{tag}-batches")
+        corrupt_rng = make_rng(self.seed, f"{self.tag}-corrupt")
+        batch_rng = make_rng(self.seed, f"{self.tag}-batches")
         rotator = RotatingPreimputer(self.seed)
         refill = None
         if self.name == "naa":
@@ -182,7 +181,7 @@ class _DeepImputer(Imputer):
                 refill = rotator.preimpute(clean, corrupt_rng, self.schema, self.norm_stats_)
             results.append([
                 step(clean, rows, refill, corrupt_rng)
-                for rows in _batches(len(clean), BATCH_SIZE, batch_rng, min_batch)
+                for rows in _batches(len(clean), BATCH_SIZE, batch_rng, self.min_batch)
             ])
         self.train_ref_ = clean
         return results
@@ -197,8 +196,7 @@ class _DeepImputer(Imputer):
             noise = rng.uniform(0.0, NOISE_HIGH, size=target_norm.shape)
             return np.where(target.mask() == 1, target_norm, noise)
         k = FIXED_K if self.name == "naa" else ROTATED_IMPUTE_K
-        pre, _, _ = knn_fill(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
-        return pre
+        return knn_fill(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)[0]
 
     def _result(self, target: MixedTable, out_raw: np.ndarray) -> ImputationResult:
         """Map raw network outputs (normalized units) into an ImputationResult."""
@@ -215,6 +213,7 @@ class DaeImputer(_DeepImputer):
     """Denoising-autoencoder imputer (variants naa and inaa)."""
 
     variants = ("naa", "inaa")
+    tag, min_batch = "dae", 1
 
     def _build_network(self, n_features: int) -> Network:
         hidden = 2 * n_features if self.name == "naa" else max(1, n_features // 2)
@@ -234,8 +233,9 @@ class DaeImputer(_DeepImputer):
             optimizer.step(param_grad)
             return loss * rows.size
 
-        epochs = self._train(train, "dae", 1, step)
-        self.loss_history_ = [sum(losses) / train.n_rows for losses in epochs]
+        epochs = self._train(train, step)
+        # cumsum adds left to right, as a running sum does; `sum` compensates from 3.12
+        self.loss_history_ = [float(np.cumsum(losses)[-1]) / train.n_rows for losses in epochs]
         return self
 
     def impute(self, target: MixedTable) -> ImputationResult:
@@ -247,6 +247,7 @@ class GainImputer(_DeepImputer):
     """Adversarial imputer (variants gain and igain)."""
 
     variants = ("gain", "igain")
+    tag, min_batch = "gain", 2
 
     def _build_networks(self, c: int):
         """(generator, discriminator): the same relu hidden layers, batch-normed
@@ -311,7 +312,7 @@ class GainImputer(_DeepImputer):
             )
             opt_g.step(g_param_grad)
 
-        self._train(train, "gain", 2, step)
+        self._train(train, step)
         return self
 
     def impute(self, target: MixedTable) -> ImputationResult:
