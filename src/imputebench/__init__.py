@@ -13,7 +13,7 @@ from .bench import (
     run_post_imputation,
 )
 from .imputers import ImputationResult, Imputer
-from .missingness import MissSpec, assign_folds, inject_mcar
+from .missingness import assign_folds, inject_mcar
 from .registry import METHOD_NAMES, make_imputer
 from .tabular import (
     FRAMINGHAM_SCHEMA,

@@ -25,7 +25,7 @@ import numpy as np
 from . import forest as rf
 from .imputers import _check_int
 from .metrics import UndefinedMetricError, categorical_auroc, f1, normalized_rmse
-from .missingness import MissSpec, assign_folds, inject_mcar
+from .missingness import assign_folds, inject_mcar
 from .normal import ndtr
 from .registry import make_imputer
 from .resample import smote
@@ -327,11 +327,10 @@ def _fold_group(complete: MixedTable, config: ExperimentConfig, step: tuple) -> 
     """Every method's record of one (repeat, rate, fold), in config order."""
     repeat, rate, fold = step
     folds = assign_folds(complete.n_rows, config.folds, derive_seed(config.seed, "folds", repeat))
-    spec = MissSpec(rate, derive_seed(config.seed, "mcar", repeat, rate))
-    corrupted, mask = inject_mcar(complete, spec)
-    test_rows = folds.fold_rows(fold)
-    train_tbl, test_tbl = corrupted.take(folds.train_rows(fold)), corrupted.take(test_rows)
-    truth_test, mask_test = complete.take(test_rows), mask[test_rows]
+    corrupted = inject_mcar(complete, rate, derive_seed(config.seed, "mcar", repeat, rate))
+    test_rows = np.flatnonzero(folds == fold)
+    train_tbl, test_tbl = corrupted.take(np.flatnonzero(folds != fold)), corrupted.take(test_rows)
+    truth_test, mask_test = complete.take(test_rows), test_tbl.mask()
     params = fit_normalizer(train_tbl)
     records = []
     for method in config.methods:
@@ -382,12 +381,12 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
     label_j = _label_index(table)
     feature_idx = np.delete(np.arange(schema.n_cols), label_j)
     cat_local = np.flatnonzero(schema.is_categorical[feature_idx])
-    assignment = assign_folds(table.n_rows, config.folds, derive_seed(seed, "predict-folds"))
+    folds = assign_folds(table.n_rows, config.folds, derive_seed(seed, "predict-folds"))
     tree_config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split="sqrt")
     scores = []
     for fold in range(config.folds):
-        train_rows = assignment.train_rows(fold)
-        test_rows = assignment.fold_rows(fold)
+        train_rows = np.flatnonzero(folds != fold)
+        test_rows = np.flatnonzero(folds == fold)
         train_tbl = table.take(train_rows)
         params = fit_normalizer(train_tbl)
         X_train = normalize(train_tbl.values, params)[:, feature_idx]
@@ -413,8 +412,8 @@ def _predict_unit(complete: MixedTable, config: ExperimentConfig, step: tuple) -
     """The F1 records of one (repeat, method): impute the repeat's corruption, then CV."""
     repeat, method = step
     rate = config.post_rate
-    spec = MissSpec(rate, derive_seed(config.seed, "post-mcar", repeat, rate))
-    corrupted, _ = inject_mcar(complete, spec, exclude=[complete.schema.label])
+    seed = derive_seed(config.seed, "post-mcar", repeat, rate)
+    corrupted = inject_mcar(complete, rate, seed, exclude=[complete.schema.label])
     imputed = _impute(config, ("post-imputer", method, repeat, rate), corrupted, corrupted).table
     fold_scores = predict_cv(imputed, derive_seed(config.seed, "post-cv", repeat), config)
     return [F1Record(method, rate, repeat, fold, score) for fold, score in enumerate(fold_scores)]

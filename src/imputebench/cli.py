@@ -17,7 +17,7 @@ from .bench import (
     run_imputation_experiment,
     run_post_imputation,
 )
-from .missingness import MissSpec, inject_mcar
+from .missingness import inject_mcar
 from .registry import METHOD_NAMES, make_imputer
 from .tabular import (
     FRAMINGHAM_SCHEMA,
@@ -80,12 +80,14 @@ def _build_config(args) -> ExperimentConfig:
         unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
         if unknown:
             raise ValueError(f"--config file {args.config} has unknown key(s) {unknown}")
-        if "dataset" in doc and args.synthetic is not None:
+        # report.json records the file the run reads, so a config may only repeat it
+        if doc.setdefault("dataset", args.input) != args.input:
+            reads = f"--input {args.input}" if args.input else "no file"
             raise ValueError(
-                f"--config file {args.config} has a 'dataset' key, but --synthetic reads no file"
+                f"--config file {args.config} has 'dataset' {doc['dataset']!r}, "
+                f"but the run reads {reads}"
             )
         doc.setdefault("methods", list(METHOD_NAMES))
-        doc.setdefault("dataset", args.input)
         return ExperimentConfig(**doc)
     if "rates" in given:
         given["rates"] = _parse_rates(given["rates"])
@@ -122,9 +124,9 @@ def cmd_inject(args) -> int:
     schema = _load_schema_arg(args)
     table = _load_table(args, schema)
     exclude = [schema.label] if args.exclude_label and schema.label else []
-    corrupted, mask = inject_mcar(table, MissSpec(args.rate, args.seed), exclude=exclude)
+    corrupted = inject_mcar(table, args.rate, args.seed, exclude=exclude)
     save_csv(corrupted, args.out)
-    np.savetxt(args.out_mask, mask, fmt="%d", delimiter=",")
+    np.savetxt(args.out_mask, corrupted.mask(), fmt="%d", delimiter=",")
     print(f"corrupted table -> {args.out}; mask -> {args.out_mask}")
     return 0
 

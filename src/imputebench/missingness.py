@@ -2,37 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .seeding import make_rng
 from .tabular import MixedTable
 
-__all__ = ["MissSpec", "FoldAssignment", "drop_cells", "inject_mcar", "assign_folds"]
-
-
-@dataclass(frozen=True)
-class MissSpec:
-    """Univariate missing rate plus the seed that fixes the pattern."""
-
-    rate: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.rate < 1.0:
-            raise ValueError(f"rate must be in (0, 1), got {self.rate}")
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    assignment: np.ndarray
-
-    def fold_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == fold)
-
-    def train_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment != fold)
+__all__ = ["drop_cells", "inject_mcar", "assign_folds"]
 
 
 def drop_cells(values: np.ndarray, rate: float, rng: np.random.Generator, skip=()):
@@ -51,26 +26,29 @@ def drop_cells(values: np.ndarray, rate: float, rng: np.random.Generator, skip=(
     return out
 
 
-def inject_mcar(
-    table: MixedTable, spec: MissSpec, exclude=()
-) -> tuple[MixedTable, np.ndarray]:
+def inject_mcar(table: MixedTable, rate: float, seed: int, exclude=()) -> MixedTable:
     """Remove exactly round(rate * n_rows) cells per column, uniformly.
 
     Columns are corrupted independently; columns named in `exclude` are
-    left fully observed. The input must be complete. Returns the corrupted
-    table and its observation mask (1 = observed). Deterministic for a
-    given (table shape, spec).
+    left fully observed. The input must be complete and `rate` in (0, 1).
+    Returns the corrupted table, whose `mask()` is the observation mask.
+    Deterministic for a given (table shape, rate, seed).
     """
-    if not table.is_complete:
-        raise ValueError("inject_mcar requires a complete table")
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"rate must be in (0, 1), got {rate}")
+    holes = np.argwhere(np.isnan(table.values))
+    if holes.size:
+        i, j = holes[0]
+        raise ValueError(
+            f"inject_mcar requires a complete table; row {i}, column "
+            f"{table.schema.names[j]!r} is missing"
+        )
     skip = {table.schema.index_of(name) for name in exclude}
-    values = drop_cells(table.values, spec.rate, make_rng(spec.seed, "mcar"), skip)
-    corrupted = table.with_values(values)
-    return corrupted, corrupted.mask()
+    return table.with_values(drop_cells(table.values, rate, make_rng(seed, "mcar"), skip))
 
 
-def assign_folds(n_rows: int, k: int, seed: int) -> FoldAssignment:
-    """Seeded uniform shuffle followed by a round-robin split into k folds."""
+def assign_folds(n_rows: int, k: int, seed: int) -> np.ndarray:
+    """Each row's fold in 0..k-1: a seeded uniform shuffle, then a round-robin split."""
     if k < 2:
         raise ValueError("need at least 2 folds")
     if n_rows < k:
@@ -79,4 +57,4 @@ def assign_folds(n_rows: int, k: int, seed: int) -> FoldAssignment:
     order = rng.permutation(n_rows)
     assignment = np.empty(n_rows, dtype=int)
     assignment[order] = np.arange(n_rows) % k
-    return FoldAssignment(assignment)
+    return assignment

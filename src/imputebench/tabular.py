@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -190,10 +191,6 @@ class MixedTable:
         """Observation mask: 1 where a cell is present, 0 where missing."""
         return (~np.isnan(self.values)).astype(np.int8)
 
-    @property
-    def is_complete(self) -> bool:
-        return not np.isnan(self.values).any()
-
     def with_values(self, values: np.ndarray) -> "MixedTable":
         return MixedTable(self.schema, values)
 
@@ -232,18 +229,26 @@ class NormParams:
 def load_json_object(path, what: str, error=ValueError) -> dict:
     """The JSON object in a UTF-8 file, a leading byte-order mark skipped. A file
     that is not JSON, holds NaN, Infinity, -Infinity or a number literal that
-    overflows a float, such as 1e400, or holds anything but an object raises
-    `error`, whose message starts with `what` and the path."""
+    overflows a float, such as 1e400 or a 400-digit integer, or holds
+    anything but an object raises `error`, whose message starts with `what`
+    and the path."""
     def refuse(token):
         raise error(f"{what} {path} holds {token}, which is not strict JSON")
-    def finite(literal):
-        value = float(literal)
-        if not math.isfinite(value):
+    def finite(literal, value):
+        if not abs(value) <= sys.float_info.max:
+            if len(literal) > 24:
+                literal = f"{literal[:12]}... ({len(literal)} characters)"
             raise error(f"{what} {path} holds {literal}, which is not a finite number")
         return value
+    # int() refuses a literal of thousands of digits, and 310 digits overflow anyway
+    def whole(literal):
+        return finite(literal, int(literal) if len(literal.lstrip("-")) < 310 else math.inf)
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            doc = json.load(fh, parse_constant=refuse, parse_float=finite)
+            doc = json.load(
+                fh, parse_constant=refuse, parse_int=whole,
+                parse_float=lambda literal: finite(literal, float(literal)),
+            )
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise error(f"{what} {path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):

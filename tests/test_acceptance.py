@@ -16,7 +16,7 @@ from imputebench.bench import ExperimentConfig, run_imputation_experiment, run_p
 from imputebench.deep_imputers import make_hint
 from imputebench.imputers import KnnImputer
 from imputebench.metrics import auroc, normalized_rmse
-from imputebench.missingness import MissSpec, inject_mcar
+from imputebench.missingness import inject_mcar
 from imputebench.nn import LayerSpec, Network, mixed_loss
 from imputebench.registry import METHOD_NAMES, make_imputer
 from imputebench.tabular import (
@@ -245,7 +245,7 @@ def test_criterion_9_knn_brute_force_equivalence(monkeypatch):
         schema = mixed_schema(4, 2)
         train = random_table(schema, 12, seed=900 + trial)
         truth = random_table(schema, 12, seed=950 + trial)
-        corrupted, _ = inject_mcar(truth, MissSpec(0.3, trial))
+        corrupted = inject_mcar(truth, 0.3, trial)
         result = KnnImputer(schema).fit(train).impute(corrupted)
 
         params = fit_normalizer(train)
@@ -292,7 +292,8 @@ def test_criterion_10_imputer_contract_suite():
     schema = mixed_schema(3, 2)
     train = random_table(schema, 35, seed=101)
     truth = random_table(schema, 20, seed=102)
-    corrupted, mask = inject_mcar(truth, MissSpec(0.3, 10))
+    corrupted = inject_mcar(truth, 0.3, 10)
+    mask = corrupted.mask()
     cat = schema.categorical_indices
     for name in METHOD_NAMES:
         first = None
@@ -320,7 +321,8 @@ def test_criterion_11_mcar_injector_statistics():
     rate = 0.3
     co = []
     for seed in range(200):
-        corrupted, mask = inject_mcar(table, MissSpec(rate, seed))
+        corrupted = inject_mcar(table, rate, seed)
+        mask = corrupted.mask()
         assert np.isnan(corrupted.values).sum(axis=0).tolist() == [30, 30]
         co.append(np.mean((mask[:, 0] == 0) & (mask[:, 1] == 0)))
     co = np.array(co)
@@ -339,7 +341,8 @@ def test_criterion_12_correlation_recovery_ordering(monkeypatch):
         [x1, x1, rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)]
     )
     truth = MixedTable(schema, values)
-    corrupted, mask = inject_mcar(truth, MissSpec(0.2, 5))
+    corrupted = inject_mcar(truth, 0.2, 5)
+    mask = corrupted.mask()
     params = fit_normalizer(corrupted)
     overrides = {
         "missforest": {"n_trees": 20},

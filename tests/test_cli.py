@@ -216,14 +216,15 @@ def test_bench_config_file(tmp_path, small_schema_file):
     assert len(doc["records"]) == 3
 
 
-@pytest.mark.parametrize("named", [None, "elsewhere.csv"])
-def test_config_file_keeps_the_input_path(tmp_path, small_schema_file, named):
+@pytest.mark.parametrize("named", [None, "elsewhere.csv", "the input"])
+def test_config_file_keeps_the_input_path(tmp_path, capsys, small_schema_file, named):
+    """report.json records the --input path; a config may repeat it but not name another file."""
     _, schema_path = small_schema_file
     data = tmp_path / "data.csv"
     main(["synth", "--rows", "80", "--seed", "2", "--out", str(data), "--schema", schema_path])
     cfg = {"methods": ["simple"], "rates": [0.2], "folds": 2, "repeats": 1}
     if named:
-        cfg["dataset"] = named
+        cfg["dataset"] = str(data) if named == "the input" else named
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
@@ -233,9 +234,16 @@ def test_config_file_keeps_the_input_path(tmp_path, small_schema_file, named):
             "--config", str(cfg_path), "--out-dir", str(out_dir),
         ]
     )
+    if named == "elsewhere.csv":
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config file {cfg_path} ") and "'dataset'" in err
+        assert named in err and str(data) in err
+        assert not out_dir.exists()
+        return
     assert code == 0
     doc = json.loads((out_dir / "report.json").read_text())
-    assert doc["config"]["dataset"] == (named or str(data))
+    assert doc["config"]["dataset"] == str(data)
 
 
 def test_predict_subcommand(tmp_path, small_schema_file):
@@ -425,14 +433,23 @@ JSON_INPUTS = {
     ),
 }
 
-# a truncated file, bytes that are not UTF-8, a JSON list and a NaN token,
-# each with the text its error names
+# a truncated file, bytes that are not UTF-8, a JSON list, a NaN token and
+# number literals that overflow a float (integers of 401 digits and of more
+# than int() reads), each with the text its error names
 NOT_JSON_OBJECTS = {
     "truncated": (b'{"config": {}, "records": [', "is not JSON: "),
     "not-utf8": (b"\xff\xfe{}", "is not JSON: "),
     "list": (b"[1, 2]", "must hold a JSON object, not a list"),
     "nan": (b'{"seed": NaN}', "holds NaN, which is not strict JSON"),
     "overflow": (b'{"seed": 1e400}', "holds 1e400, which is not a finite number"),
+    "int-overflow": (
+        b'{"seed": 1' + b"0" * 400 + b"}",
+        "holds 100000000000... (401 characters), which is not a finite number",
+    ),
+    "int-too-long": (
+        b'{"seed": -1' + b"0" * 4999 + b"}",
+        "holds -10000000000... (5001 characters), which is not a finite number",
+    ),
 }
 
 

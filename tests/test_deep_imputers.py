@@ -9,7 +9,7 @@ from imputebench.deep_imputers import (
     make_hint,
 )
 from imputebench.imputers import column_stats, knn_fill
-from imputebench.missingness import MissSpec, inject_mcar
+from imputebench.missingness import inject_mcar
 from imputebench.tabular import Column, MixedTable, Schema, fit_normalizer, normalize
 
 from conftest import make_rng, mixed_schema, random_table, record_knn_inputs
@@ -43,7 +43,7 @@ def test_knn_prefill_ks(variant, monkeypatch):
     monkeypatch.setattr(deep, "_completed_fold", None)
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=28, missing_rate=0.1)
-    corrupted, _ = inject_mcar(random_table(schema, 12, seed=29), MissSpec(0.2, 6))
+    corrupted = inject_mcar(random_table(schema, 12, seed=29), 0.2, 6)
     imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
     imp = imputer_type(schema, seed=3, variant=variant, epochs=91).fit(train)
     # the incomplete training fold is completed with k = 5 first
@@ -154,7 +154,7 @@ def test_dae_config_validation():
 def test_dae_training_is_deterministic(variant):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=10)
-    corrupted, _ = inject_mcar(random_table(schema, 12, seed=11), MissSpec(0.2, 2))
+    corrupted = inject_mcar(random_table(schema, 12, seed=11), 0.2, 2)
 
     def run():
         imp = DaeImputer(schema, seed=4, variant=variant, epochs=12)
@@ -231,7 +231,7 @@ def test_every_layer_of_the_deep_networks():
 def test_gain_training_is_deterministic(variant):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=20)
-    corrupted, _ = inject_mcar(random_table(schema, 12, seed=21), MissSpec(0.2, 3))
+    corrupted = inject_mcar(random_table(schema, 12, seed=21), 0.2, 3)
 
     def run():
         imp = GainImputer(schema, seed=8, variant=variant, epochs=10)
@@ -247,7 +247,7 @@ def test_gain_full_hint_rate_runs(monkeypatch):
     # generator trains on reconstruction only, and the method still imputes
     schema = mixed_schema(2, 1)
     train = random_table(schema, 30, seed=22)
-    corrupted, _ = inject_mcar(random_table(schema, 10, seed=23), MissSpec(0.2, 4))
+    corrupted = inject_mcar(random_table(schema, 10, seed=23), 0.2, 4)
     monkeypatch.setattr(deep, "HINT_RATE", 1.0)
     imp = GainImputer(schema, seed=2, variant="gain", epochs=6)
     result = imp.fit(train).impute(corrupted)
@@ -307,7 +307,7 @@ def test_gain_recovers_duplicated_feature(monkeypatch):
 def test_dae_seed_changes_result():
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=26)
-    corrupted, _ = inject_mcar(random_table(schema, 12, seed=27), MissSpec(0.3, 5))
+    corrupted = inject_mcar(random_table(schema, 12, seed=27), 0.3, 5)
     settings = {"variant": "inaa", "epochs": 10}
     a = DaeImputer(schema, seed=1, **settings).fit(train).impute(corrupted)
     b = DaeImputer(schema, seed=2, **settings).fit(train).impute(corrupted)

@@ -11,7 +11,7 @@ from imputebench.imputers import (
     _finish,
     _pairwise_partial_distances,
 )
-from imputebench.missingness import MissSpec, inject_mcar
+from imputebench.missingness import inject_mcar
 from imputebench.registry import METHOD_NAMES, make_imputer
 from imputebench.tabular import (
     MixedTable,
@@ -104,7 +104,7 @@ def test_deep_nan_output_is_a_named_error(name):
     imp = build(name, schema).fit(random_table(schema, 20, seed=55))
     net = imp.net_ if name == "naa" else imp.gen_
     net.params[:] = np.nan
-    corrupted, _ = inject_mcar(random_table(schema, 8, seed=56), MissSpec(0.3, 5))
+    corrupted = inject_mcar(random_table(schema, 8, seed=56), 0.3, 5)
     i, j = np.argwhere(np.isnan(corrupted.values))[0]  # the first masked cell
     with pytest.raises(ValueError, match=f"first at target row {i}, column '{schema.names[j]}'"):
         imp.impute(corrupted)
@@ -199,7 +199,8 @@ def test_knn_reconstructs_duplicated_rows(monkeypatch):
     schema = mixed_schema(3, 2)
     base = random_table(schema, 12, seed=31)
     train = MixedTable(schema, np.vstack([base.values, base.values]))
-    corrupted, mask = inject_mcar(base, MissSpec(0.3, 7))
+    corrupted = inject_mcar(base, 0.3, 7)
+    mask = corrupted.mask()
     imp = KnnImputer(schema).fit(train)
     result = imp.impute(corrupted)
     # rows that kept at least one observed cell match their duplicate exactly;
@@ -214,7 +215,7 @@ def test_knn_brute_force_oracle(monkeypatch):
     schema = mixed_schema(4, 2)
     train = random_table(schema, 12, seed=41)
     target_full = random_table(schema, 6, seed=42)
-    corrupted, _ = inject_mcar(target_full, MissSpec(0.4, 3))
+    corrupted = inject_mcar(target_full, 0.4, 3)
     k = 3
     monkeypatch.setattr(imputers, "KNN_K", k)
     imp = KnnImputer(schema).fit(train)
@@ -340,7 +341,8 @@ def test_contract_completeness_and_preservation(name):
     schema = mixed_schema(3, 2)
     train = random_table(schema, 40, seed=60)
     target_full = random_table(schema, 25, seed=61)
-    corrupted, mask = inject_mcar(target_full, MissSpec(0.3, 9))
+    corrupted = inject_mcar(target_full, 0.3, 9)
+    mask = corrupted.mask()
     result = build(name, schema, seed=3).fit(train).impute(corrupted)
 
     values = result.table.values
@@ -368,7 +370,7 @@ def test_contract_completeness_and_preservation(name):
 def test_contract_determinism(name):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 30, seed=70)
-    corrupted, _ = inject_mcar(random_table(schema, 15, seed=71), MissSpec(0.2, 4))
+    corrupted = inject_mcar(random_table(schema, 15, seed=71), 0.2, 4)
     a = build(name, schema, seed=5).fit(train).impute(corrupted)
     b = build(name, schema, seed=5).fit(train).impute(corrupted)
     assert np.array_equal(a.table.values, b.table.values)
@@ -379,7 +381,7 @@ def test_contract_determinism(name):
 def test_contract_incomplete_training_fold(name):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 30, seed=80, missing_rate=0.2)
-    corrupted, _ = inject_mcar(random_table(schema, 12, seed=81), MissSpec(0.2, 6))
+    corrupted = inject_mcar(random_table(schema, 12, seed=81), 0.2, 6)
     result = build(name, schema, seed=7).fit(train).impute(corrupted)
     assert not np.isnan(result.table.values).any()
 
@@ -392,7 +394,8 @@ def test_constant_training_column_imputes_its_value(name):
     train_values = random_table(schema, 30, seed=85).values.copy()
     train_values[:, 1] = 7.25
     train = MixedTable(schema, train_values)
-    corrupted, mask = inject_mcar(random_table(schema, 12, seed=86), MissSpec(0.3, 8))
+    corrupted = inject_mcar(random_table(schema, 12, seed=86), 0.3, 8)
+    mask = corrupted.mask()
     result = build(name, schema, seed=2).fit(train).impute(corrupted)
     holes = mask[:, 1] == 0
     assert holes.any()

@@ -2,14 +2,17 @@
 
     python3 tools/same_bytes.py REV
 
-Runs the same-bytes recipe (`tests/same_bytes_recipe.json`, both `bench`
-and `predict` on `--synthetic 160 --seed 3`) once on `git archive REV` and
-once on the working tree, each from its own `src/`, with BLAS limited to
-one thread. Both sides use the working tree's recipe. Prints every output
-file's sha256 per side and exits 1 if any file differs or is missing on one
-side, 0 otherwise. Run it from anywhere inside the repository. If git fails,
-as on a revision that does not exist, it prints git's message on one line and
-exits 2, as it does on wrong usage.
+Runs every command that writes files, once on `git archive REV` and once on
+the working tree, each from its own `src/`, with BLAS limited to one thread:
+`bench` and `predict` on `--synthetic 160 --seed 3` with the same-bytes
+recipe (`tests/same_bytes_recipe.json`, the working tree's on both sides),
+`synth --rows 160 --seed 3`, `inject` of that table at `--rate 0.3 --seed 3
+--exclude-label`, `impute --method knn` of the corrupted table, and `report`
+on bench's `report.json`. Prints every output file's sha256 per side and
+exits 1 if any file differs or is missing on one side, 0 otherwise. Run it
+from anywhere inside the repository. If git fails, as on a revision that
+does not exist, it prints git's message on one line and exits 2, as it does
+on wrong usage.
 """
 
 from __future__ import annotations
@@ -24,18 +27,42 @@ import tempfile
 from pathlib import Path
 
 ARGS = ("--synthetic", "160", "--seed", "3")
-COMMANDS = ("bench", "predict")
+
+
+def commands(recipe: Path, out: Path) -> list:
+    """The command lines, in order, that write their files under ``out``;
+    `inject`, `impute` and `report` read what an earlier line wrote."""
+    return [
+        *(
+            [protocol, *ARGS, "--config", str(recipe), "--out-dir", str(out / protocol)]
+            for protocol in ("bench", "predict")
+        ),
+        ["synth", "--rows", "160", "--seed", "3", "--out", str(out / "synth.csv")],
+        [
+            "inject", "--input", str(out / "synth.csv"), "--rate", "0.3", "--seed", "3",
+            "--exclude-label", "--out", str(out / "inject.csv"),
+            "--out-mask", str(out / "inject_mask.csv"),
+        ],
+        [
+            "impute", "--method", "knn", "--input", str(out / "inject.csv"),
+            "--out", str(out / "impute.csv"),
+        ],
+        [
+            "report", "--report", str(out / "bench" / "report.json"),
+            "--out-dir", str(out / "report"),
+        ],
+    ]
 
 
 def _run(src: Path, recipe: Path, out: Path) -> dict:
-    """sha256 of each file the recipe writes with the code in ``src``, by relative path."""
+    """sha256 of each file the commands write with the code in ``src``, by relative path."""
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    for command in COMMANDS:
+    out.mkdir(parents=True)
+    for argv in commands(recipe, out):
         subprocess.run(
-            [sys.executable, "-m", "imputebench.cli", command, *ARGS,
-             "--config", str(recipe), "--out-dir", str(out / command)],
+            [sys.executable, "-m", "imputebench.cli", *argv],
             env=env, check=True, stdout=subprocess.DEVNULL,
         )
     return {
