@@ -17,6 +17,7 @@ import itertools
 import json
 import numbers
 import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -153,6 +154,9 @@ class ExperimentConfig:
             raise ValueError(f"post_rate must be a number, got {self.post_rate!r}")
         for name, least in (("folds", 2), ("repeats", 1), ("forest_trees", 1)):
             _check_int(name, getattr(self, name), least)
+        for name in ("folds", "repeats"):  # a plan axis's length must fit a C ssize_t
+            if getattr(self, name) > sys.maxsize:
+                raise ValueError(f"{name} must be <= {sys.maxsize}, got {getattr(self, name)}")
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an int (not a bool), got {self.seed!r}")
         if not isinstance(self.method_overrides, dict) or not all(
@@ -313,14 +317,15 @@ def _impute(config: ExperimentConfig, path: tuple, train: MixedTable, target: Mi
     return imputer.impute(target)
 
 
-def _run_plan(unit, table: MixedTable, config: ExperimentConfig, *axes) -> list:
+def _run_plan(unit, table: MixedTable, config: ExperimentConfig, steps) -> list:
     """`unit(complete subset, config, step)`'s records for every step of the
-    plan `product(*axes)`, in plan order. Every configured imputer is built
-    once first, so a bad name or setting fails before any work."""
+    plan `steps`, in plan order. Every configured imputer is built once first,
+    so a bad name or setting fails before any work. The callers draw `steps`
+    lazily: `itertools.product` would copy every axis into a tuple first."""
     for name in config.methods:
         make_imputer(name, table.schema, 0, **config.method_overrides.get(name, {}))
     complete = complete_subset(table)
-    return [record for step in itertools.product(*axes) for record in unit(complete, config, step)]
+    return [record for step in steps for record in unit(complete, config, step)]
 
 
 def _fold_group(complete: MixedTable, config: ExperimentConfig, step: tuple) -> list:
@@ -344,8 +349,13 @@ def _fold_group(complete: MixedTable, config: ExperimentConfig, step: tuple) -> 
 def run_imputation_experiment(table: MixedTable, config: ExperimentConfig) -> MetricsReport:
     """The corruption / k-fold CV / repeats protocol on one dataset: one
     fold-group unit per (repeat, rate, fold), repeats outermost."""
-    axes = (range(config.repeats), config.rates, range(config.folds))
-    records = _run_plan(_fold_group, table, config, *axes)
+    steps = (
+        (repeat, rate, fold)
+        for repeat in range(config.repeats)
+        for rate in config.rates
+        for fold in range(config.folds)
+    )
+    records = _run_plan(_fold_group, table, config, steps)
     return MetricsReport(records, [], _config_echo(config))
 
 
@@ -363,7 +373,7 @@ def _label_index(table: MixedTable) -> int:
     bad = np.flatnonzero(~np.isin(label, (0.0, 1.0)) & ~np.isnan(label))
     if bad.size:
         raise ValueError(
-            f"label column {schema.label!r} must hold 0 or 1; row {bad[0]} is {label[bad[0]]}"
+            f"label column {schema.label!r} must hold 0 or 1; row {bad[0] + 1} is {label[bad[0]]}"
         )
     return label_j
 
@@ -423,7 +433,8 @@ def run_post_imputation(table: MixedTable, config: ExperimentConfig) -> MetricsR
     """Impute the full corrupted dataset per method, then CV-predict the label:
     one unit per (repeat, method), repeats outermost."""
     _label_index(table)
-    f1_records = _run_plan(_predict_unit, table, config, range(config.repeats), config.methods)
+    steps = ((repeat, method) for repeat in range(config.repeats) for method in config.methods)
+    f1_records = _run_plan(_predict_unit, table, config, steps)
     return MetricsReport([], f1_records, _config_echo(config))
 
 

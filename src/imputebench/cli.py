@@ -121,6 +121,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    if not 0.0 < args.rate < 1.0:
+        raise ValueError(f"inject --rate must be in (0, 1), got {args.rate}")
     schema = _load_schema_arg(args)
     table = _load_table(args, schema)
     exclude = [schema.label] if args.exclude_label and schema.label else []

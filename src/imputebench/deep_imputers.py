@@ -1,19 +1,19 @@
 """Deep imputation methods: denoising autoencoders and adversarial imputers.
 
-Four variants share the engine in `nn`; the method name picks the variant,
-and `epochs` is the one training setting (the others are module constants):
+Four methods share the engine in `nn`, one class each, and `epochs` is the
+one training setting (the others are module constants):
 
-* naa   -- overcomplete denoising autoencoder, one-time KNN (k=5)
-           pre-imputation and a fixed training corruption mask.
-* inaa  -- undercomplete autoencoder; corruption mask and KNN neighbor
-           count are refreshed on a rotating schedule. Both autoencoders
-           train on the mixed RMSE+BCE loss.
-* gain  -- adversarial imputer: the generator fills corrupted cells from
-           uniform noise, the discriminator predicts the mask under hints;
-           its reconstruction term is the masked squared error.
-* igain -- gain with batch normalization in both networks, a 5-layer
-           undercomplete generator, rotating-k KNN pre-fill, and the mixed
-           loss for reconstruction.
+* naa   -- `DaeImputer`: overcomplete denoising autoencoder, one-time KNN
+           (k=5) pre-imputation and a fixed training corruption mask.
+* inaa  -- `InaaImputer`: undercomplete autoencoder; corruption mask and
+           KNN neighbor count are refreshed on a rotating schedule. Both
+           autoencoders train on the mixed RMSE+BCE loss.
+* gain  -- `GainImputer`: adversarial imputer: the generator fills corrupted
+           cells from uniform noise, the discriminator predicts the mask
+           under hints; its reconstruction term is the masked squared error.
+* igain -- `IgainImputer`: gain with batch normalization in both networks,
+           a 5-layer undercomplete generator, rotating-k KNN pre-fill, and
+           the mixed loss for reconstruction.
 
 Training works on min-max normalized matrices; if the training table has
 real missing cells they are first completed by KNN self-imputation (k=5)
@@ -36,7 +36,9 @@ from .tabular import MixedTable, Schema, denormalize, normalize
 __all__ = [
     "RotatingPreimputer",
     "DaeImputer",
+    "InaaImputer",
     "GainImputer",
+    "IgainImputer",
     "make_hint",
 ]
 
@@ -143,19 +145,11 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator, min_size: int = 
 
 
 class _DeepImputer(Imputer):
-    """Shared settings, training loop and network input of the deep methods.
+    """Shared settings, training loop and network input of the deep methods;
+    `epochs` is the number of passes over the training fold."""
 
-    `variant` is one of the family's two method names; `epochs` is the
-    number of passes over the training fold.
-    """
-
-    variants: tuple
-
-    def __init__(self, schema: Schema, seed: int = 0, *, variant: str, epochs: int = 200):
-        if variant not in self.variants:
-            raise ValueError(f"unknown variant {variant!r}, expected one of {self.variants}")
+    def __init__(self, schema: Schema, seed: int = 0, *, epochs: int = 200):
         super().__init__(schema, seed)
-        self.name = variant
         self.epochs = _check_int("epochs", epochs)
 
     def _train(self, train: MixedTable, step) -> list:
@@ -210,10 +204,9 @@ class _DeepImputer(Imputer):
 
 
 class DaeImputer(_DeepImputer):
-    """Denoising-autoencoder imputer (variants naa and inaa)."""
+    """Denoising-autoencoder imputer naa; `InaaImputer` is inaa."""
 
-    variants = ("naa", "inaa")
-    tag, min_batch = "dae", 1
+    name, tag, min_batch = "naa", "dae", 1
 
     def _build_network(self, n_features: int) -> Network:
         hidden = 2 * n_features if self.name == "naa" else max(1, n_features // 2)
@@ -243,11 +236,15 @@ class DaeImputer(_DeepImputer):
         return self._result(target, out_raw)
 
 
-class GainImputer(_DeepImputer):
-    """Adversarial imputer (variants gain and igain)."""
+class InaaImputer(DaeImputer):
+    """Denoising-autoencoder imputer inaa."""
+    name = "inaa"
 
-    variants = ("gain", "igain")
-    tag, min_batch = "gain", 2
+
+class GainImputer(_DeepImputer):
+    """Adversarial imputer gain; `IgainImputer` is igain."""
+
+    name, tag, min_batch = "gain", "gain", 2
 
     def _build_networks(self, c: int):
         """(generator, discriminator): the same relu hidden layers, batch-normed
@@ -320,3 +317,8 @@ class GainImputer(_DeepImputer):
         g_in = np.concatenate([self._network_input(target), mask], axis=1)
         out_raw, _ = self.gen_.forward(g_in, train=False)
         return self._result(target, out_raw)
+
+
+class IgainImputer(GainImputer):
+    """Adversarial imputer igain."""
+    name = "igain"

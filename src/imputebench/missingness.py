@@ -40,7 +40,7 @@ def inject_mcar(table: MixedTable, rate: float, seed: int, exclude=()) -> MixedT
     if holes.size:
         i, j = holes[0]
         raise ValueError(
-            f"inject_mcar requires a complete table; row {i}, column "
+            f"inject_mcar requires a complete table; row {i + 1}, column "
             f"{table.schema.names[j]!r} is missing"
         )
     skip = {table.schema.index_of(name) for name in exclude}

@@ -172,7 +172,7 @@ class MixedTable:
                 name = schema.columns[cat[j]].name
                 raise SchemaError(
                     f"categorical column {name!r} has non-binary value "
-                    f"{block[i, j]!r} at row {i}"
+                    f"{block[i, j]} at row {i + 1}"
                 )
         values = values.copy()
         values.flags.writeable = False

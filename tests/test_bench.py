@@ -3,7 +3,7 @@ import itertools
 import json
 import re
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +170,39 @@ def test_config_validation():
     t = generate_synthetic(SyntheticSpec(mixed_schema(2, 1), identity_corr(3)), 30, seed=5)
     with pytest.raises(ValueError, match="unknown"):
         run_imputation_experiment(t, cfg)
+
+
+@pytest.mark.parametrize("protocol, unit", [
+    (run_imputation_experiment, "_fold_group"), (run_post_imputation, "_predict_unit"),
+])
+def test_plan_steps_are_drawn_lazily_in_plan_order(monkeypatch, protocol, unit):
+    t = labelled_table()
+    steps = []
+    monkeypatch.setattr(bench, unit, lambda complete, config, step: steps.append(step) or [])
+    config = ExperimentConfig(methods=["simple", "knn"], rates=(0.2, 0.4), folds=3, repeats=2)
+    protocol(t, config)
+    if unit == "_fold_group":
+        assert steps == list(itertools.product(range(2), (0.2, 0.4), range(3)))
+    else:
+        assert steps == list(itertools.product(range(2), ["simple", "knn"]))
+
+    class FirstStep(Exception):
+        pass
+
+    def first_step(complete, config, step):
+        raise FirstStep(step)
+
+    # itertools.product would first copy the 2**62 repeats into a tuple
+    monkeypatch.setattr(bench, unit, first_step)
+    with pytest.raises(FirstStep, match=r"\(0, "):
+        protocol(t, replace(config, repeats=2**62))
+
+
+def test_folds_above_the_row_count_fail_in_the_first_unit():
+    t = small_table(40)
+    config = ExperimentConfig(methods=["simple"], folds=41, repeats=1)
+    with pytest.raises(ValueError, match="cannot split 40 rows into 41 folds"):
+        run_imputation_experiment(t, config)
 
 
 def small_table(n=60, seed=6):
@@ -482,7 +515,7 @@ def test_label_must_be_0_or_1(kind):
     label[0] = np.nan  # a missing label drops its row, not the run
     row = 2 if kind == "three-valued" else 1
     t = MixedTable(mixed_schema(3, 1, label="n2"), values)
-    message = re.escape(f"label column 'n2' must hold 0 or 1; row {row} is {label[row]}")
+    message = re.escape(f"label column 'n2' must hold 0 or 1; row {row + 1} is {label[row]}")
     cfg = ExperimentConfig(methods=["recording"], folds=3, repeats=1, forest_trees=3)
     with pytest.raises(ValueError, match=message):
         run_post_imputation(t, cfg)

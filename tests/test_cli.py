@@ -85,6 +85,28 @@ def test_synth_inject_impute_round_trip(tmp_path, small_schema_file):
     assert np.array_equal(result.values[obs], corrupted.values[obs])
 
 
+def test_error_rows_count_data_rows_from_1(tmp_path, capsys):
+    synth = tmp_path / "data.csv"
+    assert main(["synth", "--rows", "40", "--out", str(synth)]) == 0
+    header, *rows = synth.read_text().splitlines()
+    sex, totchol = header.split(",").index("Sex"), header.split(",").index("Totchol")
+
+    def run_with(row, column, text):
+        cells = rows[row].split(",")
+        cells[column] = text
+        edited = tmp_path / "edited.csv"
+        lines = [header, *rows[:row], ",".join(cells), *rows[row + 1 :]]
+        edited.write_text("\n".join(lines) + "\n")
+        outs = ["--out", str(tmp_path / "o.csv"), "--out-mask", str(tmp_path / "m.csv")]
+        assert main(["inject", "--input", str(edited), "--rate", "0.2", *outs]) == 1
+        return capsys.readouterr().err
+
+    assert "non-binary value 2.0 at row 1\n" in run_with(0, sex, "2")
+    assert "row 1, column 'Totchol': cannot parse 'abc'" in run_with(0, totchol, "abc")
+    assert "row 2, column 'Totchol': cannot parse 'abc'" in run_with(1, totchol, "abc")
+    assert "row 2, column 'Totchol' is missing\n" in run_with(1, totchol, "")
+
+
 def test_inject_exclude_label(tmp_path, small_schema_file):
     schema, schema_path = small_schema_file
     synth = tmp_path / "data.csv"
@@ -332,6 +354,19 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
     assert "error: --rates entry '' of '0.2,' is not a number" in capsys.readouterr().err
     assert not out_dir.exists()
 
+    out = tmp_path / "holes.csv"
+    for rate in ("1.5", "0", "nan"):
+        code = main(
+            [
+                "inject", "--schema", schema_path, "--input", str(tmp_path / "missing.csv"),
+                "--rate", rate, "--out", str(out), "--out-mask", str(tmp_path / "m.csv"),
+            ]
+        )
+        assert code == 1  # the flag is checked before the input is read
+        named = f"error: inject --rate must be in (0, 1), got {float(rate)}\n"
+        assert capsys.readouterr().err == named
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "cfg, named",
@@ -374,6 +409,9 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, small_schema_file):
         ({"methods": "knn"}, ("methods must", "'knn'")),
         ({"methods": ["knn"], "method_overrides": {"knn": 3}}, ("method_overrides must",)),
         ([1, 2], ("must hold a JSON object",)),
+        # a plan axis longer than a C ssize_t, refused before the plan is built
+        ({"methods": ["simple"], "folds": 10**19}, (f"folds must be <= {sys.maxsize}",)),
+        ({"methods": ["simple"], "repeats": 10**19}, (f"repeats must be <= {sys.maxsize}",)),
     ],
 )
 def test_bad_config_is_a_named_error(tmp_path, capsys, small_schema_file, cfg, named):

@@ -5,6 +5,8 @@ import imputebench.deep_imputers as deep
 from imputebench.deep_imputers import (
     DaeImputer,
     GainImputer,
+    IgainImputer,
+    InaaImputer,
     RotatingPreimputer,
     make_hint,
 )
@@ -13,6 +15,8 @@ from imputebench.missingness import inject_mcar
 from imputebench.tabular import Column, MixedTable, Schema, fit_normalizer, normalize
 
 from conftest import make_rng, mixed_schema, random_table, record_knn_inputs
+
+DEEP = {cls.name: cls for cls in (DaeImputer, InaaImputer, GainImputer, IgainImputer)}
 
 
 def test_rotating_k_without_repetition_and_reset():
@@ -30,9 +34,9 @@ def test_rotating_k_without_repetition_and_reset():
     assert sorted(ks[:13]) == sorted(ks[13:]) == list(range(3, 16))
 
 
-@pytest.mark.parametrize("variant", ["naa", "inaa", "gain", "igain"])
+@pytest.mark.parametrize("method", ["naa", "inaa", "gain", "igain"])
 @pytest.mark.usefixtures("small_batches")
-def test_knn_prefill_ks(variant, monkeypatch):
+def test_knn_prefill_ks(method, monkeypatch):
     ks = []
 
     def recording_knn_fill(train, target, k, *args):
@@ -44,26 +48,24 @@ def test_knn_prefill_ks(variant, monkeypatch):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=28, missing_rate=0.1)
     corrupted = inject_mcar(random_table(schema, 12, seed=29), 0.2, 6)
-    imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
-    imp = imputer_type(schema, seed=3, variant=variant, epochs=91).fit(train)
+    imp = DEEP[method](schema, seed=3, epochs=91).fit(train)
     # the incomplete training fold is completed with k = 5 first
     fold_k, *prefill_ks = ks
     assert fold_k == 5
-    if variant == "naa":
+    if method == "naa":
         assert prefill_ks == [5]
-    elif variant == "gain":
+    elif method == "gain":
         assert prefill_ks == []
     else:  # a new k at epochs 0, 10, ..., 90
         assert len(set(prefill_ks)) == len(prefill_ks) == 10
         assert all(3 <= k <= 15 for k in prefill_ks)
     del ks[:]
     imp.impute(corrupted)
-    assert ks == {"naa": [5], "inaa": [9], "gain": [], "igain": [9]}[variant]
+    assert ks == {"naa": [5], "inaa": [9], "gain": [], "igain": [9]}[method]
 
 
-def _fit(variant, train):
-    imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
-    return imputer_type(train.schema, seed=3, variant=variant, epochs=2).fit(train)
+def _fit(method, train):
+    return DEEP[method](train.schema, seed=3, epochs=2).fit(train)
 
 
 @pytest.mark.usefixtures("small_batches")
@@ -72,7 +74,7 @@ def test_deep_methods_share_one_fold_completion(monkeypatch):
     train = random_table(schema, 40, seed=32, missing_rate=0.1)
     fold = normalize(train.values, fit_normalizer(train)).tobytes()
     calls = record_knn_inputs(monkeypatch)
-    fitted = [_fit(variant, train) for variant in ("naa", "inaa", "gain", "igain")]
+    fitted = [_fit(method, train) for method in DEEP]
     assert [k for k, data in calls if data == fold] == [5]
     assert not np.isnan(fitted[0].train_ref_).any()
     for imp in fitted:
@@ -122,14 +124,10 @@ def test_make_hint_entries_and_rate(monkeypatch):
 
 def test_dae_config_validation():
     bad = [
-        (DaeImputer, {"variant": "foo"}),
-        (DaeImputer, {"variant": "gain"}),
-        (DaeImputer, {"variant": "inaa", "epochs": 0}),
-        (DaeImputer, {"variant": "naa", "epochs": 2.5}),
-        (GainImputer, {"variant": "foo"}),
-        (GainImputer, {"variant": "naa"}),
-        (GainImputer, {"variant": "gain", "epochs": 0}),
-        (GainImputer, {"variant": "igain", "epochs": True}),
+        (InaaImputer, {"epochs": 0}),
+        (DaeImputer, {"epochs": 2.5}),
+        (GainImputer, {"epochs": 0}),
+        (IgainImputer, {"epochs": True}),
     ]
     schema = mixed_schema(2, 1)
     for imputer_type, kwargs in bad:
@@ -137,27 +135,27 @@ def test_dae_config_validation():
             imputer_type(schema, **kwargs)
     # epochs is the one setting; the fixed ones are module constants
     for imputer_type, kwargs in [
-        (DaeImputer, {"variant": "naa", "hint_rate": 0.5}),
-        (DaeImputer, {"variant": "inaa", "batch_size": 16}),
-        (DaeImputer, {"variant": "inaa", "rotation": {"period": 5}}),
-        (GainImputer, {"variant": "gain", "corruption_rate": 0.2}),
-        (GainImputer, {"variant": "igain", "learning_rate": 1e-3}),
-        (GainImputer, {"variant": "igain", "alpha": 10.0}),
+        (DaeImputer, {"hint_rate": 0.5}),
+        (InaaImputer, {"batch_size": 16}),
+        (InaaImputer, {"rotation": {"period": 5}}),
+        (GainImputer, {"corruption_rate": 0.2}),
+        (IgainImputer, {"learning_rate": 1e-3}),
+        (IgainImputer, {"alpha": 10.0}),
     ]:
         with pytest.raises(TypeError):
             imputer_type(schema, **kwargs)
-    assert DaeImputer(schema, variant="naa", epochs=3).epochs == 3
+    assert DaeImputer(schema, epochs=3).epochs == 3
 
 
-@pytest.mark.parametrize("variant", ["naa", "inaa"])
+@pytest.mark.parametrize("method", ["naa", "inaa"])
 @pytest.mark.usefixtures("small_batches")
-def test_dae_training_is_deterministic(variant):
+def test_dae_training_is_deterministic(method):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=10)
     corrupted = inject_mcar(random_table(schema, 12, seed=11), 0.2, 2)
 
     def run():
-        imp = DaeImputer(schema, seed=4, variant=variant, epochs=12)
+        imp = DEEP[method](schema, seed=4, epochs=12)
         return imp.fit(train), imp.impute(corrupted)
 
     (a_imp, a), (b_imp, b) = run(), run()
@@ -165,13 +163,13 @@ def test_dae_training_is_deterministic(variant):
     assert np.array_equal(a.table.values, b.table.values)
 
 
-@pytest.mark.parametrize("variant", ["naa", "inaa"])
-def test_dae_loss_decreases(variant, monkeypatch):
+@pytest.mark.parametrize("method", ["naa", "inaa"])
+def test_dae_loss_decreases(method, monkeypatch):
     schema = mixed_schema(3, 1)
     train = random_table(schema, 60, seed=12)
     monkeypatch.setattr(deep, "BATCH_SIZE", 32)
     monkeypatch.setattr(deep, "LEARNING_RATE", 3e-3)
-    imp = DaeImputer(schema, seed=1, variant=variant, epochs=40)
+    imp = DEEP[method](schema, seed=1, epochs=40)
     imp.fit(train)
     hist = imp.loss_history_
     assert np.mean(hist[-5:]) < np.mean(hist[:5])
@@ -179,8 +177,8 @@ def test_dae_loss_decreases(variant, monkeypatch):
 
 def test_dae_hidden_widths():
     schema = mixed_schema(4, 2)  # 6 features
-    naa = DaeImputer(schema, variant="naa")._build_network(6)
-    inaa = DaeImputer(schema, variant="inaa")._build_network(6)
+    naa = DaeImputer(schema)._build_network(6)
+    inaa = InaaImputer(schema)._build_network(6)
     assert naa.specs[0].width == 12
     assert inaa.specs[0].width == 3
     assert naa.specs[-1].width == inaa.specs[-1].width == 6
@@ -188,14 +186,14 @@ def test_dae_hidden_widths():
 
 def test_gain_network_shapes():
     schema = mixed_schema(5, 3)  # 8 features
-    gain = GainImputer(schema, variant="gain")
+    gain = GainImputer(schema)
     gen, disc = gain._build_networks(8)
     assert gen.input_width == 16 and disc.input_width == 16
     assert [s.width for s in gen.specs] == [8, 8, 8]
     assert all(not s.batch_norm for s in gen.specs)
     assert disc.specs[-1].activation == "sigmoid"
 
-    igain = GainImputer(schema, variant="igain")
+    igain = IgainImputer(schema)
     gen, disc = igain._build_networks(8)
     assert [s.width for s in gen.specs] == [8, 4, 2, 4, 8]
     assert all(s.batch_norm for s in gen.specs[:-1])
@@ -211,30 +209,30 @@ def test_every_layer_of_the_deep_networks():
         return [(s.width, s.activation, s.batch_norm) for s in net.specs]
 
     relu, bn_relu = (8, "relu", False), (8, "relu", True)
-    gen, disc = GainImputer(schema, variant="gain")._build_networks(8)
+    gen, disc = GainImputer(schema)._build_networks(8)
     assert gen.input_width == disc.input_width == 16
     assert layers(gen) == [relu, relu, (8, "linear", False)]
     assert layers(disc) == [relu, relu, (8, "sigmoid", False)]
-    gen, disc = GainImputer(schema, variant="igain")._build_networks(8)
+    gen, disc = IgainImputer(schema)._build_networks(8)
     assert gen.input_width == disc.input_width == 16
     hidden = [bn_relu, (4, "relu", True), (2, "relu", True), (4, "relu", True)]
     assert layers(gen) == hidden + [(8, "linear", False)]
     assert layers(disc) == hidden + [(8, "sigmoid", False)]
-    for variant, width in (("naa", 16), ("inaa", 4)):
-        net = DaeImputer(schema, variant=variant)._build_network(8)
+    for imputer_type, width in ((DaeImputer, 16), (InaaImputer, 4)):
+        net = imputer_type(schema)._build_network(8)
         assert net.input_width == 8
         assert layers(net) == [(width, "relu", False), (8, "linear", False)]
 
 
-@pytest.mark.parametrize("variant", ["gain", "igain"])
+@pytest.mark.parametrize("method", ["gain", "igain"])
 @pytest.mark.usefixtures("small_batches")
-def test_gain_training_is_deterministic(variant):
+def test_gain_training_is_deterministic(method):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=20)
     corrupted = inject_mcar(random_table(schema, 12, seed=21), 0.2, 3)
 
     def run():
-        imp = GainImputer(schema, seed=8, variant=variant, epochs=10)
+        imp = DEEP[method](schema, seed=8, epochs=10)
         return imp.fit(train).impute(corrupted)
 
     a, b = run(), run()
@@ -249,19 +247,18 @@ def test_gain_full_hint_rate_runs(monkeypatch):
     train = random_table(schema, 30, seed=22)
     corrupted = inject_mcar(random_table(schema, 10, seed=23), 0.2, 4)
     monkeypatch.setattr(deep, "HINT_RATE", 1.0)
-    imp = GainImputer(schema, seed=2, variant="gain", epochs=6)
+    imp = GainImputer(schema, seed=2, epochs=6)
     result = imp.fit(train).impute(corrupted)
     assert not np.isnan(result.table.values).any()
 
 
-@pytest.mark.parametrize("variant", ["naa", "inaa", "gain", "igain"])
+@pytest.mark.parametrize("method", ["naa", "inaa", "gain", "igain"])
 @pytest.mark.usefixtures("small_batches")
-def test_deep_zero_missing_target_is_identity(variant):
+def test_deep_zero_missing_target_is_identity(method):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 30, seed=24)
     target = random_table(schema, 8, seed=25)
-    imputer_type = DaeImputer if variant in ("naa", "inaa") else GainImputer
-    imp = imputer_type(schema, seed=1, variant=variant, epochs=4)
+    imp = DEEP[method](schema, seed=1, epochs=4)
     result = imp.fit(train).impute(target)
     assert np.array_equal(result.table.values, target.values)
 
@@ -278,7 +275,7 @@ def test_inaa_recovers_duplicated_feature(monkeypatch):
     target = MixedTable(schema, target_vals)
     monkeypatch.setattr(deep, "BATCH_SIZE", 64)
     monkeypatch.setattr(deep, "LEARNING_RATE", 3e-3)
-    imp = DaeImputer(schema, seed=3, variant="inaa", epochs=120)
+    imp = InaaImputer(schema, seed=3, epochs=120)
     result = imp.fit(train).impute(target)
     err = np.sqrt(np.mean((result.table.values[:, 1] - xt) ** 2))
     baseline = np.sqrt(np.mean((x.mean() - xt) ** 2))
@@ -296,7 +293,7 @@ def test_gain_recovers_duplicated_feature(monkeypatch):
     target = MixedTable(schema, target_vals)
     monkeypatch.setattr(deep, "BATCH_SIZE", 64)
     monkeypatch.setattr(deep, "LEARNING_RATE", 3e-3)
-    imp = GainImputer(schema, seed=3, variant="igain", epochs=300)
+    imp = IgainImputer(schema, seed=3, epochs=300)
     result = imp.fit(train).impute(target)
     err = np.sqrt(np.mean((result.table.values[:, 1] - xt) ** 2))
     baseline = np.sqrt(np.mean((x.mean() - xt) ** 2))
@@ -308,7 +305,6 @@ def test_dae_seed_changes_result():
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=26)
     corrupted = inject_mcar(random_table(schema, 12, seed=27), 0.3, 5)
-    settings = {"variant": "inaa", "epochs": 10}
-    a = DaeImputer(schema, seed=1, **settings).fit(train).impute(corrupted)
-    b = DaeImputer(schema, seed=2, **settings).fit(train).impute(corrupted)
+    a = InaaImputer(schema, seed=1, epochs=10).fit(train).impute(corrupted)
+    b = InaaImputer(schema, seed=2, epochs=10).fit(train).impute(corrupted)
     assert not np.array_equal(a.table.values, b.table.values)

@@ -430,12 +430,18 @@ def test_registry_unknown_name():
     [
         ("knn", {"k": 5}, r"method 'knn' \(KnnImputer\) has no setting 'k'; its settings: none"),
         ("simple", {"k": 5}, r"'simple' \(SimpleImputer\) has no setting 'k'"),
-        ("inaa", {"variant": "naa"}, r"'inaa' \(DaeImputer\) has no setting 'variant'; .*'epochs'"),
-        ("igain", {"alpha": 5}, r"'igain' \(GainImputer\) has no setting 'alpha'"),
+        ("inaa", {"variant": "naa"}, r"'inaa' \(InaaImputer\) has no setting 'variant'; .*'epochs'$"),
+        ("igain", {"alpha": 5}, r"'igain' \(IgainImputer\) has no setting 'alpha'; .*'epochs'$"),
         ("missforest", {"max_depth": 8}, r"'missforest' \(MissForestImputer\) has no setting"),
         ("missforest", {"n_trees": 0}, r"'missforest' \(MissForestImputer\) rejects .*n_trees"),
+        ("simple", {"epochs": 5}, r"'simple' \(SimpleImputer\) .*; its settings: none$"),
+        ("missforest", {"k": 5}, r"\(MissForestImputer\) .*; its settings: 'n_trees', 'max_iter'$"),
+        ("naa", {"variant": "inaa"}, r"'naa' \(DaeImputer\) has no setting 'variant'; .*'epochs'$"),
+        ("gain", {"variant": "igain"}, r"'gain' \(GainImputer\) has no setting 'variant'; .*'epochs'$"),
     ],
 )
 def test_registry_names_the_method_class_and_setting(name, overrides, message):
+    # each method is its own class, whose `name` is the method's
+    assert type(make_imputer(name, mixed_schema(), 1)).name == name
     with pytest.raises(ValueError, match=message):
         make_imputer(name, mixed_schema(), 1, **overrides)

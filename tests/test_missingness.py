@@ -49,8 +49,8 @@ def test_determinism_and_seed_sensitivity():
 def test_requires_complete_table():
     schema = mixed_schema()
     values = random_table(schema, 20, seed=4).values.copy()
-    values[[1, 5], [2, 0]] = np.nan  # row 1 holds the first hole in row order
-    named = f"requires a complete table; row 1, column {schema.names[2]!r} is missing"
+    values[[1, 5], [2, 0]] = np.nan  # the second row holds the first hole in row order
+    named = f"requires a complete table; row 2, column {schema.names[2]!r} is missing"
     with pytest.raises(ValueError, match=re.escape(named)):
         inject_mcar(MixedTable(schema, values), 0.1, 0)
 

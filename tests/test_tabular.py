@@ -52,8 +52,9 @@ def test_schema_rejects_duplicates_and_empty():
 
 def test_table_rejects_non_binary_categorical():
     schema = mixed_schema(1, 1)
-    with pytest.raises(SchemaError):
-        MixedTable(schema, np.array([[1.0, 2.0]]))
+    # rows are counted from 1 and the value is printed as a plain number
+    with pytest.raises(SchemaError, match=r"'c0' has non-binary value 2\.0 at row 2$"):
+        MixedTable(schema, np.array([[1.0, 0.0], [1.0, 2.0]]))
 
 
 def test_table_mask_matches_missing():
