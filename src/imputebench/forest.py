@@ -31,7 +31,9 @@ count matrix (Shafer, Agrawal & Mehta 1996), which are the sums at the
 sorted segment's one boundary. Regression keeps the duplicates: a weight
 would round its sequential and pairwise sums differently. Under a subset
 rule each tree's own generator draws the subsets of its open nodes once per
-level, so a tree does not depend on the block it grew in.
+level, so a tree does not depend on the block it grew in. A block may hold
+trees of several forests (`fit_forests`), which amortises the per-level
+numpy calls over the trees of many small forests.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "Tree",
     "ForestModel",
     "fit_forest",
+    "fit_forests",
     "predict_forest",
 ]
 
@@ -154,21 +157,28 @@ def _check_xy(X, y, task):
 def _dense_ranks(X: np.ndarray) -> np.ndarray:
     """Per column, each value's rank among the column's distinct values.
 
-    The smallest unsigned type that holds them, which keeps the per-level
-    rank gathers in `_best_splits` and `_counted_splits` small; int64 ranks
-    made a full-size regression forest about 15 % slower. The sort keys
-    built from the ranks are int64 either way.
+    One argsort of all columns at once; a rank rises wherever a sorted
+    column's value changes, so equal values (0.0 and -0.0 too) share one,
+    as under np.unique. The smallest unsigned type that holds them, which
+    keeps the per-level rank gathers in `_best_splits` and `_counted_splits`
+    small; int64 ranks made a full-size regression forest about 15 %
+    slower. The sort keys built from the ranks are int64 either way.
     """
-    ranks = np.empty(X.shape, dtype=np.min_scalar_type(max(X.shape[0] - 1, 0)))
-    for j in range(X.shape[1]):
-        ranks[:, j] = np.unique(X[:, j], return_inverse=True)[1]
+    dtype = np.min_scalar_type(max(X.shape[0] - 1, 0))
+    order = np.argsort(X, axis=0, kind="stable")
+    ordered = np.take_along_axis(X, order, axis=0)
+    sorted_ranks = np.zeros(X.shape, dtype=dtype)
+    np.cumsum(ordered[1:] != ordered[:-1], axis=0, dtype=dtype, out=sorted_ranks[1:])
+    ranks = np.empty_like(sorted_ranks)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=0)
     return ranks
 
 
 def _size_groups(lengths):
     """(length, first, stop) of each run of equal values in sorted ``lengths``."""
     sizes, first = np.unique(lengths, return_index=True)
-    return zip(sizes, first, np.r_[first[1:], lengths.size])
+    # Python ints keep the callers' per-group offsets and slicing cheap
+    return zip(sizes.tolist(), first.tolist(), first[1:].tolist() + [lengths.size])
 
 
 def _node_stats(yv, starts, sizes, task):
@@ -189,8 +199,10 @@ def _node_stats(yv, starts, sizes, task):
         return value, 2.0 * value * (1.0 - value)
     value = np.empty(sizes.size)
     parent = np.empty(sizes.size)
+    lo = 0  # regression nodes' elements lie back to back
     for size, a, b in _size_groups(sizes):
-        rows = yv[starts[a] : starts[a] + (b - a) * size].reshape(b - a, size)
+        rows = yv[lo : lo + (b - a) * size].reshape(b - a, size)
+        lo += (b - a) * size
         mean = np.add.reduce(rows, axis=1, keepdims=True) / size
         value[a:b] = mean[:, 0]
         dev = rows - mean
@@ -199,19 +211,20 @@ def _node_stats(yv, starts, sizes, task):
     return value, parent
 
 
-def _segment_cumsum(values, starts, lengths):
-    """np.cumsum along the last axis of every segment on its own.
+def _segment_cumsum(values, lengths):
+    """np.cumsum along the last axis of every segment on its own, in place.
 
-    Segments come in ascending length; those of one length are the rows of
-    one matrix, so each prefix restarts at 0 and is the sequential sum a 1-D
-    np.cumsum of that segment alone gives.
+    Segments come in ascending length and lie back to back over ``values``'
+    last axis; those of one length are the rows of one matrix, so each
+    prefix restarts at 0 and is the sequential sum a 1-D np.cumsum of that
+    segment alone gives.
     """
-    out = np.empty_like(values)
+    lo = 0
     for size, a, b in _size_groups(lengths):
-        lo, hi = starts[a], starts[a] + (b - a) * size
-        block = values[:, lo:hi].reshape(values.shape[0], b - a, size)
-        out[:, lo:hi] = np.cumsum(block, axis=2).reshape(values.shape[0], -1)
-    return out
+        block = values[:, lo : lo + (b - a) * size].reshape(values.shape[0], b - a, size)
+        np.add.accumulate(block, axis=2, out=block)
+        lo += (b - a) * size
+    return values
 
 
 def _draw_candidates(node_tree, rngs, m, n_features):
@@ -223,8 +236,8 @@ def _draw_candidates(node_tree, rngs, m, n_features):
     if m == n_features:
         return np.broadcast_to(np.arange(n_features), (node_tree.size, m))
     keys = np.empty((node_tree.size, n_features))
-    first = np.flatnonzero(np.r_[True, node_tree[1:] != node_tree[:-1]])
-    for lo, hi in zip(first, np.r_[first[1:], node_tree.size]):
+    first = np.flatnonzero(np.append(True, node_tree[1:] != node_tree[:-1]))
+    for lo, hi in zip(first, np.append(first[1:], node_tree.size)):
         keys[lo:hi] = rngs[node_tree[lo]].random((hi - lo, n_features))
     return np.sort(np.argsort(keys, axis=1)[:, :m], axis=1)
 
@@ -286,30 +299,37 @@ def _best_splits(
     seg = np.repeat(np.arange(k * m), seg_len)
     offset = np.arange(seg.size) - seg_start[seg]
     g = members[np.repeat(starts, m)[seg] + offset]
-    feat = cand.ravel()[seg]
-    rank = ranks.ravel()[rows[g] * n_features + feat]
+    rank = ranks.ravel()[rows[g] * n_features + cand.ravel()[seg]]
     # distinct (segment, value rank, element order) keys: segment s owns the
     # keys span * [start, start + len), so ties on value keep element order
     # under any sort kind. The span is a Python int: 255 + 1 wraps in a uint8.
-    key = (int(ranks.max()) + 1) * seg_start[seg] + rank * seg_len[seg] + offset
+    # The per-element temporaries are dropped once used: at a block's full
+    # size they set the fit's peak memory.
+    key = seg_start[seg] * (int(ranks.max()) + 1)
+    key += rank * seg_len[seg]
+    key += offset
     order = np.argsort(key)
+    del key
     g, rank = g[order], rank[order]
+    del order
     rises = rank[1:] > rank[:-1]
-    # boundary b splits its segment into the elements before it and the rest
+    del rank
+    # boundary b splits its segment into the b_offset elements before it and the rest
     b = 1 + np.flatnonzero(rises & (offset[1:] > 0))
-    bseg = seg[b]
+    bseg, b_offset = seg[b], offset[b]
+    del rises, seg, offset
     end = (seg_start + seg_len - 1)[bseg]
     if task == REGRESSION:
         n = seg_len[bseg].astype(float)
-        ysorted = ys[g]
-        csum = _segment_cumsum(np.stack([ysorted, ysorted**2]), seg_start, seg_len)
+        csum = np.empty((2, g.size))
+        np.take(ys, g, out=csum[0])
+        np.multiply(csum[0], csum[0], out=csum[1])
+        _segment_cumsum(csum, seg_len)
         sum_left, sq_left = csum[:, b - 1]
-        sum_right = csum[0, end] - sum_left
-        sq_right = csum[1, end] - sq_left
-        n_left = offset[b].astype(float)
+        n_left = b_offset.astype(float)
         n_right = n - n_left
         var_left = sq_left / n_left - (sum_left / n_left) ** 2
-        var_right = sq_right / n_right - (sum_right / n_right) ** 2
+        var_right = (csum[1, end] - sq_left) / n_right - ((csum[0, end] - sum_left) / n_right) ** 2
         child = (n_left * var_left + n_right * var_right) / n
     else:
         # weighted 0/1 partial sums are integers below 2**53: one running sum
@@ -325,13 +345,13 @@ def _best_splits(
     seg_child = np.full(k * m, np.nan)
     seg_threshold = np.zeros(k * m)
     if b.size:
-        first = np.flatnonzero(np.r_[True, bseg[1:] != bseg[:-1]])
+        first = np.flatnonzero(np.append(True, bseg[1:] != bseg[:-1]))
         lowest = np.minimum.reduceat(child, first)
-        hit = np.flatnonzero(child == np.repeat(lowest, np.diff(np.r_[first, b.size])))
-        hit = hit[np.r_[True, bseg[hit[1:]] != bseg[hit[:-1]]]]
+        hit = np.flatnonzero(child == np.repeat(lowest, np.diff(np.append(first, b.size))))
+        hit = hit[np.append(True, bseg[hit[1:]] != bseg[hit[:-1]])]
         seg_child[bseg[hit]] = child[hit]
-        at = b[hit]
-        seg_threshold[bseg[hit]] = 0.5 * (X[rows[g[at - 1]], feat[at]] + X[rows[g[at]], feat[at]])
+        at, feat = b[hit], cand.ravel()[bseg[hit]]
+        seg_threshold[bseg[hit]] = 0.5 * (X[rows[g[at - 1]], feat] + X[rows[g[at]], feat])
     if counted.any():
         s = np.flatnonzero(counted)
         seg_child[s], seg_threshold[s] = _counted_splits(
@@ -343,10 +363,10 @@ def _best_splits(
     best_gain = np.zeros(k)
     best_feature = np.full(k, -1)
     best_threshold = np.zeros(k)
-    for s in range(m):  # candidates in feature order: the first best wins
-        take = (gain[:, s] > best_gain + _MIN_GAIN) | (
-            (best_feature == -1) & (gain[:, s] > _MIN_GAIN)
-        )
+    # candidates in feature order: the first best wins. A node's best gain
+    # is 0 until it has a best feature, so one test also admits its first
+    for s in range(m):
+        take = gain[:, s] > best_gain + _MIN_GAIN
         best_gain = np.where(take, gain[:, s], best_gain)
         best_feature = np.where(take, cand[:, s], best_feature)
         best_threshold = np.where(take, threshold[:, s], best_threshold)
@@ -462,45 +482,85 @@ def fit_forest(
     seed: int = 0,
     bootstrap: bool = True,
 ) -> ForestModel:
-    """Bagged CART ensemble with pre-split per-tree seeds.
+    """Bagged CART ensemble with pre-split per-tree seeds (`fit_forests` of one problem)."""
+    return fit_forests([(X, y, seed)], config, n_trees, bootstrap)[0]
 
-    Trees grow in blocks of at most `_FOREST_BLOCK` laid-out elements; a
-    forked child may grow the later half of the blocks (`split.map_blocks`).
+
+def fit_forests(problems, config: TreeConfig, n_trees: int = 100, bootstrap: bool = True) -> list:
+    """One forest per ``(X, y, seed)`` problem, equal to `fit_forest` of each on its own.
+
+    The problems' X must have the same columns; they are stacked row-wise
+    and ranked together, and ranks stay monotone within each problem's rows,
+    so every segment sorts as it would alone. The trees of all problems, in
+    ascending order of their problem's row count (each level's nodes must
+    come in ascending size, the roots included), grow in blocks of at most
+    `_FOREST_BLOCK` laid-out elements, so a block may hold trees of several
+    forests; a forked child may grow the later half of the blocks
+    (`split.map_blocks`). The models share one `Tree`.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    X, y = _check_xy(X, y, config.task)
-    n, n_features = X.shape
+    if not problems:
+        return []
+    checked = []
+    for i, (X, y, _) in enumerate(problems):
+        try:
+            X, y = _check_xy(X, y, config.task)
+            if checked and X.shape[1] != checked[0][0].shape[1]:
+                raise ValueError(f"X has {X.shape[1]} columns, problem 0's {checked[0][0].shape[1]}")
+        except ValueError as exc:  # name the problem: rows count from 0 in its own X
+            if len(problems) == 1:
+                raise
+            raise ValueError(f"problem {i}: {exc}") from None
+        checked.append((X, y))
+    n_features = checked[0][0].shape[1]
+    X = np.concatenate([X for X, _ in checked])
+    y = np.concatenate([y for _, y in checked])
+    n = np.array([y.size for _, y in checked])
+    first_row = np.cumsum(n) - n
     ranks = _dense_ranks(X)
-    per_block = max(1, _FOREST_BLOCK // (n * max(1, config.features_per_split(n_features))))
+    cost = n * max(1, config.features_per_split(n_features))
+    # (problem, tree) pairs by ascending row count, packed greedily into blocks
+    blocks, load = [], _FOREST_BLOCK
+    for p in np.argsort(n, kind="stable"):
+        for t in range(n_trees):
+            load += cost[p]
+            if load > _FOREST_BLOCK:
+                blocks.append([])
+                load = cost[p]
+            blocks[-1].append((p, t))
 
-    def grow_block(lo):
-        seeds = [derive_seed(seed, "forest", t) for t in range(lo, min(lo + per_block, n_trees))]
-        samples = [
-            make_rng(s, "bootstrap").integers(0, n, size=n) if bootstrap else np.arange(n)
-            for s in seeds
-        ]
-        weights = None
-        if config.task == CLASSIFICATION:
-            # each tree's distinct rows, weighted by their number of draws
-            drawn = [np.bincount(rows, minlength=n) for rows in samples]
-            samples = [np.flatnonzero(times) for times in drawn]
-            weights = np.concatenate([t[rows] for t, rows in zip(drawn, samples)]).astype(float)
+    def grow_block(block):
+        seeds = [derive_seed(problems[p][2], "forest", t) for p, t in block]
+        samples, drawn = [], []
+        for (p, _), s in zip(block, seeds):
+            rows = np.arange(n[p])
+            if bootstrap:
+                rows = make_rng(s, "bootstrap").integers(0, n[p], size=n[p])
+            if config.task == CLASSIFICATION:
+                # the tree's distinct rows, weighted by their number of draws
+                times = np.bincount(rows, minlength=n[p])
+                rows = np.flatnonzero(times)
+                drawn.append(times[rows])
+            samples.append(first_row[p] + rows)
+        weights = np.concatenate(drawn).astype(float) if drawn else None
         counts = np.array([rows.size for rows in samples])
         rngs = [make_rng(s, "tree") for s in seeds]
         return _grow(X, ranks, y, np.concatenate(samples), weights, counts, rngs, config)
 
-    starts = range(0, n_trees, per_block)
-    blocks = map_blocks(grow_block, starts, _FOREST_SPLIT_BLOCKS)
-    # each block's ids count from 0; shift them past the blocks before it
-    roots, n_nodes = [], 0
-    for lo, block in zip(starts, blocks):
-        for child in (block.left, block.right):
+    grown = map_blocks(grow_block, blocks, _FOREST_SPLIT_BLOCKS)
+    # each block's ids count from 0 and its tree i is rooted at i; shift them
+    # past the blocks before it
+    roots = np.empty((len(problems), n_trees), dtype=np.int64)
+    n_nodes = 0
+    for block, part in zip(blocks, grown):
+        for child in (part.left, part.right):
             child[child >= 0] += n_nodes
-        roots.append(n_nodes + np.arange(min(per_block, n_trees - lo)))
-        n_nodes += block.left.size
-    tree = Tree(*(np.concatenate(a) for a in zip(*(vars(b).values() for b in blocks))))
-    return ForestModel(tree, np.concatenate(roots), n_features)
+        p, t = np.array(block).T
+        roots[p, t] = n_nodes + np.arange(len(block))
+        n_nodes += part.left.size
+    tree = Tree(*(np.concatenate(a) for a in zip(*(vars(b).values() for b in grown))))
+    return [ForestModel(tree, r, n_features) for r in roots]
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:

@@ -434,6 +434,11 @@ class KnnImputer(Imputer):
         return _finish(target, denormalize(filled, self.params_), cat_scores, self.params_)
 
 
+def _other_columns(values: np.ndarray, j: int) -> np.ndarray:
+    """Every column index of ``values`` but j: the features of column j's forest."""
+    return np.delete(np.arange(values.shape[1]), j)
+
+
 # MissForest's trees: depth at most 12, sqrt(features) candidates per split
 _REG_TREE, _CLS_TREE = (
     rf.TreeConfig(task=task, max_depth=12, n_features_per_split="sqrt")
@@ -449,7 +454,10 @@ class MissForestImputer(Imputer):
     per incomplete column (ascending missing count) and re-predict its
     missing cells, stopping when the sweep-over-sweep change increases for
     every available variable type. A final forest per column, trained on
-    the converged training iterate, is stored for imputing new tables.
+    the converged training iterate, is stored for imputing new tables
+    (``forests_[j]``); these are independent, so the forests of each task
+    grow in one shared `forest.fit_forests` pass. A table with no missing
+    cell runs no sweep.
     """
 
     name = "missforest"
@@ -459,13 +467,11 @@ class MissForestImputer(Imputer):
         self.n_trees = _check_int("n_trees", n_trees)
         self.max_iter = _check_int("max_iter", max_iter)
 
-    def _fit_column_forest(self, values: np.ndarray, observed_rows, j: int, tag):
-        other = np.delete(np.arange(values.shape[1]), j)
-        X = values[np.ix_(observed_rows, other)]
-        y = values[observed_rows, j]
-        seed = derive_seed(self.seed, "missforest", tag, j)
-        config = _CLS_TREE if self.schema.is_categorical[j] else _REG_TREE
-        return rf.fit_forest(X, y, config, self.n_trees, seed), other
+    def _column_problem(self, values: np.ndarray, observed: np.ndarray, j: int, tag):
+        """(X, y, seed) of column j's forest: its observed rows, the other columns as X."""
+        rows = np.flatnonzero(observed[:, j])
+        X = values[np.ix_(rows, _other_columns(values, j))]
+        return X, values[rows, j], derive_seed(self.seed, "missforest", tag, j)
 
     def _deltas(self, new, old, observed):
         num, cat = self.schema.numerical_indices, self.schema.categorical_indices
@@ -489,18 +495,22 @@ class MissForestImputer(Imputer):
         scores = np.where(~observed & is_cat, self.stats_, np.nan)
         missing_counts = (~observed).sum(axis=0)
         columns = [j for j in np.argsort(missing_counts, kind="stable") if missing_counts[j] > 0]
+        if not columns:  # nothing to impute: no sweep can move the iterate
+            return values, scores
         prev_d = (None, None)
         for it in range(self.max_iter):
             before, before_scores = values.copy(), scores.copy()
             for j in columns:
                 missing_rows = np.flatnonzero(~observed[:, j])
                 if forests is None:
-                    model, other = self._fit_column_forest(
-                        values, np.flatnonzero(observed[:, j]), j, f"{tag}{it}"
-                    )
+                    X, y, seed = self._column_problem(values, observed, j, f"{tag}{it}")
+                    config = _CLS_TREE if is_cat[j] else _REG_TREE
+                    model = rf.fit_forest(X, y, config, self.n_trees, seed)
                 else:
-                    model, other = forests[j]
-                pred = rf.predict_forest(model, values[np.ix_(missing_rows, other)])
+                    model = forests[j]
+                pred = rf.predict_forest(
+                    model, values[np.ix_(missing_rows, _other_columns(values, j))]
+                )
                 if is_cat[j]:
                     scores[missing_rows, j] = pred
                     pred = (pred >= 0.5).astype(float)
@@ -519,12 +529,17 @@ class MissForestImputer(Imputer):
         self.stats_ = column_stats(train.values, self.schema)
         self.params_ = fit_normalizer(train)
         converged, _ = self._iterate(train, forests=None, tag="fit")
-        # final forests for every column, trained on the converged iterate
+        # final forests for every column, trained on the converged iterate;
+        # they are independent, so each task's grow in one shared pass
         observed = ~np.isnan(train.values)
-        self.forests_ = {
-            j: self._fit_column_forest(converged, np.flatnonzero(observed[:, j]), j, "final")
-            for j in range(train.n_cols)
-        }
+        forests = {}
+        for config, columns in (
+            (_REG_TREE, self.schema.numerical_indices),
+            (_CLS_TREE, self.schema.categorical_indices),
+        ):
+            problems = [self._column_problem(converged, observed, j, "final") for j in columns]
+            forests.update(zip(columns, rf.fit_forests(problems, config, self.n_trees)))
+        self.forests_ = {j: forests[j] for j in range(train.n_cols)}
         return self
 
     def impute(self, target: MixedTable) -> ImputationResult:

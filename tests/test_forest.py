@@ -133,6 +133,15 @@ def test_errors():
         rf.predict_forest(model, np.array([[0.5], [-np.inf]]))
     with pytest.raises(ValueError, match=r"n_features_per_split 2 outside \[1, 1\]"):
         rf.fit_forest(X, np.zeros(4), rf.TreeConfig(n_features_per_split=2))
+    # a shared pass names the problem its rows count in
+    good = (X, np.zeros(4), 1)
+    with pytest.raises(ValueError, match="^problem 1: X has a missing entry at row 2, column 0$"):
+        rf.fit_forests([good, (np.array([[0.0], [1.0], [np.nan]]), np.zeros(3), 2)], rf.TreeConfig())
+    with pytest.raises(ValueError, match="^problem 2: X has 2 columns, problem 0's 1$"):
+        rf.fit_forests([good, good, (np.ones((3, 2)), np.zeros(3), 3)], rf.TreeConfig())
+    with pytest.raises(ValueError, match="^X has a missing entry at row 0, column 0$"):
+        rf.fit_forests([(np.array([[np.nan]]), np.zeros(1), 1)], rf.TreeConfig())
+    assert rf.fit_forests([], rf.TreeConfig()) == []
 
 
 def test_forest_determinism():

@@ -110,6 +110,16 @@ def test_rank_keys_at_the_limit_of_the_rank_type(n, rank_type, task, rule):
     assert_same_forest(model, reference_forest(X, y, config, 3, n))
 
 
+def test_dense_ranks_equal_numpy_unique():
+    rng = make_rng(13)
+    X = np.round(rng.normal(size=(300, 4)) * np.array([1.0, 4.0, 50.0, 0.0]))
+    X[rng.random(X.shape) < 0.2] = -0.0  # ranks the same as 0.0
+    ranks = rf._dense_ranks(X)
+    assert ranks.dtype == np.uint16
+    for j in range(X.shape[1]):
+        assert np.array_equal(ranks[:, j], np.unique(X[:, j], return_inverse=True)[1])
+
+
 @pytest.mark.parametrize("loc", [250.0, -1e4])
 def test_raw_scale_regression_targets_match_reference(loc):
     # large means make the prefix-sum variances cancel; gains near the

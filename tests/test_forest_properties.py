@@ -83,3 +83,54 @@ def test_forest_matches_reference_for_any_block(
     finally:
         rf._FOREST_BLOCK = saved
     assert_same_forest(model, reference_forest(X, y, config, n_trees, seed))
+
+
+def _preorder(model, root):
+    """The bytes of tree ``root``'s feature, threshold, value and inner-node flag, in preorder."""
+    tree, order, stack = model.tree, [], [root]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if tree.left[i] >= 0:
+            stack += [tree.right[i], tree.left[i]]
+    return [a[order].tobytes() for a in (tree.feature, tree.threshold, tree.value, tree.left >= 0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=2, max_size=5),
+    n_trees=st.integers(1, 4),
+    task=st.sampled_from([rf.REGRESSION, rf.CLASSIFICATION]),
+    rule=st.sampled_from(["all", "sqrt", 2]),
+    bootstrap=st.booleans(),
+    # a few trees a block, so blocks straddle forests, up to one block for all
+    block=st.one_of(st.integers(1, 300), st.just(1 << 30)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_pass_equals_each_forest_alone(sizes, n_trees, task, rule, bootstrap, block, seed):
+    rng = make_rng(seed)
+    problems = []
+    for n in sizes:
+        X = np.round(rng.normal(size=(n, 3)) * 2) / 2
+        y = rng.normal(250.0, 30.0, size=n) if task == rf.REGRESSION else rng.integers(0, 2, n) * 1.0
+        problems.append((X, y, int(rng.integers(0, 2**32))))
+    # column 0 is two-valued in the first problem's rows alone, so a
+    # classification pass scores it from counts there but sorts it over the
+    # stack, where the second problem gives it a third value
+    _two_valued_columns(problems[0][0], 1, rng)
+    problems[1][0][0, 0] = 0.25
+    problems[-1][0][:, 2] = 0.5  # a constant column
+    config = rf.TreeConfig(task=task, max_depth=5, n_features_per_split=rule)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rf, "_FOREST_BLOCK", block)
+        shared = rf.fit_forests(problems, config, n_trees, bootstrap)
+    probe = np.round(rng.normal(size=(20, 3)) * 2) / 2
+    assert len(shared) == len(problems)
+    for model, (X, y, problem_seed) in zip(shared, problems):
+        alone = rf.fit_forest(X, y, config, n_trees, problem_seed, bootstrap)
+        assert model.n_trees == n_trees and model.tree is shared[0].tree
+        for got, expected in zip(model.roots, alone.roots):
+            assert _preorder(model, got) == _preorder(alone, expected)
+        for rows in (X, probe):
+            expected = rf.predict_forest(alone, rows)
+            assert rf.predict_forest(model, rows).tobytes() == expected.tobytes()

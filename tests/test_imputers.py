@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imputebench import imputers
+from imputebench import forest as rf, imputers
 from imputebench.imputers import (
     KnnImputer,
     MissForestImputer,
@@ -13,6 +13,7 @@ from imputebench.imputers import (
 )
 from imputebench.missingness import inject_mcar
 from imputebench.registry import METHOD_NAMES, make_imputer
+from imputebench.seeding import derive_seed
 from imputebench.tabular import (
     MixedTable,
     fit_normalizer,
@@ -262,6 +263,48 @@ def test_missforest_no_missing_target_unchanged():
     imp = MissForestImputer(schema, n_trees=5, max_iter=2).fit(train)
     result = imp.impute(target)
     assert np.array_equal(result.table.values, target.values)
+
+
+def test_missforest_complete_table_runs_no_sweep(monkeypatch):
+    schema = mixed_schema(2, 1)
+    train = random_table(schema, 40, seed=50)
+    deltas = []
+
+    def counted(new, old, observed):
+        deltas.append(new)
+        return None, None
+
+    imp = MissForestImputer(schema, n_trees=5, max_iter=10)
+    monkeypatch.setattr(imp, "_deltas", counted)
+    imp.fit(train)
+    target = random_table(schema, 10, seed=51)
+    result = imp.impute(target)
+    assert deltas == []
+    assert np.array_equal(result.table.values, target.values)
+
+
+def test_missforest_final_forest_is_its_columns_forest():
+    schema = mixed_schema(3, 3)
+    values = random_table(schema, 60, seed=54).values.copy()
+    # every column misses a different number of cells, so sorting a task's
+    # columns by observed row count reorders them
+    for j, missing in enumerate((7, 2, 5, 1, 9, 4)):
+        values[make_rng(60 + j).choice(60, missing, replace=False), j] = np.nan
+    train = MixedTable(schema, values)
+    imp = MissForestImputer(schema, n_trees=4, max_iter=2, seed=3).fit(train)
+    converged, _ = imp._iterate(train, None, "fit")
+    observed = ~np.isnan(values)
+    probe = make_rng(61).uniform(-5.0, 20.0, (25, schema.n_cols - 1))
+    probe[:, 2:] = probe[:, 2:] > 7.5  # the other categorical columns are 0 or 1
+    for j in range(schema.n_cols):
+        other = np.delete(np.arange(schema.n_cols), j)
+        config = imputers._CLS_TREE if schema.is_categorical[j] else imputers._REG_TREE
+        alone = rf.fit_forest(
+            converged[np.ix_(observed[:, j], other)], converged[observed[:, j], j], config,
+            4, derive_seed(3, "missforest", "final", j),
+        )
+        got = rf.predict_forest(imp.forests_[j], probe)
+        assert got.tobytes() == rf.predict_forest(alone, probe).tobytes(), j
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The forked split of knn_fill's and fit_forest's block loops against the serial loop."""
+"""The forked split of knn_fill's and fit_forests' block loops against the serial loop."""
 
 import os
 import signal
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from imputebench import forest, imputers, split
-from imputebench.forest import TreeConfig, fit_forest, predict_forest
+from imputebench.forest import TreeConfig, fit_forest, fit_forests, predict_forest
 from imputebench.imputers import column_stats, knn_fill
 
 from conftest import make_rng, mixed_schema
@@ -87,6 +87,32 @@ def test_split_forest_equals_the_serial_loop(monkeypatch, forks, task, bootstrap
         assert getattr(got.tree, name).tobytes() == array.tobytes(), name
     assert got.roots.tobytes() == expected.roots.tobytes()
     assert predict_forest(got, X).tobytes() == predict_forest(expected, X).tobytes()
+    _no_children()
+
+
+@pytest.mark.parametrize("task", [forest.REGRESSION, forest.CLASSIFICATION])
+def test_split_shared_pass_equals_the_serial_loop(monkeypatch, forks, task):
+    rng = make_rng(4)
+    problems = []
+    for n, seed in ((30, 1), (40, 2), (25, 3)):
+        X = np.round(rng.random((n, 5)), 1)
+        y = (X[:, 0] + rng.random(n) > 1).astype(float) if task == forest.CLASSIFICATION else rng.random(n)
+        problems.append((X, y, seed))
+    config = TreeConfig(task=task, max_depth=6, n_features_per_split="sqrt")
+    # 240 elements a block: trees of 50, 60 and 80 elements, so blocks
+    # straddle the 25- and 30-row and the 30- and 40-row forests
+    monkeypatch.setattr(forest, "_FOREST_BLOCK", 240)
+    with monkeypatch.context() as serial:
+        serial.setattr(split, "_split_pays", lambda n_items, minimum: False)
+        expected = fit_forests(problems, config, n_trees=5)
+    assert not forks
+    got = fit_forests(problems, config, n_trees=5)
+    assert len(forks) == 1
+    for name, array in vars(expected[0].tree).items():
+        assert getattr(got[0].tree, name).tobytes() == array.tobytes(), name
+    for model, want, (X, _, _) in zip(got, expected, problems):
+        assert model.roots.tobytes() == want.roots.tobytes()
+        assert predict_forest(model, X).tobytes() == predict_forest(want, X).tobytes()
     _no_children()
 
 
