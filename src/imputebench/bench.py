@@ -335,6 +335,7 @@ def _fold_group(complete: MixedTable, config: ExperimentConfig, step: tuple) -> 
     corrupted = inject_mcar(complete, rate, derive_seed(config.seed, "mcar", repeat, rate))
     test_rows = np.flatnonzero(folds == fold)
     train_tbl, test_tbl = corrupted.take(np.flatnonzero(folds != fold)), corrupted.take(test_rows)
+    del corrupted  # split into copies: free it before the first cell
     truth_test, mask_test = complete.take(test_rows), test_tbl.mask()
     params = fit_normalizer(train_tbl)
     records = []
@@ -342,6 +343,7 @@ def _fold_group(complete: MixedTable, config: ExperimentConfig, step: tuple) -> 
         out = _impute(config, ("imputer", method, repeat, rate, fold), train_tbl, test_tbl)
         rmse = _defined_or_nan("nRMSE", normalized_rmse, truth_test, out.table, mask_test, params)
         auroc = _defined_or_nan("AUROC", categorical_auroc, truth_test, out.scores, mask_test)
+        del out  # scored: free it before the next method imputes
         records.append(RunRecord(method, rate, repeat, fold, rmse, auroc))
     return records
 
@@ -386,6 +388,8 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
     before SMOTE distances and forest fitting. SMOTE balances each training
     fold with k = 5 neighbours; the forest's `config.forest_trees` trees
     grow unbounded on sqrt(features) per split. Returns per-fold F1 scores.
+    Each fold runs in its own frame, so its forest and arrays are freed
+    before the next fold grows its own.
     """
     schema = table.schema
     label_j = _label_index(table)
@@ -393,8 +397,8 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
     cat_local = np.flatnonzero(schema.is_categorical[feature_idx])
     folds = assign_folds(table.n_rows, config.folds, derive_seed(seed, "predict-folds"))
     tree_config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split="sqrt")
-    scores = []
-    for fold in range(config.folds):
+
+    def fold_f1(fold: int) -> float:
         train_rows = np.flatnonzero(folds != fold)
         test_rows = np.flatnonzero(folds == fold)
         train_tbl = table.take(train_rows)
@@ -414,8 +418,9 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
         forest_seed = derive_seed(seed, "predict-forest", fold)
         model = rf.fit_forest(X_bal, y_bal, tree_config, config.forest_trees, forest_seed)
         preds = (rf.predict_forest(model, X_test) >= 0.5).astype(float)
-        scores.append(f1(preds, y_test))
-    return scores
+        return f1(preds, y_test)
+
+    return [fold_f1(fold) for fold in range(config.folds)]
 
 
 def _predict_unit(complete: MixedTable, config: ExperimentConfig, step: tuple) -> list:
@@ -425,6 +430,7 @@ def _predict_unit(complete: MixedTable, config: ExperimentConfig, step: tuple) -
     seed = derive_seed(config.seed, "post-mcar", repeat, rate)
     corrupted = inject_mcar(complete, rate, seed, exclude=[complete.schema.label])
     imputed = _impute(config, ("post-imputer", method, repeat, rate), corrupted, corrupted).table
+    del corrupted  # imputed: free it before the CV grows its forests
     fold_scores = predict_cv(imputed, derive_seed(config.seed, "post-cv", repeat), config)
     return [F1Record(method, rate, repeat, fold, score) for fold, score in enumerate(fold_scores)]
 

@@ -20,7 +20,8 @@ real missing cells they are first completed by KNN self-imputation (k=5)
 so the reconstruction target is defined everywhere. The last completion is
 kept and reused, read-only, by the next fit on a fold with the same bytes,
 shape and schema, so the deep methods fitted one after another on one fold
-share one completion.
+share one completion; inaa and igain, which pre-fill a target from it with
+the same k, share that fill too.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ FIXED_K = 5  # naa's pre-fill and the completion of an incomplete training fold
 # ((schema, shape, fold bytes), completed fold) of the last completion: the
 # deep methods of a bench fold, or of a predict repeat, fit on one fold in turn
 _completed_fold = None
+# ((k, target shape, target bytes), fill) of the last impute-time fill from the
+# completed fold: inaa and igain fill one target alike
+_completed_fold_fill = None
 
 
 def _complete_fold(norm: np.ndarray, schema: Schema, stats: np.ndarray) -> np.ndarray:
@@ -69,13 +73,31 @@ def _complete_fold(norm: np.ndarray, schema: Schema, stats: np.ndarray) -> np.nd
     bytes, compared in full, under an equal schema; `stats`, the column means
     of `norm`, follow from those, so a hit is exactly what a new call makes.
     """
-    global _completed_fold
+    global _completed_fold, _completed_fold_fill
     key = (schema, norm.shape, norm.tobytes())
     if _completed_fold is None or _completed_fold[0] != key:
         filled, _, _ = knn_fill(norm, norm, FIXED_K, schema, stats)
         filled.flags.writeable = False
-        _completed_fold = (key, filled)
+        _completed_fold, _completed_fold_fill = (key, filled), None
     return _completed_fold[1]
+
+
+def _fill_target(ref: np.ndarray, target: np.ndarray, k: int, schema: Schema, stats):
+    """`knn_fill(ref, target, k, schema, stats)`'s filled grid.
+
+    Where `ref` is the completed fold itself (by identity, so the schema and
+    `stats` are those it was completed under), the last such fill is returned
+    again, read-only, for an equal k and a target of the same shape and bytes.
+    """
+    global _completed_fold_fill
+    if _completed_fold is None or ref is not _completed_fold[1]:
+        return knn_fill(ref, target, k, schema, stats)[0]
+    key = (k, target.shape, target.tobytes())
+    if _completed_fold_fill is None or _completed_fold_fill[0] != key:
+        filled = knn_fill(ref, target, k, schema, stats)[0]
+        filled.flags.writeable = False
+        _completed_fold_fill = (key, filled)
+    return _completed_fold_fill[1]
 
 
 def _drop_and_fill(clean: np.ndarray, rng, k: int, schema: Schema, stats):
@@ -190,7 +212,7 @@ class _DeepImputer(Imputer):
             noise = rng.uniform(0.0, NOISE_HIGH, size=target_norm.shape)
             return np.where(target.mask() == 1, target_norm, noise)
         k = FIXED_K if self.name == "naa" else ROTATED_IMPUTE_K
-        return knn_fill(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)[0]
+        return _fill_target(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
 
     def _result(self, target: MixedTable, out_raw: np.ndarray) -> ImputationResult:
         """Map raw network outputs (normalized units) into an ImputationResult."""

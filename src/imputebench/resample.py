@@ -37,12 +37,12 @@ def smote(X, y, seed: int, categorical_indices=()):
     n_needed = n_maj - n_min
     if n_needed <= 0:
         return X.copy(), y.copy()
+    if n_min < 2:
+        raise ValueError("need at least 2 minority samples for SMOTE")
     k = K_NEIGHBORS
     if n_min <= k:
         k = n_min - 1
         warnings.warn(f"minority count {n_min} <= k = {K_NEIGHBORS}; reducing k to {k}")
-        if k < 1:
-            raise ValueError("need at least 2 minority samples for SMOTE")
     Xm = X[minority_rows]
     neighbor_ids = np.empty((n_min, k), dtype=np.intp)
     block = max(1, _SMOTE_BLOCK // max(1, n_min * X.shape[1]))

@@ -291,9 +291,10 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
 
     The header must contain every schema column (order-insensitive; extra
     columns are ignored). Empty fields, or the configured missing token,
-    denote missing cells; any other field must be a finite number, so a
-    literal `nan` or `inf` is a ParseError rather than a silent value, and
-    so is a record with fewer fields than the header (a blank line included).
+    denote missing cells; any other field must be a finite number in ASCII
+    digits, so a literal `nan` or `inf`, or a digit separator as in `1_000`,
+    is a ParseError rather than a silent value, and so is a record with
+    fewer fields than the header (a blank line included).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -320,7 +321,8 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
                     out[j] = np.nan
                     continue
                 try:
-                    out[j] = float(field)
+                    # float() also reads digit separators (1_000) and non-ASCII digits
+                    out[j] = float(field) if field.isascii() and "_" not in field else np.nan
                 except ValueError:
                     out[j] = np.nan
                 if not np.isfinite(out[j]):
@@ -344,11 +346,12 @@ def save_csv(table: MixedTable, path) -> None:
 
 
 def complete_subset(table: MixedTable) -> MixedTable:
-    """Rows with no missing cells, original order preserved."""
+    """Rows with no missing cells, original order preserved; a table with no
+    incomplete row is returned as is, since tables are read-only."""
     keep = ~np.isnan(table.values).any(axis=1)
     if not keep.any():
         raise EmptySubsetError("no complete rows in table")
-    return table.with_values(table.values[keep])
+    return table if keep.all() else table.with_values(table.values[keep])
 
 
 def fit_normalizer(table: MixedTable) -> NormParams:

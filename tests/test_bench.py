@@ -2,14 +2,14 @@ import hashlib
 import itertools
 import json
 import re
-import warnings
+import weakref
 from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from imputebench import bench, deep_imputers, registry
+from imputebench import bench, deep_imputers, forest, registry
 from imputebench.bench import (
     ExperimentConfig,
     MetricsReport,
@@ -344,6 +344,7 @@ def _check_units_independent(monkeypatch, unit, table, config, axes, records):
     complete = complete_subset(table)
     for step in plan:
         monkeypatch.setattr(deep_imputers, "_completed_fold", None)
+        monkeypatch.setattr(deep_imputers, "_completed_fold_fill", None)
         assert _bits(unit(complete, config, step)) == expected[step], step
     for step in reversed(plan):
         assert _bits(unit(complete, config, step)) == expected[step], step
@@ -399,6 +400,50 @@ def test_one_fold_completion_per_fold_group(monkeypatch):
     # each of the 4 fold groups completes its fold once, for all 4 methods
     completions = [(k, data) for k, data in calls if data in folds]
     assert sorted(completions) == sorted((5, fold) for fold in set(folds))
+
+
+def _track(calls: list, fn):
+    """`fn`, keeping a weak reference to each result in `calls`."""
+    def tracked(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append(weakref.ref(result))
+        return result
+    return tracked
+
+
+def test_a_fold_group_frees_its_corruption_and_each_imputation(monkeypatch):
+    corrupted, imputed, cells = [], [], []
+    monkeypatch.setattr(bench, "inject_mcar", _track(corrupted, bench.inject_mcar))
+    monkeypatch.setattr(bench, "_impute", _track(imputed, bench._impute))
+    make_imputer = bench.make_imputer
+
+    def checking_make_imputer(*args, **kwargs):
+        # the unit's corrupted table is split, and every earlier cell scored
+        assert [ref() for ref in corrupted + imputed] == [None] * (len(corrupted) + len(imputed))
+        cells.append(len(corrupted))
+        return make_imputer(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "make_imputer", checking_make_imputer)
+    cfg = ExperimentConfig(methods=["simple", "knn"], rates=(0.2,), folds=2, repeats=1)
+    run_imputation_experiment(small_table(n=80), cfg)
+    assert cells == [0, 0, 1, 1, 2, 2]  # two up-front checks, then 2 units x 2 cells
+    assert len(imputed) == 4
+
+
+def test_a_predict_unit_frees_its_corruption_before_the_cv(monkeypatch):
+    corrupted, checked = [], []
+    monkeypatch.setattr(bench, "inject_mcar", _track(corrupted, bench.inject_mcar))
+    cv = bench.predict_cv
+
+    def checking_predict_cv(table, *args):
+        assert [ref() for ref in corrupted] == [None] * len(corrupted)
+        checked.append(table)
+        return cv(table, *args)
+
+    monkeypatch.setattr(bench, "predict_cv", checking_predict_cv)
+    cfg = ExperimentConfig(methods=["simple"], folds=3, repeats=2, forest_trees=3)
+    run_post_imputation(labelled_table(), cfg)
+    assert len(checked) == len(corrupted) == 2
 
 
 class RecordingImputer(Imputer):
@@ -498,6 +543,19 @@ def test_predict_cv_basics():
     assert scores == again
 
 
+def test_each_fold_forest_is_freed_before_the_next_grows(monkeypatch):
+    models = []
+    fit_forest = forest.fit_forest
+
+    def checking_fit_forest(*args):
+        assert [ref() for ref in models] == [None] * len(models), f"fold {len(models)}"
+        return fit_forest(*args)
+
+    monkeypatch.setattr(forest, "fit_forest", _track(models, checking_fit_forest))
+    predict_cv(labelled_table(), 1, predict_config(forest_trees=3))
+    assert len(models) == 3
+
+
 def test_predict_cv_requires_label():
     t = small_table()
     with pytest.raises(ValueError, match="label"):
@@ -533,8 +591,7 @@ def test_predict_cv_names_label_and_fold_smote_cannot_balance(positives, reason)
     values[:positives, 3] = 1.0
     t = MixedTable(mixed_schema(3, 1, label="c0"), values)
     message = re.escape(f"label column 'c0', training rows of fold 0: {reason}")
-    with pytest.raises(ValueError, match=message), warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # SMOTE's k reduction before it gives up
+    with pytest.raises(ValueError, match=message):
         predict_cv(t, 0, predict_config(forest_trees=3))
 
 

@@ -85,6 +85,37 @@ def test_deep_methods_share_one_fold_completion(monkeypatch):
 
 
 @pytest.mark.usefixtures("small_batches")
+def test_inaa_and_igain_share_one_impute_fill(monkeypatch):
+    schema = mixed_schema(2, 1)
+    train = random_table(schema, 40, seed=34, missing_rate=0.1)
+    target = inject_mcar(random_table(schema, 12, seed=35), 0.2, 7)
+    calls = record_knn_inputs(monkeypatch)
+    fitted = [_fit(method, train) for method in ("inaa", "igain")]
+    del calls[:]
+    outputs = [imp.impute(target) for imp in fitted]
+    assert [k for k, _ in calls] == [9]  # one fill of the target from the completed fold
+    fills = [imp._network_input(target) for imp in fitted]
+    assert fills[0] is fills[1] and len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        fills[0][0, 0] = 0.5
+    for imp, out in zip(fitted, outputs):
+        # the same as a separate call with nothing memoised
+        target_norm = normalize(target.values, imp.params_)
+        alone = knn_fill(imp.train_ref_, target_norm, 9, schema, imp.norm_stats_)[0]
+        assert imp._network_input(target).tobytes() == alone.tobytes()
+        monkeypatch.setattr(deep, "_completed_fold", None)
+        again = _fit(imp.name, train).impute(target)
+        assert again.table == out.table and again.scores.tobytes() == out.scores.tobytes()
+    # a complete training fold is its own reference, not the completed fold: no memo
+    complete = random_table(schema, 40, seed=34)
+    fitted = [_fit(method, complete) for method in ("inaa", "igain")]
+    del calls[:]
+    for imp in fitted:
+        imp.impute(target)
+    assert [k for k, _ in calls] == [9, 9]
+
+
+@pytest.mark.usefixtures("small_batches")
 def test_fold_completion_recomputed_for_another_fold_or_schema(monkeypatch):
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=33, missing_rate=0.1)

@@ -93,6 +93,13 @@ def test_load_csv_errors(tmp_path):
         non_finite.write_text(f"Glucose,Sex\n100,1\n{field},0\n")
         with pytest.raises(ParseError, match="row 2, column 'Glucose'"):
             load_csv(non_finite, schema)
+    # nor is a number only Python's float() reads: a digit separator, non-ASCII digits
+    for field in ("1_000", "1_0", "\uff11\uff12"):
+        separated = tmp_path / "separated.csv"
+        separated.write_text(f"Glucose,Sex\n100,1\n90,{field}\n", encoding="utf-8")
+        message = re.escape(f"row 2, column 'Sex': cannot parse {field!r} as a finite number")
+        with pytest.raises(ParseError, match=message):
+            load_csv(separated, schema)
     # unless it is the declared missing token
     assert np.isnan(load_csv(tmp_path / "nan.csv", schema, missing_token="nan").values[1, 0])
     # a record with fewer fields than the header is not a row of missing cells
@@ -148,14 +155,14 @@ def test_schema_column_name_not_a_string_is_a_named_error(tmp_path):
 
 def test_complete_subset_identity_and_filter():
     full = random_table(mixed_schema(), 10, seed=3)
-    assert complete_subset(full) == full
+    assert complete_subset(full) is full  # read-only: nothing to copy
 
     values = full.values.copy()
     values[1, 0] = np.nan
     values[3, 2] = np.nan
     holes = full.with_values(values)
     sub = complete_subset(holes)
-    assert sub.n_rows == 8
+    assert sub is not holes and sub.n_rows == 8
     assert np.array_equal(sub.values, values[[0, 2, 4, 5, 6, 7, 8, 9]])
 
 
