@@ -241,17 +241,26 @@ class MetricsReport:
 
 
 def _read_records(doc: dict, key: str, record_type, path) -> list:
-    """`doc[key]` as records; a missing list or a bad record is named with the file."""
+    """`doc[key]` as records; a missing list, a bad record or a second record of
+    one (method, rate, repeat, fold) is named with the file."""
     rows = doc.get(key)
     if not isinstance(rows, list):
         raise ValueError(f"report {path} has no {key!r} list")
-    records = []
+    records, first = [], {}
     for i, row in enumerate(rows):
         try:
             fields = {k: _field(record_type, k, v) for k, v in row.items()}
             records.append(record_type(**fields))
         except (TypeError, AttributeError) as exc:  # a bad, missing or unknown field; not an object
             raise ValueError(f"report {path}, {key}[{i}]: {exc}") from None
+        rec = records[-1]
+        unit = (rec.method, rec.rate, rec.repeat, rec.fold)
+        if unit in first:
+            raise ValueError(
+                f"report {path}, {key}[{i}] repeats {key}[{first[unit]}]: method {rec.method!r}, "
+                f"rate {rec.rate}, repeat {rec.repeat}, fold {rec.fold}"
+            )
+        first[unit] = i
     return records
 
 

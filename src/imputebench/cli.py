@@ -124,8 +124,10 @@ def cmd_inject(args) -> int:
     if not 0.0 < args.rate < 1.0:
         raise ValueError(f"inject --rate must be in (0, 1), got {args.rate}")
     schema = _load_schema_arg(args)
+    if args.exclude_label and schema.label is None:
+        raise ValueError("inject --exclude-label: the schema designates no label column")
     table = _load_table(args, schema)
-    exclude = [schema.label] if args.exclude_label and schema.label else []
+    exclude = [schema.label] if args.exclude_label else []
     corrupted = inject_mcar(table, args.rate, args.seed, exclude=exclude)
     save_csv(corrupted, args.out)
     np.savetxt(args.out_mask, corrupted.mask(), fmt="%d", delimiter=",")

@@ -17,11 +17,11 @@ one training setting (the others are module constants):
 
 Training works on min-max normalized matrices; if the training table has
 real missing cells they are first completed by KNN self-imputation (k=5)
-so the reconstruction target is defined everywhere. The last completion is
-kept and reused, read-only, by the next fit on a fold with the same bytes,
-shape and schema, so the deep methods fitted one after another on one fold
-share one completion; inaa and igain, which pre-fill a target from it with
-the same k, share that fill too.
+so the reconstruction target is defined everywhere. One memo keeps, read-only,
+the last KNN fill of a fold and of an impute-time target, keyed by every input
+(schema, k, stats, and the shapes and bytes of both matrices): the deep methods
+fitted in turn on one fold share one completion, and inaa and igain share one
+pre-fill of a target.
 """
 
 from __future__ import annotations
@@ -58,46 +58,28 @@ ROTATED_IMPUTE_K = 9  # inaa/igain impute-time k: the median of ROTATION_KS
 FIXED_K = 5  # naa's pre-fill and the completion of an incomplete training fold
 
 
-# ((schema, shape, fold bytes), completed fold) of the last completion: the
-# deep methods of a bench fold, or of a predict repeat, fit on one fold in turn
-_completed_fold = None
-# ((k, target shape, target bytes), fill) of the last impute-time fill from the
-# completed fold: inaa and igain fill one target alike
-_completed_fold_fill = None
+# kind -> (key, fill) of the last `_shared_fill` at one call site: "fold", the
+# completion of an incomplete training fold (the deep methods of a bench fold,
+# or of a predict repeat, fit on one fold in turn), and "target", the
+# impute-time pre-fill of a target (inaa and igain fill one target alike)
+_last_fill = {}
 
 
-def _complete_fold(norm: np.ndarray, schema: Schema, stats: np.ndarray) -> np.ndarray:
-    """KNN self-imputation (k = FIXED_K) of a normalized training fold, read-only.
+def _shared_fill(kind: str, ref: np.ndarray, target: np.ndarray, k: int, schema: Schema, stats):
+    """`knn_fill(ref, target, k, schema, stats)`'s filled grid, read-only.
 
-    The last call's result is returned again for a fold of the same shape and
-    bytes, compared in full, under an equal schema; `stats`, the column means
-    of `norm`, follow from those, so a hit is exactly what a new call makes.
+    The last result of `kind` is returned again when the schema, k, the bytes
+    of `stats` and the shapes and bytes of `ref` and `target` all equal that
+    call's, so a hit is exactly what a new call makes.
     """
-    global _completed_fold, _completed_fold_fill
-    key = (schema, norm.shape, norm.tobytes())
-    if _completed_fold is None or _completed_fold[0] != key:
-        filled, _, _ = knn_fill(norm, norm, FIXED_K, schema, stats)
-        filled.flags.writeable = False
-        _completed_fold, _completed_fold_fill = (key, filled), None
-    return _completed_fold[1]
-
-
-def _fill_target(ref: np.ndarray, target: np.ndarray, k: int, schema: Schema, stats):
-    """`knn_fill(ref, target, k, schema, stats)`'s filled grid.
-
-    Where `ref` is the completed fold itself (by identity, so the schema and
-    `stats` are those it was completed under), the last such fill is returned
-    again, read-only, for an equal k and a target of the same shape and bytes.
-    """
-    global _completed_fold_fill
-    if _completed_fold is None or ref is not _completed_fold[1]:
-        return knn_fill(ref, target, k, schema, stats)[0]
-    key = (k, target.shape, target.tobytes())
-    if _completed_fold_fill is None or _completed_fold_fill[0] != key:
+    key = (schema, k, stats.tobytes(), ref.shape, ref.tobytes(), target.shape,
+           None if target is ref else target.tobytes())
+    last = _last_fill.get(kind)
+    if last is None or last[0] != key:
         filled = knn_fill(ref, target, k, schema, stats)[0]
         filled.flags.writeable = False
-        _completed_fold_fill = (key, filled)
-    return _completed_fold_fill[1]
+        _last_fill[kind] = last = (key, filled)
+    return last[1]
 
 
 def _drop_and_fill(clean: np.ndarray, rng, k: int, schema: Schema, stats):
@@ -184,7 +166,7 @@ class _DeepImputer(Imputer):
         clean = self._normalized_fold(train)
         if np.isnan(clean).any():
             # complete the incomplete training fold before internal corruption
-            clean = _complete_fold(clean, self.schema, self.norm_stats_)
+            clean = _shared_fill("fold", clean, clean, FIXED_K, self.schema, self.norm_stats_)
         corrupt_rng = make_rng(self.seed, f"{self.tag}-corrupt")
         batch_rng = make_rng(self.seed, f"{self.tag}-batches")
         rotator = RotatingPreimputer(self.seed)
@@ -212,7 +194,7 @@ class _DeepImputer(Imputer):
             noise = rng.uniform(0.0, NOISE_HIGH, size=target_norm.shape)
             return np.where(target.mask() == 1, target_norm, noise)
         k = FIXED_K if self.name == "naa" else ROTATED_IMPUTE_K
-        return _fill_target(self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
+        return _shared_fill("target", self.train_ref_, target_norm, k, self.schema, self.norm_stats_)
 
     def _result(self, target: MixedTable, out_raw: np.ndarray) -> ImputationResult:
         """Map raw network outputs (normalized units) into an ImputationResult."""

@@ -80,8 +80,9 @@ class Schema:
         if not columns:
             raise SchemaError("schema must have at least one column")
         names = [c.name for c in columns]
-        if len(set(names)) != len(names):
-            raise SchemaError("duplicate column names in schema")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise SchemaError(f"duplicate column name {repeated[0]!r} in schema")
         if label is not None and label not in names:
             raise SchemaError(f"label column {label!r} not in schema")
         self.columns = columns
@@ -289,7 +290,7 @@ def save_schema(schema: Schema, path) -> None:
 def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
     """Parse a UTF-8 comma-separated file, with or without a BOM, into a MixedTable.
 
-    The header must contain every schema column (order-insensitive; extra
+    The header must name every schema column once (order-insensitive; extra
     columns are ignored). Empty fields, or the configured missing token,
     denote missing cells; any other field must be a finite number in ASCII
     digits, so a literal `nan` or `inf`, or a digit separator as in `1_000`,
@@ -305,9 +306,15 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
         header = [h.strip() for h in header]
         positions = []
         for name in schema.names:
-            if name not in header:
+            fields = [i + 1 for i, h in enumerate(header) if h == name]
+            if not fields:
                 raise SchemaError(f"{path}: missing column {name!r}")
-            positions.append(header.index(name))
+            if len(fields) > 1:
+                raise SchemaError(
+                    f"{path}: column {name!r} is named twice in the header, "
+                    f"as fields {fields[0]} and {fields[1]}"
+                )
+            positions.append(fields[0] - 1)
         rows = []
         for r, record in enumerate(reader):
             if len(record) < len(header):

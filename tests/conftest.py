@@ -47,7 +47,7 @@ def random_table(schema, n_rows, seed, missing_rate=0.0):
 
 def record_knn_inputs(monkeypatch):
     """(k, training matrix bytes) of every knn_fill call the deep module
-    makes from now on, with the fold-completion memo emptied."""
+    makes from now on, with the KNN fill memo emptied."""
     calls = []
     knn_fill = deep_imputers.knn_fill
 
@@ -56,7 +56,7 @@ def record_knn_inputs(monkeypatch):
         return knn_fill(train, target, k, *args)
 
     monkeypatch.setattr(deep_imputers, "knn_fill", recording_knn_fill)
-    monkeypatch.setattr(deep_imputers, "_completed_fold", None)
+    monkeypatch.setattr(deep_imputers, "_last_fill", {})
     return calls
 
 

@@ -343,8 +343,7 @@ def _check_units_independent(monkeypatch, unit, table, config, axes, records):
     expected = {step: _bits(records[i * size:(i + 1) * size]) for i, step in enumerate(plan)}
     complete = complete_subset(table)
     for step in plan:
-        monkeypatch.setattr(deep_imputers, "_completed_fold", None)
-        monkeypatch.setattr(deep_imputers, "_completed_fold_fill", None)
+        monkeypatch.setattr(deep_imputers, "_last_fill", {})
         assert _bits(unit(complete, config, step)) == expected[step], step
     for step in reversed(plan):
         assert _bits(unit(complete, config, step)) == expected[step], step

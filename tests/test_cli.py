@@ -107,20 +107,26 @@ def test_error_rows_count_data_rows_from_1(tmp_path, capsys):
     assert "row 2, column 'Totchol' is missing\n" in run_with(1, totchol, "")
 
 
-def test_inject_exclude_label(tmp_path, small_schema_file):
+def test_inject_exclude_label(tmp_path, capsys, small_schema_file):
     schema, schema_path = small_schema_file
     synth = tmp_path / "data.csv"
     main(["synth", "--rows", "30", "--out", str(synth), "--schema", schema_path])
     holes = tmp_path / "holes.csv"
-    main(
-        [
-            "inject", "--schema", schema_path, "--input", str(synth),
-            "--rate", "0.3", "--exclude-label",
-            "--out", str(holes), "--out-mask", str(tmp_path / "m.csv"),
-        ]
-    )
+    flags = ["--input", str(synth), "--rate", "0.3", "--exclude-label", "--out", str(holes),
+             "--out-mask", str(tmp_path / "m.csv")]
+    assert main(["inject", "--schema", schema_path, *flags]) == 0
     corrupted = load_csv(str(holes), schema)
     assert not np.isnan(corrupted.values[:, schema.label_index]).any()
+    holes.unlink()
+    # a schema without a label: the flag is an error, not a corruption of every column
+    unlabelled = tmp_path / "unlabelled.json"
+    save_schema(mixed_schema(2, 1), unlabelled)
+    capsys.readouterr()
+    assert main(["inject", "--schema", str(unlabelled), *flags]) == 1
+    assert capsys.readouterr().err == (
+        "error: inject --exclude-label: the schema designates no label column\n"
+    )
+    assert not holes.exists()
 
 
 def test_bench_synthetic_and_report_round_trip(tmp_path, small_schema_file, capsys):
@@ -188,10 +194,35 @@ def test_bench_synthetic_and_report_round_trip(tmp_path, small_schema_file, caps
             )
             for value in (float("nan"), float("inf"), float("-inf"))
         ),
+        # a second record of one (method, rate, repeat, fold) would be counted twice
+        (
+            {
+                "config": {},
+                "records": [
+                    {"method": "knn", "rate": 0.2, "repeat": 0, "fold": f, "rmse": 0.1,
+                     "auroc": None}
+                    for f in (0, 1, 0)
+                ],
+                "f1_records": [],
+            },
+            "records[2] repeats records[0]: method 'knn', rate 0.2, repeat 0, fold 0",
+        ),
+        (
+            {
+                "config": {},
+                "records": [],
+                "f1_records": [
+                    {"method": "simple", "rate": 0.0, "repeat": r, "fold": 1, "f1": 0.5}
+                    for r in (0, 1, 1)
+                ],
+            },
+            "f1_records[2] repeats f1_records[1]: method 'simple', rate 0.0, repeat 1, fold 1",
+        ),
     ],
     ids=[
         "no-records", "record-missing-fields", "record-rate-a-string",
         "record-rmse-nan", "record-rmse-infinity", "record-rmse-minus-infinity",
+        "record-repeated", "f1-record-repeated",
     ],
 )
 def test_report_on_a_malformed_file_is_a_named_error(tmp_path, capsys, doc, named):

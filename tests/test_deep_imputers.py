@@ -44,7 +44,7 @@ def test_knn_prefill_ks(method, monkeypatch):
         return knn_fill(train, target, k, *args)
 
     monkeypatch.setattr(deep, "knn_fill", recording_knn_fill)
-    monkeypatch.setattr(deep, "_completed_fold", None)
+    monkeypatch.setattr(deep, "_last_fill", {})
     schema = mixed_schema(2, 1)
     train = random_table(schema, 40, seed=28, missing_rate=0.1)
     corrupted = inject_mcar(random_table(schema, 12, seed=29), 0.2, 6)
@@ -78,7 +78,7 @@ def test_deep_methods_share_one_fold_completion(monkeypatch):
     assert [k for k, data in calls if data == fold] == [5]
     assert not np.isnan(fitted[0].train_ref_).any()
     for imp in fitted:
-        monkeypatch.setattr(deep, "_completed_fold", None)
+        monkeypatch.setattr(deep, "_last_fill", {})
         assert imp.train_ref_.tobytes() == _fit(imp.name, train).train_ref_.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         fitted[0].train_ref_[0, 0] = 0.5
@@ -103,16 +103,19 @@ def test_inaa_and_igain_share_one_impute_fill(monkeypatch):
         target_norm = normalize(target.values, imp.params_)
         alone = knn_fill(imp.train_ref_, target_norm, 9, schema, imp.norm_stats_)[0]
         assert imp._network_input(target).tobytes() == alone.tobytes()
-        monkeypatch.setattr(deep, "_completed_fold", None)
+        monkeypatch.setattr(deep, "_last_fill", {})
         again = _fit(imp.name, train).impute(target)
         assert again.table == out.table and again.scores.tobytes() == out.scores.tobytes()
-    # a complete training fold is its own reference, not the completed fold: no memo
+    # a complete training fold is its own reference; the two fills share one call too
     complete = random_table(schema, 40, seed=34)
     fitted = [_fit(method, complete) for method in ("inaa", "igain")]
     del calls[:]
-    for imp in fitted:
-        imp.impute(target)
-    assert [k for k, _ in calls] == [9, 9]
+    outputs = [imp.impute(target) for imp in fitted]
+    assert [k for k, _ in calls] == [9]
+    for imp, out in zip(fitted, outputs):
+        monkeypatch.setattr(deep, "_last_fill", {})
+        again = imp.impute(target)
+        assert again.table == out.table and again.scores.tobytes() == out.scores.tobytes()
 
 
 @pytest.mark.usefixtures("small_batches")
@@ -137,6 +140,56 @@ def test_fold_completion_recomputed_for_another_fold_or_schema(monkeypatch):
     assert [k for k, _ in calls] == [5, 5, 5, 5]
     assert calls[0][1] != calls[1][1]
     assert calls[0][1] == calls[2][1] == calls[3][1]
+
+
+def _with_cell(matrix, value):
+    """A copy of `matrix` whose first observed cell of column 0 is `value`."""
+    changed = matrix.copy()
+    changed[np.flatnonzero(~np.isnan(matrix[:, 0]))[0], 0] = value
+    return changed
+
+
+# one input of a `_shared_fill` call changed at a time; "nothing" passes equal copies
+FILL_CHANGES = {
+    "nothing": lambda a: a | {
+        "schema": Schema(a["schema"].columns), "ref": a["ref"].copy(),
+        "target": a["target"].copy(), "stats": a["stats"].copy(),
+    },
+    "schema": lambda a: a | {
+        "schema": Schema([Column(f"m{j}", c.kind) for j, c in enumerate(a["schema"].columns)])
+    },
+    "k": lambda a: a | {"k": a["k"] + 1},
+    "stats": lambda a: a | {"stats": _with_cell(a["stats"][None], 0.25)[0]},
+    "ref bytes": lambda a: a | {"ref": _with_cell(a["ref"], 0.25)},
+    "target bytes": lambda a: a | {"target": _with_cell(a["target"], 0.25)},
+    "ref shape": lambda a: a | {"ref": a["ref"][:-1]},
+    "target shape": lambda a: a | {"target": a["target"][:-1]},
+}
+
+
+@pytest.mark.parametrize("change", FILL_CHANGES)
+def test_shared_fill_is_recomputed_when_any_input_changes(monkeypatch, change):
+    schema = mixed_schema(2, 1)
+    train = random_table(schema, 30, seed=36)
+    params = fit_normalizer(train)
+    ref = normalize(train.values, params)
+    target = normalize(inject_mcar(random_table(schema, 8, seed=37), 0.3, 8).values, params)
+    inputs = {"ref": ref, "target": target, "k": 3, "schema": schema,
+              "stats": column_stats(ref, schema)}
+    calls = record_knn_inputs(monkeypatch)
+    first = deep._shared_fill("target", **inputs)
+    deep._shared_fill("fold", ref, ref, 5, schema, inputs["stats"])  # a kind of its own
+    changed = FILL_CHANGES[change](inputs)
+    again = deep._shared_fill("target", **changed)
+    if change == "nothing":
+        assert again is first and len(calls) == 2
+    else:
+        assert len(calls) == 3
+    alone = knn_fill(changed["ref"], changed["target"], changed["k"], changed["schema"],
+                     changed["stats"])[0]
+    assert again.tobytes() == alone.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        again[0, 0] = 0.5
 
 
 def test_make_hint_entries_and_rate(monkeypatch):

@@ -42,8 +42,12 @@ def test_framingham_schema_shape():
 
 
 def test_schema_rejects_duplicates_and_empty():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^duplicate column name 'a' in schema$"):
         Schema([Column("a", ColumnKind.NUMERICAL), Column("a", ColumnKind.NUMERICAL)])
+    # the first name seen a second time is named
+    names = ["a", "b", "b", "a"]
+    with pytest.raises(SchemaError, match="^duplicate column name 'b' in schema$"):
+        Schema([Column(name, ColumnKind.NUMERICAL) for name in names])
     with pytest.raises(SchemaError):
         Schema([])
     with pytest.raises(SchemaError):
@@ -87,6 +91,16 @@ def test_load_csv_errors(tmp_path):
     missing_col.write_text("Glucose\n100\n")
     with pytest.raises(SchemaError, match="Sex"):
         load_csv(missing_col, schema)
+    # a schema column named twice is refused, not read from its first field
+    twice = tmp_path / "twice.csv"
+    twice.write_text("Sex,Glucose,x,Glucose\n1,999,0,100\n")
+    message = f"{twice}: column 'Glucose' is named twice in the header, as fields 2 and 4"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_csv(twice, schema)
+    # an extra column named twice stays ignored
+    extra = tmp_path / "extra.csv"
+    extra.write_text("Glucose,x,Sex,x\n100,1,1,2\n")
+    assert load_csv(extra, schema).values.tolist() == [[100.0, 1.0]]
     # a non-finite literal is neither a missing cell nor a value
     for field in ("nan", "inf", "-inf"):
         non_finite = tmp_path / f"{field}.csv"
