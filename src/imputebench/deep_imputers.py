@@ -262,6 +262,8 @@ class GainImputer(_DeepImputer):
         )
 
     def fit(self, train: MixedTable) -> "GainImputer":
+        if self.name == "igain" and train.n_rows < 2:  # batch norm needs 2 rows a batch
+            raise ValueError(f"igain needs at least 2 training rows, got {train.n_rows}")
         cat_idx = self.schema.categorical_indices
         self.gen_, self.disc_ = self._build_networks(self.schema.n_cols)
         opt_g = Adam(self.gen_, lr=LEARNING_RATE)

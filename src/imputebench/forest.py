@@ -6,9 +6,9 @@ unique feature values. Forests add seeded bootstrap sampling and per-node
 feature subsampling. Classification leaves store the positive-class
 fraction, so forest predictions are probabilities.
 
-A tree is a set of parallel arrays in level order (`Tree`); a forest is one
-such set holding every tree's nodes, with a root per tree. Trees grow
-level by level, a block of trees at a time, in the exact-greedy presorted
+A tree is a set of parallel arrays in level order (`Tree`); a forest keeps
+the blocks its trees grew in, each one such set with a root per tree. Trees
+grow level by level, a block of trees at a time, in the exact-greedy presorted
 scheme of XGBoost (Chen & Guestrin 2016) with exact CART midpoints: at each
 depth one sort by (open node, candidate slot, the column's dense value
 rank, sample order) lays out every candidate column of every open node in
@@ -119,15 +119,15 @@ class Tree:
 
 @dataclass
 class ForestModel:
-    """A fitted forest: every tree's nodes in one `Tree`, tree t rooted at ``roots[t]``."""
+    """A fitted forest: a ``(tree, roots)`` pair per tree block, in tree order: the
+    block's `Tree` as grown (ids from 0, its tree i rooted at i) and this forest's roots."""
 
-    tree: Tree
-    roots: np.ndarray
+    blocks: list
     n_features: int
 
     @property
     def n_trees(self) -> int:
-        return self.roots.size
+        return sum(roots.size for _, roots in self.blocks)
 
 
 def _check_finite(X):
@@ -496,7 +496,7 @@ def fit_forests(problems, config: TreeConfig, n_trees: int = 100, bootstrap: boo
     come in ascending size, the roots included), grow in blocks of at most
     `_FOREST_BLOCK` laid-out elements, so a block may hold trees of several
     forests; a forked child may grow the later half of the blocks
-    (`split.map_blocks`). The models share one `Tree`.
+    (`split.map_blocks`). Models that share a block hold the same `Tree`.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
@@ -548,19 +548,12 @@ def fit_forests(problems, config: TreeConfig, n_trees: int = 100, bootstrap: boo
         rngs = [make_rng(s, "tree") for s in seeds]
         return _grow(X, ranks, y, np.concatenate(samples), weights, counts, rngs, config)
 
-    grown = map_blocks(grow_block, blocks, _FOREST_SPLIT_BLOCKS)
-    # each block's ids count from 0 and its tree i is rooted at i; shift them
-    # past the blocks before it
-    roots = np.empty((len(problems), n_trees), dtype=np.int64)
-    n_nodes = 0
-    for block, part in zip(blocks, grown):
-        for child in (part.left, part.right):
-            child[child >= 0] += n_nodes
-        p, t = np.array(block).T
-        roots[p, t] = n_nodes + np.arange(len(block))
-        n_nodes += part.left.size
-    tree = Tree(*(np.concatenate(a) for a in zip(*(vars(b).values() for b in grown))))
-    return [ForestModel(tree, r, n_features) for r in roots]
+    models = [ForestModel([], n_features) for _ in problems]
+    for block, tree in zip(blocks, map_blocks(grow_block, blocks, _FOREST_SPLIT_BLOCKS)):
+        owner = np.array([p for p, _ in block])
+        for p in {p for p, _ in block}:  # a problem's trees lie in ascending t
+            models[p].blocks.append((tree, np.flatnonzero(owner == p)))
+    return models
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:
@@ -573,8 +566,9 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
     _check_finite(X)
     acc = np.zeros(X.shape[0])
     per_block = max(1, _FOREST_BLOCK // max(1, X.shape[0]))
-    for lo in range(0, model.n_trees, per_block):
-        roots = model.roots[lo : lo + per_block]
-        for out in model.tree.value[_leaves(model.tree, roots, X)].reshape(roots.size, -1):
-            acc += out
+    for tree, roots in model.blocks:
+        for lo in range(0, roots.size, per_block):
+            chunk = roots[lo : lo + per_block]
+            for out in tree.value[_leaves(tree, chunk, X)].reshape(chunk.size, -1):
+                acc += out
     return acc / model.n_trees

@@ -105,7 +105,7 @@ def _finish(
         i, j = holes[0]
         raise ValueError(
             "model output is missing values at masked cells, first at target row "
-            f"{i}, column {target.schema.names[j]!r}"
+            f"{i + 1}, column {target.schema.names[j]!r}"
         )
     filled[:, cat] = filled[:, cat] >= 0.5
     filled[observed] = target.values[observed]

@@ -195,24 +195,32 @@ def assert_same_tree(tree: rf.Tree, node: Node, i: int = 0) -> int:
     )
 
 
-def assert_same_forest(model: rf.ForestModel, nodes: list) -> None:
-    """Tree t of `model`, walked from ``roots[t]``, has ``nodes[t]``'s layout.
+def trees(model: rf.ForestModel):
+    """Each tree of `model` in tree order, as ``(its block's Tree, its root there)``."""
+    for tree, roots in model.blocks:
+        for root in roots:
+            yield tree, root
 
-    The walks' node counts add up to the forest's node count.
+
+def assert_same_forest(model: rf.ForestModel, nodes: list) -> None:
+    """Tree t of `model`, walked from its root, has ``nodes[t]``'s layout.
+
+    The walks' node counts add up to the forest's node count, so a fit of
+    one problem holds no node that none of its trees reaches.
     """
-    assert model.roots.size == model.n_trees == len(nodes)
-    compared = [
-        assert_same_tree(model.tree, node, root)
-        for root, node in zip(model.roots, nodes, strict=True)
-    ]
-    assert sum(compared) == model.tree.left.size
+    pairs = list(trees(model))
+    assert len(pairs) == model.n_trees == len(nodes)
+    compared = [assert_same_tree(tree, node, root) for (tree, root), node in zip(pairs, nodes)]
+    grown = {id(tree): tree.left.size for tree, _ in pairs}
+    assert sum(compared) == sum(grown.values())
 
 
 def lone_tree(X, y, config, seed=0) -> rf.Tree:
     """One tree grown on every row: a one-tree forest without bootstrap, rooted at node 0."""
     model = rf.fit_forest(X, y, config, n_trees=1, seed=seed, bootstrap=False)
-    assert model.roots.tolist() == [0]
-    return model.tree
+    [(tree, root)] = trees(model)
+    assert root == 0
+    return tree
 
 
 def assert_matches_reference(X, y, config, seed=0) -> rf.Tree:

@@ -85,6 +85,21 @@ def test_synth_inject_impute_round_trip(tmp_path, small_schema_file):
     assert np.array_equal(result.values[obs], corrupted.values[obs])
 
 
+def test_impute_a_one_row_table(tmp_path, capsys):
+    synth = tmp_path / "one.csv"
+    assert main(["synth", "--rows", "1", "--out", str(synth)]) == 0
+    for method in ("simple", "knn", "missforest", "naa", "inaa", "gain", "igain"):
+        out = tmp_path / f"{method}.csv"
+        code = main(["impute", "--method", method, "--input", str(synth), "--out", str(out)])
+        err = capsys.readouterr().err
+        if method == "igain":  # batch norm trains on two rows or more
+            assert code == 1 and not out.exists()
+            assert err == "error: igain needs at least 2 training rows, got 1\n"
+        else:
+            assert code == 0 and err == "", method
+            assert out.read_text() == synth.read_text()
+
+
 def test_error_rows_count_data_rows_from_1(tmp_path, capsys):
     synth = tmp_path / "data.csv"
     assert main(["synth", "--rows", "40", "--out", str(synth)]) == 0

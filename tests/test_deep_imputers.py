@@ -308,6 +308,26 @@ def test_every_layer_of_the_deep_networks():
         assert layers(net) == [(width, "relu", False), (8, "linear", False)]
 
 
+def test_igain_refuses_a_one_row_table_before_building_a_network(monkeypatch):
+    schema = mixed_schema(2, 1)
+    built = []
+    monkeypatch.setattr(GainImputer, "_build_networks", lambda self, c: built.append(c))
+    with pytest.raises(ValueError, match=r"^igain needs at least 2 training rows, got 1$"):
+        IgainImputer(schema, epochs=2).fit(random_table(schema, 1, seed=30))
+    assert not built
+    # the check lives in GainImputer.fit: igain still inherits both methods
+    assert "fit" not in vars(IgainImputer) and "impute" not in vars(IgainImputer)
+
+
+@pytest.mark.parametrize("method", ["naa", "inaa", "gain"])
+def test_other_deep_methods_impute_a_one_row_table(method):
+    schema = mixed_schema(2, 1)
+    train = random_table(schema, 1, seed=30)
+    target = MixedTable(schema, np.where([[True, False, False]], np.nan, train.values))
+    result = DEEP[method](schema, epochs=2).fit(train).impute(target)
+    assert not np.isnan(result.table.values).any()
+
+
 @pytest.mark.parametrize("method", ["gain", "igain"])
 @pytest.mark.usefixtures("small_batches")
 def test_gain_training_is_deterministic(method):

@@ -4,7 +4,7 @@ import pytest
 from imputebench import forest as rf
 
 from conftest import make_rng
-from forest_reference import lone_tree
+from forest_reference import lone_tree, trees
 
 
 def brute_force_best_split(X, y, task):
@@ -171,7 +171,7 @@ def test_prediction_is_mean_of_trees():
     y = rng.uniform(0, 1, 40)
     model = rf.fit_forest(X, y, rf.TreeConfig(max_depth=3), n_trees=3, seed=2)
     probe = rng.uniform(0, 1, size=(15, 2))
-    per_tree = [model.tree.value[rf._leaves(model.tree, [r], probe)] for r in model.roots]
+    per_tree = [tree.value[rf._leaves(tree, [r], probe)] for tree, r in trees(model)]
     manual = np.mean(per_tree, axis=0)
     assert np.max(np.abs(rf.predict_forest(model, probe) - manual)) < 1e-12
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imputebench import forest as rf
+from imputebench import split
 
 from conftest import make_rng
 from forest_reference import (
@@ -12,6 +13,7 @@ from forest_reference import (
     lone_tree,
     reference_forest,
     reference_predict,
+    trees,
 )
 
 TASKS = (rf.REGRESSION, rf.CLASSIFICATION)
@@ -186,10 +188,10 @@ def test_forest_trees_and_predictions_match_reference(task, bootstrap):
         expected += reference_predict(node, probe)
     expected /= 9
     np.testing.assert_allclose(rf.predict_forest(model, probe), expected, rtol=1e-12, atol=0)
-    for root, node in zip(model.roots, reference):
-        leaves = rf._leaves(model.tree, [root], probe)
+    for (tree, root), node in zip(trees(model), reference, strict=True):
+        leaves = rf._leaves(tree, [root], probe)
         np.testing.assert_allclose(
-            model.tree.value[leaves], reference_predict(node, probe), rtol=1e-12, atol=0
+            tree.value[leaves], reference_predict(node, probe), rtol=1e-12, atol=0
         )
 
 
@@ -207,12 +209,12 @@ def _walk(tree, root):
 def _same_forest(a, b):
     """Tree by tree, the same splits, values and shape; block layouts may differ."""
     assert a.n_trees == b.n_trees
-    for r, s in zip(a.roots, b.roots):
-        i, j = _walk(a.tree, r), _walk(b.tree, s)
+    for (ta, r), (tb, s) in zip(trees(a), trees(b), strict=True):
+        i, j = _walk(ta, r), _walk(tb, s)
         assert i.size == j.size
-        assert np.array_equal(a.tree.left[i] < 0, b.tree.left[j] < 0)
+        assert np.array_equal(ta.left[i] < 0, tb.left[j] < 0)
         for field in ("feature", "threshold", "value"):
-            assert np.array_equal(getattr(a.tree, field)[i], getattr(b.tree, field)[j]), field
+            assert np.array_equal(getattr(ta, field)[i], getattr(tb, field)[j]), field
 
 
 @pytest.mark.parametrize("task", TASKS)
@@ -236,10 +238,58 @@ def test_every_node_belongs_to_exactly_one_root(task, block, monkeypatch):
     X, y = _data(task, 45, 3, 14, grid=2)
     monkeypatch.setattr(rf, "_FOREST_BLOCK", block)
     model = rf.fit_forest(X, y, rf.TreeConfig(task=task, max_depth=6), n_trees=7, seed=5)
-    assert model.roots.size == model.n_trees == 7
-    walks = [_walk(model.tree, r) for r in model.roots]
-    assert sum(w.size for w in walks) == model.tree.left.size
-    assert np.array_equal(np.sort(np.concatenate(walks)), np.arange(model.tree.left.size))
+    pairs = list(trees(model))
+    assert len(pairs) == model.n_trees == 7
+    _assert_roots_partition(pairs)
+
+
+def _assert_roots_partition(pairs):
+    """Each node of every block `Tree` in the ``(tree, root)`` pairs is reached from one root."""
+    walks = {}
+    for tree, root in pairs:
+        walks.setdefault(id(tree), (tree, []))[1].append(_walk(tree, root))
+    for tree, reached in walks.values():
+        assert sum(w.size for w in reached) == tree.left.size
+        assert np.array_equal(np.sort(np.concatenate(reached)), np.arange(tree.left.size))
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_a_fit_over_k_blocks_keeps_the_k_grown_trees(task, monkeypatch):
+    X, y = _data(task, 40, 5, 15, grid=2)
+    grown = []
+    real_grow = rf._grow
+
+    def counted_grow(*args):
+        grown.append(real_grow(*args))
+        return grown[-1]
+
+    monkeypatch.setattr(rf, "_grow", counted_grow)
+    monkeypatch.setattr(split, "_split_pays", lambda n_items, minimum: False)  # no child grows
+    # 40 rows x 2 candidates a tree, 3 trees a block: 11 trees in 4 blocks
+    monkeypatch.setattr(rf, "_FOREST_BLOCK", 40 * 2 * 3)
+    config = rf.TreeConfig(task=task, n_features_per_split="sqrt")
+    model = rf.fit_forest(X, y, config, n_trees=11, seed=6)
+    assert len(grown) == len(model.blocks) == 4
+    assert [roots.tolist() for _, roots in model.blocks] == [[0, 1, 2]] * 3 + [[0, 1]]
+    assert all(tree is block for (tree, _), block in zip(model.blocks, grown))
+    assert sum(tree.left.size for tree, _ in model.blocks) == sum(t.left.size for t in grown)
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_forests_of_a_shared_pass_share_each_block_tree(task, monkeypatch):
+    sizes = ((30, 1), (40, 2), (25, 3))
+    problems = [(*_data(task, n, 5, 20 + seed, grid=2), seed) for n, seed in sizes]
+    # 240 elements a block: trees of 50, 60 and 80 elements, so blocks
+    # straddle the 25- and 30-row and the 30- and 40-row forests
+    monkeypatch.setattr(rf, "_FOREST_BLOCK", 240)
+    config = rf.TreeConfig(task=task, max_depth=6, n_features_per_split="sqrt")
+    models = rf.fit_forests(problems, config, n_trees=5)
+    holders = {}
+    for i, model in enumerate(models):
+        for tree, _ in model.blocks:
+            holders.setdefault(id(tree), set()).add(i)
+    assert sorted(map(len, holders.values()))[-2:] == [2, 2]
+    _assert_roots_partition([pair for model in models for pair in trees(model)])
 
 
 def test_node_stats_equal_numpy_mean_and_var():

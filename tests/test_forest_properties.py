@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from imputebench import forest as rf  # noqa: E402
 
 from conftest import make_rng  # noqa: E402
-from forest_reference import assert_matches_reference, assert_same_forest, reference_forest  # noqa: E402
+from forest_reference import (  # noqa: E402
+    assert_matches_reference,
+    assert_same_forest,
+    reference_forest,
+    trees,
+)
+from test_forest_kernel import _assert_roots_partition  # noqa: E402
 
 
 def _two_valued_columns(X, count, rng):
@@ -85,9 +91,9 @@ def test_forest_matches_reference_for_any_block(
     assert_same_forest(model, reference_forest(X, y, config, n_trees, seed))
 
 
-def _preorder(model, root):
+def _preorder(tree, root):
     """The bytes of tree ``root``'s feature, threshold, value and inner-node flag, in preorder."""
-    tree, order, stack = model.tree, [], [root]
+    order, stack = [], [root]
     while stack:
         i = stack.pop()
         order.append(i)
@@ -126,11 +132,13 @@ def test_shared_pass_equals_each_forest_alone(sizes, n_trees, task, rule, bootst
         shared = rf.fit_forests(problems, config, n_trees, bootstrap)
     probe = np.round(rng.normal(size=(20, 3)) * 2) / 2
     assert len(shared) == len(problems)
+    # a block that forests share is one `Tree`, its nodes split among their roots
+    _assert_roots_partition([pair for model in shared for pair in trees(model)])
     for model, (X, y, problem_seed) in zip(shared, problems):
         alone = rf.fit_forest(X, y, config, n_trees, problem_seed, bootstrap)
-        assert model.n_trees == n_trees and model.tree is shared[0].tree
-        for got, expected in zip(model.roots, alone.roots):
-            assert _preorder(model, got) == _preorder(alone, expected)
+        assert model.n_trees == n_trees
+        for got, expected in zip(trees(model), trees(alone), strict=True):
+            assert _preorder(*got) == _preorder(*expected)
         for rows in (X, probe):
             expected = rf.predict_forest(alone, rows)
             assert rf.predict_forest(model, rows).tobytes() == expected.tobytes()

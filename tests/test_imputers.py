@@ -81,7 +81,7 @@ def test_finish_nan_output_is_a_named_error():
     schema = mixed_schema(1, 0)
     target = MixedTable(schema, np.array([[np.nan], [2.0]]))
     params = fit_normalizer(MixedTable(schema, np.array([[0.0], [10.0]])))
-    with pytest.raises(ValueError, match="masked cells, first at target row 0, column 'n0'"):
+    with pytest.raises(ValueError, match="masked cells, first at target row 1, column 'n0'"):
         _finish(target, np.array([[np.nan], [5.0]]), np.full((2, 1), np.nan), params)
     # a NaN at an observed cell is replaced by the target's value
     result = _finish(target, np.array([[4.0], [np.nan]]), np.full((2, 1), np.nan), params)
@@ -92,7 +92,7 @@ def test_finish_nan_output_is_a_named_error():
     target = MixedTable(schema, np.array([[1.0, np.nan], [2.0, 1.0]]))
     params = fit_normalizer(MixedTable(schema, np.array([[0.0, 0.0], [10.0, 1.0]])))
     filled = np.array([[1.0, 1.0], [2.0, 1.0]])
-    with pytest.raises(ValueError, match="masked cells, first at target row 0, column 'c0'"):
+    with pytest.raises(ValueError, match="masked cells, first at target row 1, column 'c0'"):
         _finish(target, filled, np.array([[np.nan, np.nan], [np.nan, 0.9]]), params)
     result = _finish(target, filled, np.array([[np.nan, 0.7], [np.nan, np.nan]]), params)
     assert np.array_equal(result.table.values, [[1.0, 1.0], [2.0, 1.0]])
@@ -107,7 +107,8 @@ def test_deep_nan_output_is_a_named_error(name):
     net.params[:] = np.nan
     corrupted = inject_mcar(random_table(schema, 8, seed=56), 0.3, 5)
     i, j = np.argwhere(np.isnan(corrupted.values))[0]  # the first masked cell
-    with pytest.raises(ValueError, match=f"first at target row {i}, column '{schema.names[j]}'"):
+    row, column = i + 1, schema.names[j]  # rows count from 1
+    with pytest.raises(ValueError, match=f"first at target row {row}, column '{column}'"):
         imp.impute(corrupted)
 
 

@@ -16,6 +16,7 @@ from imputebench.forest import TreeConfig, fit_forest, fit_forests, predict_fore
 from imputebench.imputers import column_stats, knn_fill
 
 from conftest import make_rng, mixed_schema
+from forest_reference import trees
 from test_knn_kernel import _grid
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -67,6 +68,15 @@ def test_split_knn_fill_equals_the_serial_loop(monkeypatch, forks, selfimpute):
     _no_children()
 
 
+def _assert_same_trees(got, expected):
+    """Tree by tree, the same root and the same bytes and dtypes in each block's arrays."""
+    for (tree, root), (want, want_root) in zip(trees(got), trees(expected), strict=True):
+        assert root == want_root
+        for name, array in vars(want).items():
+            assert getattr(tree, name).dtype == array.dtype, name
+            assert getattr(tree, name).tobytes() == array.tobytes(), name
+
+
 @pytest.mark.parametrize("task", [forest.REGRESSION, forest.CLASSIFICATION])
 @pytest.mark.parametrize("bootstrap", [True, False])
 def test_split_forest_equals_the_serial_loop(monkeypatch, forks, task, bootstrap):
@@ -82,10 +92,7 @@ def test_split_forest_equals_the_serial_loop(monkeypatch, forks, task, bootstrap
     assert not forks
     got = fit_forest(X, y, config, n_trees=11, seed=5, bootstrap=bootstrap)
     assert len(forks) == 1
-    for name, array in vars(expected.tree).items():
-        assert getattr(got.tree, name).dtype == array.dtype, name
-        assert getattr(got.tree, name).tobytes() == array.tobytes(), name
-    assert got.roots.tobytes() == expected.roots.tobytes()
+    _assert_same_trees(got, expected)
     assert predict_forest(got, X).tobytes() == predict_forest(expected, X).tobytes()
     _no_children()
 
@@ -108,10 +115,8 @@ def test_split_shared_pass_equals_the_serial_loop(monkeypatch, forks, task):
     assert not forks
     got = fit_forests(problems, config, n_trees=5)
     assert len(forks) == 1
-    for name, array in vars(expected[0].tree).items():
-        assert getattr(got[0].tree, name).tobytes() == array.tobytes(), name
     for model, want, (X, _, _) in zip(got, expected, problems):
-        assert model.roots.tobytes() == want.roots.tobytes()
+        _assert_same_trees(model, want)
         assert predict_forest(model, X).tobytes() == predict_forest(want, X).tobytes()
     _no_children()
 
