@@ -29,9 +29,9 @@ most two distinct values is not sorted at all. Its one midpoint is scored
 from per-node counts of high samples and of positives on each side, SPRINT's
 count matrix (Shafer, Agrawal & Mehta 1996), which are the sums at the
 sorted segment's one boundary. Regression keeps the duplicates: a weight
-would round its sequential and pairwise sums differently. Under a subset
-rule each tree's own generator draws the subsets of its open nodes once per
-level, so a tree does not depend on the block it grew in. A block may hold
+would round its sequential and pairwise sums differently. Each tree's own
+generator draws the candidate features of its open nodes once per level, so
+a tree does not depend on the block it grew in. A block may hold
 trees of several forests (`fit_forests`), which amortises the per-level
 numpy calls over the trees of many small forests.
 """
@@ -75,29 +75,24 @@ class TreeConfig:
 
     task: str = REGRESSION
     max_depth: int | None = None
-    n_features_per_split: int | str = "all"  # "all", "sqrt", or a count
+    n_features_per_split: str = "all"  # "all" or "sqrt"
 
     def __post_init__(self):
         if self.task not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        rule = self.n_features_per_split
-        # bool is an int subclass; 2.5 or True would silently truncate to a count
-        if rule not in ("all", "sqrt") and (type(rule) is not int or rule < 1):
+        depth = self.max_depth
+        # bool is an int subclass; 2.5 would grow like 3 and True like 1
+        if depth is not None and (type(depth) is not int or depth < 1):
+            raise ValueError(f"max_depth must be >= 1 or None, and an int; got {depth!r}")
+        if self.n_features_per_split not in ("all", "sqrt"):
             raise ValueError(
-                f"n_features_per_split must be 'all', 'sqrt' or an int count >= 1, got {rule!r}"
+                f"n_features_per_split must be 'all' or 'sqrt', got {self.n_features_per_split!r}"
             )
 
     def features_per_split(self, n_features: int) -> int:
-        rule = self.n_features_per_split
-        if rule == "all":
+        if self.n_features_per_split == "all":
             return n_features
-        if rule == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if rule > n_features:
-            raise ValueError(f"n_features_per_split {rule} outside [1, {n_features}]")
-        return rule
+        return min(n_features, max(1, int(np.sqrt(n_features))))
 
 
 @dataclass
@@ -230,11 +225,10 @@ def _segment_cumsum(values, lengths):
 def _draw_candidates(node_tree, rngs, m, n_features):
     """Sorted candidate features per open node, (nodes, m); nodes grouped by tree.
 
-    With a subset rule each tree's generator draws the subsets of all its
-    open nodes of the level at once, in their level order.
+    Each tree's generator draws a key per feature for all its open nodes of
+    the level at once, in their level order; a node's candidates are the
+    features of its m smallest keys, so under "all" every feature, in order.
     """
-    if m == n_features:
-        return np.broadcast_to(np.arange(n_features), (node_tree.size, m))
     keys = np.empty((node_tree.size, n_features))
     first = np.flatnonzero(np.append(True, node_tree[1:] != node_tree[:-1]))
     for lo, hi in zip(first, np.append(first[1:], node_tree.size)):
@@ -380,15 +374,15 @@ def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig) -> Tree:
     elements after those of the trees before it. A regression element is one
     sample (``weights`` None), in draw order; a classification element is
     one distinct row of the tree's sample, ``weights[g]`` samples of it.
-    ``ranks`` are `_dense_ranks(X)`; ``rngs[t]`` draws tree t's feature
-    subsets. Returns the block's nodes as one `Tree` whose ids count from 0
+    ``ranks`` are `_dense_ranks(X)`; ``rngs[t]`` draws tree t's candidate
+    features. Returns the block's nodes as one `Tree` whose ids count from 0
     level by level, so tree t's root is t.
     Within a level, nodes are laid out by ascending number of samples (ties
     in their parents' order, left child first), so nodes and segments of
     equal size are contiguous.
     """
     n_features = X.shape[1]
-    m = min(config.features_per_split(n_features), n_features)
+    m = config.features_per_split(n_features)
     classify = config.task == CLASSIFICATION
     # a classification element carries its samples' target sum
     ys = weights * y[rows] if classify else y[rows]

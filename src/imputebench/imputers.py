@@ -396,7 +396,8 @@ def knn_fill(
     vals = train_norm[np.concatenate([t for _, t in chosen]), cell % n_cols]
     cells, starts, sizes = np.unique(cell, return_index=True, return_counts=True)
     means = np.empty(cells.size)
-    for m in np.unique(sizes):
+    # ascending distinct sizes; a values-only np.unique would import numpy.ma
+    for m in np.flatnonzero(np.bincount(sizes)):
         # equal-length rows reduce in the same order as a 1-D mean
         groups = np.flatnonzero(sizes == m)
         means[groups] = vals[starts[groups, None] + np.arange(m)].mean(axis=1)

@@ -131,7 +131,7 @@ def test_errors():
         rf.predict_forest(model, np.array([[np.nan], [np.inf], [-np.inf]]))
     with pytest.raises(ValueError, match="X has an infinite entry at row 1, column 0"):
         rf.predict_forest(model, np.array([[0.5], [-np.inf]]))
-    with pytest.raises(ValueError, match=r"n_features_per_split 2 outside \[1, 1\]"):
+    with pytest.raises(ValueError, match="^n_features_per_split must be 'all' or 'sqrt', got 2$"):
         rf.fit_forest(X, np.zeros(4), rf.TreeConfig(n_features_per_split=2))
     # a shared pass names the problem its rows count in
     good = (X, np.zeros(4), 1)
@@ -194,13 +194,21 @@ def test_prediction_ranges():
     [
         ({"max_depth": 0}, "max_depth must be >= 1 or None"),
         ({"max_depth": -1}, "max_depth must be >= 1 or None"),
-        ({"n_features_per_split": "bogus"}, "n_features_per_split must be 'all', 'sqrt'"),
+        ({"n_features_per_split": "bogus"}, "'all' or 'sqrt', got 'bogus'$"),
         ({"task": "ranking"}, "unknown task"),
-        ({"n_features_per_split": 2.5}, r"an int count >= 1, got 2\.5"),
-        ({"n_features_per_split": True}, "an int count >= 1, got True"),
-        ({"n_features_per_split": 0}, "an int count >= 1, got 0"),
-        ({"n_features_per_split": -2}, "an int count >= 1, got -2"),
-        ({"n_features_per_split": None}, "an int count >= 1, got None"),
+        ({"n_features_per_split": 2.5}, r"'all' or 'sqrt', got 2\.5$"),
+        ({"n_features_per_split": True}, "'all' or 'sqrt', got True$"),
+        ({"n_features_per_split": 0}, "'all' or 'sqrt', got 0$"),
+        ({"n_features_per_split": -2}, "'all' or 'sqrt', got -2$"),
+        ({"n_features_per_split": None}, "'all' or 'sqrt', got None$"),
+        # a count is no rule, whether or not it is within the feature count
+        ({"n_features_per_split": 2}, "'all' or 'sqrt', got 2$"),
+        ({"n_features_per_split": 3}, "'all' or 'sqrt', got 3$"),
+        # a depth counts levels: 2.5 would grow like 3 and True like 1
+        ({"max_depth": 2.5}, r"^max_depth must be >= 1 or None, and an int; got 2\.5$"),
+        ({"max_depth": True}, "^max_depth must be >= 1 or None, and an int; got True$"),
+        ({"max_depth": 3.0}, r"^max_depth must be >= 1 or None, and an int; got 3\.0$"),
+        ({"max_depth": "3"}, "^max_depth must be >= 1 or None, and an int; got '3'$"),
     ],
 )
 def test_tree_config_rejects_bad_settings(kwargs, message):

@@ -63,17 +63,19 @@ def test_tree_matches_reference(
     n=st.integers(1, 40),
     n_trees=st.integers(1, 6),
     task=st.sampled_from([rf.REGRESSION, rf.CLASSIFICATION]),
-    rule=st.sampled_from(["all", "sqrt", 2]),
+    rule=st.sampled_from(["all", "sqrt"]),
+    # "sqrt" tries 1 of 3 features and 2 of 5 at each node
+    width=st.sampled_from([3, 5]),
     block=st.sampled_from([1, 200, 1 << 30]),
     two_valued=st.integers(0, 3),
     copied=st.sampled_from([0, 1, 2, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_forest_matches_reference_for_any_block(
-    n, n_trees, task, rule, block, two_valued, copied, seed
+    n, n_trees, task, rule, width, block, two_valued, copied, seed
 ):
     rng = make_rng(seed)
-    X = np.round(rng.normal(size=(n, 3)) * 2) / 2
+    X = np.round(rng.normal(size=(n, width)) * 2) / 2
     _two_valued_columns(X, two_valued, rng)
     y = rng.normal(250.0, 30.0, size=n) if task == rf.REGRESSION else rng.integers(0, 2, n) * 1.0
     if copied:
@@ -107,17 +109,21 @@ def _preorder(tree, root):
     sizes=st.lists(st.integers(1, 30), min_size=2, max_size=5),
     n_trees=st.integers(1, 4),
     task=st.sampled_from([rf.REGRESSION, rf.CLASSIFICATION]),
-    rule=st.sampled_from(["all", "sqrt", 2]),
+    rule=st.sampled_from(["all", "sqrt"]),
+    # "sqrt" tries 1 of 3 features and 2 of 5 at each node
+    width=st.sampled_from([3, 5]),
     bootstrap=st.booleans(),
     # a few trees a block, so blocks straddle forests, up to one block for all
     block=st.one_of(st.integers(1, 300), st.just(1 << 30)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_shared_pass_equals_each_forest_alone(sizes, n_trees, task, rule, bootstrap, block, seed):
+def test_shared_pass_equals_each_forest_alone(
+    sizes, n_trees, task, rule, width, bootstrap, block, seed
+):
     rng = make_rng(seed)
     problems = []
     for n in sizes:
-        X = np.round(rng.normal(size=(n, 3)) * 2) / 2
+        X = np.round(rng.normal(size=(n, width)) * 2) / 2
         y = rng.normal(250.0, 30.0, size=n) if task == rf.REGRESSION else rng.integers(0, 2, n) * 1.0
         problems.append((X, y, int(rng.integers(0, 2**32))))
     # column 0 is two-valued in the first problem's rows alone, so a
@@ -130,7 +136,7 @@ def test_shared_pass_equals_each_forest_alone(sizes, n_trees, task, rule, bootst
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rf, "_FOREST_BLOCK", block)
         shared = rf.fit_forests(problems, config, n_trees, bootstrap)
-    probe = np.round(rng.normal(size=(20, 3)) * 2) / 2
+    probe = np.round(rng.normal(size=(20, width)) * 2) / 2
     assert len(shared) == len(problems)
     # a block that forests share is one `Tree`, its nodes split among their roots
     _assert_roots_partition([pair for model in shared for pair in trees(model)])

@@ -1,6 +1,10 @@
 """The blocked knn_fill against the row-by-row reference, bit for bit."""
 
+import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +232,27 @@ def test_repeated_self_imputation_reuses_freed_blocks():
         knn_fill(values, values, 5, schema, stats)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / calls < 200
+
+
+def test_a_fill_with_holes_does_not_import_numpy_ma():
+    # on numpy 2.4 a values-only np.unique imports numpy.ma on first use, a
+    # module no other part of a run needs; a fresh interpreter shows it
+    code = """
+import sys
+import numpy as np
+from imputebench.imputers import column_stats, knn_fill
+from imputebench.tabular import Column, ColumnKind, Schema
+schema = Schema([Column("x", ColumnKind.NUMERICAL), Column("c", ColumnKind.CATEGORICAL_BINARY)])
+values = np.array([[0.1, 1.0], [0.4, np.nan], [np.nan, 0.0], [0.9, 1.0], [0.3, 0.0]])
+assert "numpy.ma" not in sys.modules
+filled, _, fallbacks = knn_fill(values, values, 2, schema, column_stats(values, schema))
+assert not np.isnan(filled).any() and fallbacks == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
