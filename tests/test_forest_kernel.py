@@ -62,11 +62,18 @@ def test_two_valued_columns_match_reference(task, max_depth):
         assert_matches_reference(X, y, rf.TreeConfig(task=task, max_depth=max_depth))
 
 
-@pytest.mark.parametrize("rule", ["all", "sqrt"])  # 5 or 2 of the 5 features
-def test_counted_splits_equal_sorted_splits(rule, monkeypatch):
+# the id names the draw: all 5 of 5 features, 2 of 5, or sqrt(9) = 3 of 9
+DRAWS = pytest.mark.parametrize(
+    "rule, width", [("all", 5), ("sqrt", 5), ("sqrt", 9)], ids=["all", "2", "sqrt"]
+)
+
+
+@DRAWS
+def test_counted_splits_equal_sorted_splits(rule, width, monkeypatch):
     # doubled ranks keep every sort order but leave no column with ranks <= 1,
     # so every split is then scored from sorted segments
     X, y = _two_valued_data(rf.CLASSIFICATION, 90, 21)
+    X = np.c_[X, make_rng(22).normal(size=(90, width - 5))]
     config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split=rule)
     calls = []
     counted_splits = rf._counted_splits
@@ -218,10 +225,10 @@ def _same_forest(a, b):
 
 
 @pytest.mark.parametrize("task", TASKS)
-@pytest.mark.parametrize("rule", ["all", "sqrt"])  # 5 or 2 of the 5 features
-def test_block_size_does_not_change_the_forest(task, rule, monkeypatch):
-    X, y = _data(task, 50, 5, 9, grid=2)
-    probe = make_rng(10).normal(size=(30, 5))
+@DRAWS
+def test_block_size_does_not_change_the_forest(task, rule, width, monkeypatch):
+    X, y = _data(task, 50, width, 9, grid=2)
+    probe = make_rng(10).normal(size=(30, width))
     config = rf.TreeConfig(task=task, n_features_per_split=rule)
     fits, preds = [], []
     for block in (1, 1 << 30):  # one tree per block, then every tree in one block
