@@ -405,7 +405,7 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
     feature_idx = np.delete(np.arange(schema.n_cols), label_j)
     cat_local = np.flatnonzero(schema.is_categorical[feature_idx])
     folds = assign_folds(table.n_rows, config.folds, derive_seed(seed, "predict-folds"))
-    tree_config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split="sqrt")
+    tree_config = rf.TreeConfig(task=rf.CLASSIFICATION)
 
     def fold_f1(fold: int) -> float:
         train_rows = np.flatnonzero(folds != fold)

@@ -2,9 +2,10 @@
 
 Regression trees split on variance reduction, classification trees on Gini
 impurity decrease; both consider only midpoints between consecutive sorted
-unique feature values. Forests add seeded bootstrap sampling and per-node
-feature subsampling. Classification leaves store the positive-class
-fraction, so forest predictions are probabilities.
+unique feature values. Forests are Breiman's (2001): every tree grows on a
+seeded bootstrap sample, and every split tries sqrt(features) candidate
+features. Classification leaves store the positive-class fraction, so forest
+predictions are probabilities.
 
 A tree is a set of parallel arrays in level order (`Tree`); a forest keeps
 the blocks its trees grew in, each one such set with a root per tree. Trees
@@ -17,7 +18,7 @@ every midpoint, and each node keeps the first feature with the best gain.
 For regression the prefix sums, node means and node variances are the same
 float operations a per-node search makes (sequential `np.cumsum`,
 `np.mean`, `np.var`) over the bootstrap sample with its duplicates, in draw
-order, so under ``n_features_per_split="all"`` the trees equal those of a
+order, so `_grow` with every feature a candidate grows the trees of a
 recursive grower.
 Classification targets are 0 or 1, so every partial sum is an integer below
 2**53 and exact in any order. A classification tree therefore grows on the
@@ -71,11 +72,10 @@ _FOREST_SPLIT_BLOCKS = 2
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """CART growth limits and the per-node feature subsampling rule."""
+    """The task a tree fits and its depth limit."""
 
     task: str = REGRESSION
     max_depth: int | None = None
-    n_features_per_split: str = "all"  # "all" or "sqrt"
 
     def __post_init__(self):
         if self.task not in (REGRESSION, CLASSIFICATION):
@@ -84,15 +84,6 @@ class TreeConfig:
         # bool is an int subclass; 2.5 would grow like 3 and True like 1
         if depth is not None and (type(depth) is not int or depth < 1):
             raise ValueError(f"max_depth must be >= 1 or None, and an int; got {depth!r}")
-        if self.n_features_per_split not in ("all", "sqrt"):
-            raise ValueError(
-                f"n_features_per_split must be 'all' or 'sqrt', got {self.n_features_per_split!r}"
-            )
-
-    def features_per_split(self, n_features: int) -> int:
-        if self.n_features_per_split == "all":
-            return n_features
-        return min(n_features, max(1, int(np.sqrt(n_features))))
 
 
 @dataclass
@@ -227,7 +218,8 @@ def _draw_candidates(node_tree, rngs, m, n_features):
 
     Each tree's generator draws a key per feature for all its open nodes of
     the level at once, in their level order; a node's candidates are the
-    features of its m smallest keys, so under "all" every feature, in order.
+    features of its m smallest keys, so at m = n_features every feature, in
+    order.
     """
     keys = np.empty((node_tree.size, n_features))
     first = np.flatnonzero(np.append(True, node_tree[1:] != node_tree[:-1]))
@@ -367,22 +359,22 @@ def _best_splits(
     return best_feature, best_threshold
 
 
-def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig) -> Tree:
+def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig, m: int) -> Tree:
     """Grow one tree per entry of ``counts``, level by level.
 
     Element g is row ``rows[g]`` of X; tree t owns the ``counts[t]``
     elements after those of the trees before it. A regression element is one
     sample (``weights`` None), in draw order; a classification element is
     one distinct row of the tree's sample, ``weights[g]`` samples of it.
-    ``ranks`` are `_dense_ranks(X)`; ``rngs[t]`` draws tree t's candidate
-    features. Returns the block's nodes as one `Tree` whose ids count from 0
+    ``ranks`` are `_dense_ranks(X)`; ``rngs[t]`` draws tree t's ``m``
+    candidate features per split (none at ``m`` = 0, where every node is a
+    leaf). Returns the block's nodes as one `Tree` whose ids count from 0
     level by level, so tree t's root is t.
     Within a level, nodes are laid out by ascending number of samples (ties
     in their parents' order, left child first), so nodes and segments of
     equal size are contiguous.
     """
     n_features = X.shape[1]
-    m = config.features_per_split(n_features)
     classify = config.task == CLASSIFICATION
     # a classification element carries its samples' target sum
     ys = weights * y[rows] if classify else y[rows]
@@ -468,19 +460,12 @@ def _leaves(tree: Tree, roots, X: np.ndarray) -> np.ndarray:
     return node
 
 
-def fit_forest(
-    X,
-    y,
-    config: TreeConfig,
-    n_trees: int = 100,
-    seed: int = 0,
-    bootstrap: bool = True,
-) -> ForestModel:
+def fit_forest(X, y, config: TreeConfig, n_trees: int = 100, seed: int = 0) -> ForestModel:
     """Bagged CART ensemble with pre-split per-tree seeds (`fit_forests` of one problem)."""
-    return fit_forests([(X, y, seed)], config, n_trees, bootstrap)[0]
+    return fit_forests([(X, y, seed)], config, n_trees)[0]
 
 
-def fit_forests(problems, config: TreeConfig, n_trees: int = 100, bootstrap: bool = True) -> list:
+def fit_forests(problems, config: TreeConfig, n_trees: int = 100) -> list:
     """One forest per ``(X, y, seed)`` problem, equal to `fit_forest` of each on its own.
 
     The problems' X must have the same columns; they are stacked row-wise
@@ -513,7 +498,9 @@ def fit_forests(problems, config: TreeConfig, n_trees: int = 100, bootstrap: boo
     n = np.array([y.size for _, y in checked])
     first_row = np.cumsum(n) - n
     ranks = _dense_ranks(X)
-    cost = n * max(1, config.features_per_split(n_features))
+    # every split tries sqrt(features) candidates, at least 1; none of no feature
+    m = min(n_features, max(1, int(np.sqrt(n_features))))
+    cost = n * max(1, m)
     # (problem, tree) pairs by ascending row count, packed greedily into blocks
     blocks, load = [], _FOREST_BLOCK
     for p in np.argsort(n, kind="stable"):
@@ -528,9 +515,7 @@ def fit_forests(problems, config: TreeConfig, n_trees: int = 100, bootstrap: boo
         seeds = [derive_seed(problems[p][2], "forest", t) for p, t in block]
         samples, drawn = [], []
         for (p, _), s in zip(block, seeds):
-            rows = np.arange(n[p])
-            if bootstrap:
-                rows = make_rng(s, "bootstrap").integers(0, n[p], size=n[p])
+            rows = make_rng(s, "bootstrap").integers(0, n[p], size=n[p])
             if config.task == CLASSIFICATION:
                 # the tree's distinct rows, weighted by their number of draws
                 times = np.bincount(rows, minlength=n[p])
@@ -540,7 +525,7 @@ def fit_forests(problems, config: TreeConfig, n_trees: int = 100, bootstrap: boo
         weights = np.concatenate(drawn).astype(float) if drawn else None
         counts = np.array([rows.size for rows in samples])
         rngs = [make_rng(s, "tree") for s in seeds]
-        return _grow(X, ranks, y, np.concatenate(samples), weights, counts, rngs, config)
+        return _grow(X, ranks, y, np.concatenate(samples), weights, counts, rngs, config, m)
 
     models = [ForestModel([], n_features) for _ in problems]
     for block, tree in zip(blocks, map_blocks(grow_block, blocks, _FOREST_SPLIT_BLOCKS)):

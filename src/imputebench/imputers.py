@@ -440,10 +440,9 @@ def _other_columns(values: np.ndarray, j: int) -> np.ndarray:
     return np.delete(np.arange(values.shape[1]), j)
 
 
-# MissForest's trees: depth at most 12, sqrt(features) candidates per split
+# MissForest's trees: depth at most 12 (each split tries sqrt(features) candidates)
 _REG_TREE, _CLS_TREE = (
-    rf.TreeConfig(task=task, max_depth=12, n_features_per_split="sqrt")
-    for task in (rf.REGRESSION, rf.CLASSIFICATION)
+    rf.TreeConfig(task=task, max_depth=12) for task in (rf.REGRESSION, rf.CLASSIFICATION)
 )
 
 

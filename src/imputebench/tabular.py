@@ -164,17 +164,18 @@ class MixedTable:
                 f"values shape {values.shape} incompatible with "
                 f"{schema.n_cols}-column schema"
             )
-        cat = schema.categorical_indices
-        if cat.size:
-            block = values[:, cat]
-            bad = ~(np.isnan(block) | (block == 0.0) | (block == 1.0))
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                name = schema.columns[cat[j]].name
-                raise SchemaError(
-                    f"categorical column {name!r} has non-binary value "
-                    f"{block[i, j]} at row {i + 1}"
-                )
+        # NaN marks a missing cell; a present one is finite, and 0 or 1 if categorical
+        cat = values[:, schema.categorical_indices]
+        bad = np.isinf(values)
+        bad[:, schema.categorical_indices] = ~(np.isnan(cat) | (cat == 0.0) | (cat == 1.0))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            column = schema.columns[j]
+            what = "non-binary" if schema.is_categorical[j] else "infinite"
+            raise SchemaError(
+                f"{column.kind.value} column {column.name!r} has {what} value "
+                f"{values[i, j]} at row {i + 1}"
+            )
         values = values.copy()
         values.flags.writeable = False
         self.schema = schema
@@ -196,7 +197,13 @@ class MixedTable:
         return MixedTable(self.schema, values)
 
     def take(self, rows) -> "MixedTable":
-        return MixedTable(self.schema, self.values[np.asarray(rows, dtype=int)])
+        """The given rows: integer positions, or a boolean mask's True rows, as numpy indexes."""
+        rows = np.asarray(rows)
+        if rows.size == 0:
+            rows = rows.astype(int)  # an empty list is a float array
+        elif rows.dtype.kind not in "biu":
+            raise ValueError(f"rows must be integer positions or a boolean mask, not {rows.dtype}")
+        return MixedTable(self.schema, self.values[rows])
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.schema.index_of(name)]
@@ -295,7 +302,7 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
     denote missing cells; any other field must be a finite number in ASCII
     digits, so a literal `nan` or `inf`, or a digit separator as in `1_000`,
     is a ParseError rather than a silent value, and so is a record with
-    fewer fields than the header (a blank line included).
+    fewer fields than the header (a blank line included) or more.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -320,6 +327,11 @@ def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:
             if len(record) < len(header):
                 raise ParseError(
                     f"{path}: row {r + 1} has {len(record)} of the header's {len(header)} fields"
+                )
+            if len(record) > len(header):
+                raise ParseError(
+                    f"{path}: row {r + 1} has {len(record)} fields, more than the header's "
+                    f"{len(header)}"
                 )
             out = np.empty(schema.n_cols)
             for j, pos in enumerate(positions):

@@ -2,11 +2,12 @@
 
 This is the node-by-node grower the flat engine replaced: one stable argsort
 per candidate feature at every node, children grown left subtree first.
-Under ``n_features_per_split="all"`` it draws no random numbers, so its trees
-must equal the engine's: same features, thresholds and child layout, leaf
-values within 1e-12 relative. Under a subset rule it grows breadth first
-instead and draws each level's subsets in the order the engine documents,
-so the trees must again be the engine's.
+Without a generator it tries every feature and draws no random numbers, so
+its trees must equal the engine's grown on every row over every feature
+(`lone_tree`): same features, thresholds and child layout, leaf values
+within 1e-12 relative. With one it tries sqrt(features) per split, as every
+forest does, grows breadth first instead and draws each level's subsets in
+the order the engine documents, so the trees must again be the engine's.
 """
 
 from __future__ import annotations
@@ -111,14 +112,14 @@ def _grow(X, y, config, depth):
 
 
 def _grow_by_levels(X, y, config, rng) -> Node:
-    """The tree under a subset rule, grown breadth first.
+    """The tree whose splits try sqrt(features) candidates, grown breadth first.
 
     Each level holds its nodes by ascending sample count, ties in their
     parents' order, left child first. One ``rng.random`` call draws a key row
     per splittable node of the level, in that order; a node's candidates are
     the features of its m smallest keys, in feature order.
     """
-    m = config.features_per_split(X.shape[1])
+    m = min(X.shape[1], max(1, int(np.sqrt(X.shape[1]))))
     root = Node()
     level, depth = [(root, np.arange(y.size))], 0
     while level:
@@ -144,25 +145,23 @@ def _grow_by_levels(X, y, config, rng) -> Node:
 def reference_tree(X, y, config, rng=None) -> Node:
     """The recursive grower's tree over every feature at every node.
 
-    Under a subset rule, the breadth-first tree whose subsets ``rng`` draws.
+    With ``rng``, the breadth-first tree whose sqrt(features) subsets it draws.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if config.features_per_split(X.shape[1]) == X.shape[1]:
+    if rng is None:
         return _grow(X, y, config, 0)
     return _grow_by_levels(X, y, config, rng)
 
 
-def reference_forest(X, y, config, n_trees, seed, bootstrap=True) -> list:
+def reference_forest(X, y, config, n_trees, seed) -> list:
     """The reference trees on each tree's bootstrap sample, as `fit_forest` draws it."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     trees = []
     for t in range(n_trees):
         tree_seed = derive_seed(seed, "forest", t)
-        rows = np.arange(X.shape[0])
-        if bootstrap:
-            rows = make_rng(tree_seed, "bootstrap").integers(0, X.shape[0], size=X.shape[0])
+        rows = make_rng(tree_seed, "bootstrap").integers(0, X.shape[0], size=X.shape[0])
         trees.append(reference_tree(X[rows], y[rows], config, make_rng(tree_seed, "tree")))
     return trees
 
@@ -215,16 +214,18 @@ def assert_same_forest(model: rf.ForestModel, nodes: list) -> None:
     assert sum(compared) == sum(grown.values())
 
 
-def lone_tree(X, y, config, seed=0) -> rf.Tree:
-    """One tree grown on every row: a one-tree forest without bootstrap, rooted at node 0."""
-    model = rf.fit_forest(X, y, config, n_trees=1, seed=seed, bootstrap=False)
-    [(tree, root)] = trees(model)
-    assert root == 0
-    return tree
+def lone_tree(X, y, config) -> rf.Tree:
+    """One tree the engine grows on every row (weight 1 each) over every feature, rooted at 0."""
+    X, y = rf._check_xy(X, y, config.task)
+    n, n_features = X.shape
+    weights = np.ones(n) if config.task == rf.CLASSIFICATION else None
+    rngs = [make_rng(0, "tree")]  # with every feature a candidate, its draws pick them all
+    ranks = rf._dense_ranks(X)
+    return rf._grow(X, ranks, y, np.arange(n), weights, np.array([n]), rngs, config, n_features)
 
 
-def assert_matches_reference(X, y, config, seed=0) -> rf.Tree:
+def assert_matches_reference(X, y, config) -> rf.Tree:
     """A lone tree equals the recursive grower node for node; returns the tree."""
-    tree = lone_tree(X, y, config, seed)
+    tree = lone_tree(X, y, config)
     assert assert_same_tree(tree, reference_tree(X, y, config)) == tree.left.size
     return tree

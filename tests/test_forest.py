@@ -1,7 +1,11 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from imputebench import forest as rf
+from imputebench import seeding
 
 from conftest import make_rng
 from forest_reference import lone_tree, trees
@@ -131,8 +135,6 @@ def test_errors():
         rf.predict_forest(model, np.array([[np.nan], [np.inf], [-np.inf]]))
     with pytest.raises(ValueError, match="X has an infinite entry at row 1, column 0"):
         rf.predict_forest(model, np.array([[0.5], [-np.inf]]))
-    with pytest.raises(ValueError, match="^n_features_per_split must be 'all' or 'sqrt', got 2$"):
-        rf.fit_forest(X, np.zeros(4), rf.TreeConfig(n_features_per_split=2))
     # a shared pass names the problem its rows count in
     good = (X, np.zeros(4), 1)
     with pytest.raises(ValueError, match="^problem 1: X has a missing entry at row 2, column 0$"):
@@ -149,7 +151,7 @@ def test_forest_determinism():
     X = rng.uniform(0, 1, size=(50, 3))
     y = rng.integers(0, 2, 50).astype(float)
     probe = rng.uniform(0, 1, size=(20, 3))
-    config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split="sqrt")
+    config = rf.TreeConfig(task=rf.CLASSIFICATION)
     a = rf.predict_forest(rf.fit_forest(X, y, config, 20, seed=7), probe)
     b = rf.predict_forest(rf.fit_forest(X, y, config, 20, seed=7), probe)
     assert np.array_equal(a, b)
@@ -159,8 +161,7 @@ def test_linearly_separable_accuracy():
     rng = make_rng(8)
     X = rng.uniform(-1, 1, size=(200, 2))
     y = (X[:, 0] + X[:, 1] > 0).astype(float)
-    config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split="sqrt")
-    model = rf.fit_forest(X, y, config, n_trees=100, seed=1)
+    model = rf.fit_forest(X, y, rf.TreeConfig(task=rf.CLASSIFICATION), n_trees=100, seed=1)
     preds = (rf.predict_forest(model, X) >= 0.5).astype(float)
     assert np.mean(preds == y) >= 0.95
 
@@ -194,16 +195,18 @@ def test_prediction_ranges():
     [
         ({"max_depth": 0}, "max_depth must be >= 1 or None"),
         ({"max_depth": -1}, "max_depth must be >= 1 or None"),
-        ({"n_features_per_split": "bogus"}, "'all' or 'sqrt', got 'bogus'$"),
+        # a task is spelled as its constant is, in lower case
+        ({"task": "Regression"}, "^unknown task 'Regression'$"),
         ({"task": "ranking"}, "unknown task"),
-        ({"n_features_per_split": 2.5}, r"'all' or 'sqrt', got 2\.5$"),
-        ({"n_features_per_split": True}, "'all' or 'sqrt', got True$"),
-        ({"n_features_per_split": 0}, "'all' or 'sqrt', got 0$"),
-        ({"n_features_per_split": -2}, "'all' or 'sqrt', got -2$"),
-        ({"n_features_per_split": None}, "'all' or 'sqrt', got None$"),
-        # a count is no rule, whether or not it is within the feature count
-        ({"n_features_per_split": 2}, "'all' or 'sqrt', got 2$"),
-        ({"n_features_per_split": 3}, "'all' or 'sqrt', got 3$"),
+        ({"task": None}, "^unknown task None$"),
+        ({"task": ""}, "^unknown task ''$"),
+        # a split criterion is no task
+        ({"task": "gini"}, "^unknown task 'gini'$"),
+        # no depth limit is None, not an infinite float or a string
+        ({"max_depth": float("inf")}, "^max_depth must be >= 1 or None, and an int; got inf$"),
+        ({"max_depth": "None"}, "^max_depth must be >= 1 or None, and an int; got 'None'$"),
+        ({"max_depth": False}, "^max_depth must be >= 1 or None, and an int; got False$"),
+        ({"max_depth": -3}, "^max_depth must be >= 1 or None, and an int; got -3$"),
         # a depth counts levels: 2.5 would grow like 3 and True like 1
         ({"max_depth": 2.5}, r"^max_depth must be >= 1 or None, and an int; got 2\.5$"),
         ({"max_depth": True}, "^max_depth must be >= 1 or None, and an int; got True$"),
@@ -214,3 +217,32 @@ def test_prediction_ranges():
 def test_tree_config_rejects_bad_settings(kwargs, message):
     with pytest.raises(ValueError, match=message):
         rf.TreeConfig(**kwargs)
+
+
+def test_every_forest_bootstraps_and_tries_sqrt_features():
+    # Breiman's forest has no switch: no candidate rule and no bootstrap flag
+    assert [f.name for f in dataclasses.fields(rf.TreeConfig)] == ["task", "max_depth"]
+    params = inspect.signature(rf.fit_forest).parameters.values()
+    assert [p.name for p in params] == ["X", "y", "config", "n_trees", "seed"]
+    assert [p.default for p in params][3:] == [100, 0]
+    assert list(inspect.signature(rf.fit_forests).parameters) == ["problems", "config", "n_trees"]
+    with pytest.raises(TypeError, match="n_features_per_split"):
+        rf.TreeConfig(n_features_per_split="all")
+    with pytest.raises(TypeError, match="bootstrap"):
+        rf.fit_forest(np.ones((2, 1)), np.zeros(2), rf.TreeConfig(), bootstrap=False)
+
+
+@pytest.mark.parametrize("task", [rf.REGRESSION, rf.CLASSIFICATION])
+def test_a_forest_on_no_feature_predicts_its_bootstrap_means(task):
+    # no feature leaves no candidate: every tree is one leaf, its sample's mean
+    y = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    if task == rf.REGRESSION:
+        y = y * 3.5 + np.arange(7.0)
+    model = rf.fit_forest(np.empty((7, 0)), y, rf.TreeConfig(task=task), n_trees=6, seed=11)
+    draws = (seeding.make_rng(seeding.derive_seed(11, "forest", t), "bootstrap") for t in range(6))
+    means = [y[rng.integers(0, 7, 7)].mean() for rng in draws]
+    assert len(set(means)) > 1  # the trees grew on different samples
+    assert all(tree.left.size == roots.size for tree, roots in model.blocks)
+    np.testing.assert_allclose(
+        rf.predict_forest(model, np.empty((3, 0))), np.full(3, np.mean(means)), rtol=1e-12
+    )

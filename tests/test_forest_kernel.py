@@ -62,19 +62,18 @@ def test_two_valued_columns_match_reference(task, max_depth):
         assert_matches_reference(X, y, rf.TreeConfig(task=task, max_depth=max_depth))
 
 
-# the id names the draw: all 5 of 5 features, 2 of 5, or sqrt(9) = 3 of 9
-DRAWS = pytest.mark.parametrize(
-    "rule, width", [("all", 5), ("sqrt", 5), ("sqrt", 9)], ids=["all", "2", "sqrt"]
-)
+# the id names the sqrt(features) draw: every feature (1 of 1), 2 of 5, or 3 of 9
+DRAWS = pytest.mark.parametrize("width", [1, 5, 9], ids=["all", "2", "sqrt"])
 
 
 @DRAWS
-def test_counted_splits_equal_sorted_splits(rule, width, monkeypatch):
+def test_counted_splits_equal_sorted_splits(width, monkeypatch):
     # doubled ranks keep every sort order but leave no column with ranks <= 1,
     # so every split is then scored from sorted segments
     X, y = _two_valued_data(rf.CLASSIFICATION, 90, 21)
-    X = np.c_[X, make_rng(22).normal(size=(90, width - 5))]
-    config = rf.TreeConfig(task=rf.CLASSIFICATION, n_features_per_split=rule)
+    # one column: the last, two-valued; nine: the five and four noise columns
+    X = np.c_[X, make_rng(22).normal(size=(90, width - 5))] if width >= 5 else X[:, -width:]
+    config = rf.TreeConfig(task=rf.CLASSIFICATION)
     calls = []
     counted_splits = rf._counted_splits
 
@@ -83,17 +82,18 @@ def test_counted_splits_equal_sorted_splits(rule, width, monkeypatch):
         return counted_splits(*args)
 
     monkeypatch.setattr(rf, "_counted_splits", counting)
-    counted = rf.fit_forest(X, y, config, n_trees=12, seed=6, bootstrap=True)
+    counted = rf.fit_forest(X, y, config, n_trees=12, seed=6)
     assert calls
     calls.clear()
     dense_ranks = rf._dense_ranks
     monkeypatch.setattr(rf, "_dense_ranks", lambda X: 2 * dense_ranks(X).astype(np.int64))
-    sorted_only = rf.fit_forest(X, y, config, n_trees=12, seed=6, bootstrap=True)
+    sorted_only = rf.fit_forest(X, y, config, n_trees=12, seed=6)
     assert not calls
     _same_forest(counted, sorted_only)
 
 
-@pytest.mark.parametrize("rule", ["all", "sqrt"])
+# sqrt(features) draws column 0 alone (every feature), or 1 of 3
+@pytest.mark.parametrize("width", [1, 3], ids=["all", "sqrt"])
 @pytest.mark.parametrize(
     "n, rank_type, task",
     [
@@ -104,18 +104,18 @@ def test_counted_splits_equal_sorted_splits(rule, width, monkeypatch):
     ],
     ids=["256-uint8-regression", "256-uint8", "300-uint16-regression", "300-uint16"],
 )
-def test_rank_keys_at_the_limit_of_the_rank_type(n, rank_type, task, rule):
+def test_rank_keys_at_the_limit_of_the_rank_type(n, rank_type, task, width):
     # column 0 holds n distinct values, so its top rank is the rank type's
     # 255 at n = 256; the segment sort keys must not wrap in that type
     rng = make_rng(n)
-    X = np.c_[rng.permutation(n) / 7.0, np.round(rng.normal(size=(n, 2)) * 2) / 2]
+    X = np.c_[rng.permutation(n) / 7.0, np.round(rng.normal(size=(n, 2)) * 2) / 2][:, :width]
     y = X[:, 0] + rng.normal(scale=9.0, size=n)
     if task == rf.CLASSIFICATION:
         y = (y > n / 14.0).astype(float)
     assert rf._dense_ranks(X).dtype == rank_type
     assert rf._dense_ranks(X).max() == n - 1
-    config = rf.TreeConfig(task=task, n_features_per_split=rule)
-    model = rf.fit_forest(X, y, config, n_trees=3, seed=n, bootstrap=True)
+    config = rf.TreeConfig(task=task)
+    model = rf.fit_forest(X, y, config, n_trees=3, seed=n)
     assert_same_forest(model, reference_forest(X, y, config, 3, n))
 
 
@@ -182,12 +182,12 @@ def test_equal_gains_keep_the_first_feature(task):
 
 
 @pytest.mark.parametrize("task", TASKS)
-@pytest.mark.parametrize("bootstrap", [True, False])
-def test_forest_trees_and_predictions_match_reference(task, bootstrap):
+@pytest.mark.parametrize("bounded", [True, False])  # depth 6, or unbounded as predict_cv's
+def test_forest_trees_and_predictions_match_reference(task, bounded):
     X, y = _data(task, 60, 3, 7, grid=4)
-    config = rf.TreeConfig(task=task, max_depth=6)
-    model = rf.fit_forest(X, y, config, n_trees=9, seed=3, bootstrap=bootstrap)
-    reference = reference_forest(X, y, config, 9, 3, bootstrap)
+    config = rf.TreeConfig(task=task, max_depth=6 if bounded else None)
+    model = rf.fit_forest(X, y, config, n_trees=9, seed=3)
+    reference = reference_forest(X, y, config, 9, 3)
     assert_same_forest(model, reference)
     probe = make_rng(8).normal(size=(25, 3))
     expected = np.zeros(25)
@@ -226,10 +226,10 @@ def _same_forest(a, b):
 
 @pytest.mark.parametrize("task", TASKS)
 @DRAWS
-def test_block_size_does_not_change_the_forest(task, rule, width, monkeypatch):
+def test_block_size_does_not_change_the_forest(task, width, monkeypatch):
     X, y = _data(task, 50, width, 9, grid=2)
     probe = make_rng(10).normal(size=(30, width))
-    config = rf.TreeConfig(task=task, n_features_per_split=rule)
+    config = rf.TreeConfig(task=task)
     fits, preds = [], []
     for block in (1, 1 << 30):  # one tree per block, then every tree in one block
         monkeypatch.setattr(rf, "_FOREST_BLOCK", block)
@@ -274,8 +274,7 @@ def test_a_fit_over_k_blocks_keeps_the_k_grown_trees(task, monkeypatch):
     monkeypatch.setattr(split, "_split_pays", lambda n_items, minimum: False)  # no child grows
     # 40 rows x 2 candidates a tree, 3 trees a block: 11 trees in 4 blocks
     monkeypatch.setattr(rf, "_FOREST_BLOCK", 40 * 2 * 3)
-    config = rf.TreeConfig(task=task, n_features_per_split="sqrt")
-    model = rf.fit_forest(X, y, config, n_trees=11, seed=6)
+    model = rf.fit_forest(X, y, rf.TreeConfig(task=task), n_trees=11, seed=6)
     assert len(grown) == len(model.blocks) == 4
     assert [roots.tolist() for _, roots in model.blocks] == [[0, 1, 2]] * 3 + [[0, 1]]
     assert all(tree is block for (tree, _), block in zip(model.blocks, grown))
@@ -289,8 +288,7 @@ def test_forests_of_a_shared_pass_share_each_block_tree(task, monkeypatch):
     # 240 elements a block: trees of 50, 60 and 80 elements, so blocks
     # straddle the 25- and 30-row and the 30- and 40-row forests
     monkeypatch.setattr(rf, "_FOREST_BLOCK", 240)
-    config = rf.TreeConfig(task=task, max_depth=6, n_features_per_split="sqrt")
-    models = rf.fit_forests(problems, config, n_trees=5)
+    models = rf.fit_forests(problems, rf.TreeConfig(task=task, max_depth=6), n_trees=5)
     holders = {}
     for i, model in enumerate(models):
         for tree, _ in model.blocks:

@@ -63,16 +63,15 @@ def test_tree_matches_reference(
     n=st.integers(1, 40),
     n_trees=st.integers(1, 6),
     task=st.sampled_from([rf.REGRESSION, rf.CLASSIFICATION]),
-    rule=st.sampled_from(["all", "sqrt"]),
-    # "sqrt" tries 1 of 3 features and 2 of 5 at each node
-    width=st.sampled_from([3, 5]),
+    # each node tries sqrt(features): the one feature of 1, 1 of 3 and 2 of 5
+    width=st.sampled_from([1, 3, 5]),
     block=st.sampled_from([1, 200, 1 << 30]),
     two_valued=st.integers(0, 3),
     copied=st.sampled_from([0, 1, 2, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_forest_matches_reference_for_any_block(
-    n, n_trees, task, rule, width, block, two_valued, copied, seed
+    n, n_trees, task, width, block, two_valued, copied, seed
 ):
     rng = make_rng(seed)
     X = np.round(rng.normal(size=(n, width)) * 2) / 2
@@ -83,7 +82,7 @@ def test_forest_matches_reference_for_any_block(
         # column, next to the bootstrap's repeated draws of one row
         pick = rng.integers(0, min(copied, n), size=n)
         X, y = X[pick], y[pick]
-    config = rf.TreeConfig(task=task, max_depth=5, n_features_per_split=rule)
+    config = rf.TreeConfig(task=task, max_depth=5)
     saved = rf._FOREST_BLOCK
     rf._FOREST_BLOCK = block
     try:
@@ -109,17 +108,13 @@ def _preorder(tree, root):
     sizes=st.lists(st.integers(1, 30), min_size=2, max_size=5),
     n_trees=st.integers(1, 4),
     task=st.sampled_from([rf.REGRESSION, rf.CLASSIFICATION]),
-    rule=st.sampled_from(["all", "sqrt"]),
-    # "sqrt" tries 1 of 3 features and 2 of 5 at each node
+    # each node tries sqrt(features): 1 of 3 and 2 of 5
     width=st.sampled_from([3, 5]),
-    bootstrap=st.booleans(),
     # a few trees a block, so blocks straddle forests, up to one block for all
     block=st.one_of(st.integers(1, 300), st.just(1 << 30)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_shared_pass_equals_each_forest_alone(
-    sizes, n_trees, task, rule, width, bootstrap, block, seed
-):
+def test_shared_pass_equals_each_forest_alone(sizes, n_trees, task, width, block, seed):
     rng = make_rng(seed)
     problems = []
     for n in sizes:
@@ -132,16 +127,16 @@ def test_shared_pass_equals_each_forest_alone(
     _two_valued_columns(problems[0][0], 1, rng)
     problems[1][0][0, 0] = 0.25
     problems[-1][0][:, 2] = 0.5  # a constant column
-    config = rf.TreeConfig(task=task, max_depth=5, n_features_per_split=rule)
+    config = rf.TreeConfig(task=task, max_depth=5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rf, "_FOREST_BLOCK", block)
-        shared = rf.fit_forests(problems, config, n_trees, bootstrap)
+        shared = rf.fit_forests(problems, config, n_trees)
     probe = np.round(rng.normal(size=(20, width)) * 2) / 2
     assert len(shared) == len(problems)
     # a block that forests share is one `Tree`, its nodes split among their roots
     _assert_roots_partition([pair for model in shared for pair in trees(model)])
     for model, (X, y, problem_seed) in zip(shared, problems):
-        alone = rf.fit_forest(X, y, config, n_trees, problem_seed, bootstrap)
+        alone = rf.fit_forest(X, y, config, n_trees, problem_seed)
         assert model.n_trees == n_trees
         for got, expected in zip(trees(model), trees(alone), strict=True):
             assert _preorder(*got) == _preorder(*expected)

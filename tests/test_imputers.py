@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imputebench import forest as rf, imputers
+from imputebench import forest as rf, imputers, seeding
 from imputebench.imputers import (
     KnnImputer,
     MissForestImputer,
@@ -306,6 +306,27 @@ def test_missforest_final_forest_is_its_columns_forest():
         )
         got = rf.predict_forest(imp.forests_[j], probe)
         assert got.tobytes() == rf.predict_forest(alone, probe).tobytes(), j
+
+
+@pytest.mark.parametrize("n_num, n_cat", [(1, 0), (0, 1)])
+def test_missforest_on_one_column_imputes_its_bootstrap_means(n_num, n_cat):
+    # no other column leaves each forest no feature: every tree is one leaf,
+    # the mean of its bootstrap sample of the column's observed cells
+    schema = mixed_schema(n_num, n_cat)
+    observed = np.array([1.0, 0.0, 1.0]) if n_cat else np.array([1.5, 4.0, 2.0])
+    train = MixedTable(schema, np.r_[observed, np.nan][:, None])
+    result = MissForestImputer(schema, seed=2, n_trees=6).fit(train).impute(train)
+    forest_seed = derive_seed(2, "missforest", "final", 0)
+    draws = (seeding.make_rng(derive_seed(forest_seed, "forest", t), "bootstrap") for t in range(6))
+    means = [observed[rng.integers(0, 3, 3)].mean() for rng in draws]
+    assert len(set(means)) > 1
+    filled = result.table.values[3, 0]
+    if n_cat:
+        assert result.scores[3, 0] == pytest.approx(np.mean(means), rel=1e-12)
+        assert filled == float(np.mean(means) >= 0.5)
+    else:
+        assert filled == pytest.approx(np.mean(means), rel=1e-12)
+    assert np.array_equal(result.table.values[:3, 0], observed)
 
 
 @pytest.mark.parametrize(

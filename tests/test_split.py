@@ -78,19 +78,19 @@ def _assert_same_trees(got, expected):
 
 
 @pytest.mark.parametrize("task", [forest.REGRESSION, forest.CLASSIFICATION])
-@pytest.mark.parametrize("bootstrap", [True, False])
-def test_split_forest_equals_the_serial_loop(monkeypatch, forks, task, bootstrap):
+@pytest.mark.parametrize("bounded", [True, False])  # depth 6, or unbounded as predict_cv's
+def test_split_forest_equals_the_serial_loop(monkeypatch, forks, task, bounded):
     rng = make_rng(3)
     X = np.round(rng.random((40, 5)), 1)
     y = (X[:, 0] + rng.random(40) > 1).astype(float) if task == forest.CLASSIFICATION else rng.random(40)
-    config = TreeConfig(task=task, max_depth=6, n_features_per_split="sqrt")
+    config = TreeConfig(task=task, max_depth=6 if bounded else None)
     # 40 rows x 2 candidates x 3 trees a block: 4 blocks of 11 trees
     monkeypatch.setattr(forest, "_FOREST_BLOCK", 40 * 2 * 3)
     with monkeypatch.context() as serial:
         serial.setattr(split, "_split_pays", lambda n_items, minimum: False)
-        expected = fit_forest(X, y, config, n_trees=11, seed=5, bootstrap=bootstrap)
+        expected = fit_forest(X, y, config, n_trees=11, seed=5)
     assert not forks
-    got = fit_forest(X, y, config, n_trees=11, seed=5, bootstrap=bootstrap)
+    got = fit_forest(X, y, config, n_trees=11, seed=5)
     assert len(forks) == 1
     _assert_same_trees(got, expected)
     assert predict_forest(got, X).tobytes() == predict_forest(expected, X).tobytes()
@@ -105,7 +105,7 @@ def test_split_shared_pass_equals_the_serial_loop(monkeypatch, forks, task):
         X = np.round(rng.random((n, 5)), 1)
         y = (X[:, 0] + rng.random(n) > 1).astype(float) if task == forest.CLASSIFICATION else rng.random(n)
         problems.append((X, y, seed))
-    config = TreeConfig(task=task, max_depth=6, n_features_per_split="sqrt")
+    config = TreeConfig(task=task, max_depth=6)
     # 240 elements a block: trees of 50, 60 and 80 elements, so blocks
     # straddle the 25- and 30-row and the 30- and 40-row forests
     monkeypatch.setattr(forest, "_FOREST_BLOCK", 240)
@@ -224,7 +224,7 @@ def _split_sized_calls(monkeypatch):
     monkeypatch.setattr(forest, "_FOREST_BLOCK", 40 * 2 * 3)  # 3 trees a block
     rng = make_rng(4)
     X, y = rng.random((40, 5)), rng.random(40)
-    config = TreeConfig(max_depth=3, n_features_per_split="sqrt")
+    config = TreeConfig(max_depth=3)
     return [
         lambda: knn_fill(*_hold_out(64, 100)),
         lambda: fit_forest(X, y, config, n_trees=11),
@@ -267,7 +267,7 @@ def test_few_blocks_keep_the_call_serial(no_fork):
     knn_fill(values, values, 5, schema, column_stats(values, schema))
     # a 16-tree forest on 120 rows: one block
     rng = make_rng(5)
-    config = TreeConfig(max_depth=12, n_features_per_split="sqrt")
+    config = TreeConfig(max_depth=12)
     fit_forest(rng.random((120, 14)), rng.random(120), config, n_trees=16)
 
 

@@ -61,6 +61,30 @@ def test_table_rejects_non_binary_categorical():
         MixedTable(schema, np.array([[1.0, 0.0], [1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_table_rejects_an_infinite_numerical_value(value):
+    # NaN is a missing cell; an infinite one would be imputed from or scored as a value
+    schema = mixed_schema(2, 1)
+    values = random_table(schema, 30, seed=7).values.copy()
+    values[3, 1] = value
+    message = f"^numerical column 'n1' has infinite value {value} at row 4$"
+    with pytest.raises(SchemaError, match=message):
+        MixedTable(schema, values)
+
+
+def test_take_selects_positions_or_the_true_rows_of_a_mask():
+    t = MixedTable(mixed_schema(1, 0), np.array([[10.0], [11.0], [12.0]]))
+    assert t.take(np.array([True, False, True])).values[:, 0].tolist() == [10.0, 12.0]
+    assert t.take([False, True, False]).values[:, 0].tolist() == [11.0]
+    assert t.take(np.array([2, 0], dtype=np.uint8)).values[:, 0].tolist() == [12.0, 10.0]
+    assert t.take([]).n_rows == 0
+    # a float is no row number: 0.7 is not row 0
+    message = "^rows must be integer positions or a boolean mask, not float64$"
+    for rows in ([0.7], np.array([1.0])):
+        with pytest.raises(ValueError, match=message):
+            t.take(rows)
+
+
 def test_table_mask_matches_missing():
     t = random_table(mixed_schema(), 30, seed=5, missing_rate=0.3)
     mask = t.mask()
@@ -125,6 +149,19 @@ def test_load_csv_errors(tmp_path):
     blank.write_text("Glucose,Sex\n100,1\n\n90,0\n")
     with pytest.raises(ParseError, match="row 2 has 0 of the header's 2 fields"):
         load_csv(blank, schema)
+
+
+def test_load_csv_refuses_a_record_longer_than_the_header(tmp_path):
+    # its extra fields would be dropped unread
+    schema = Schema([Column("a", ColumnKind.NUMERICAL), Column("b", ColumnKind.NUMERICAL)])
+    long = tmp_path / "long.csv"
+    long.write_text("a,b\n1,2\n1,2,3\n")
+    message = f"{long}: row 2 has 3 fields, more than the header's 2"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_csv(long, schema)
+    long.write_text("a,b\n1,2,\n")  # an empty extra field too
+    with pytest.raises(ParseError, match="row 1 has 3 fields, more than the header's 2$"):
+        load_csv(long, schema)
 
 
 def test_csv_round_trip(tmp_path):

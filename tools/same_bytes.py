@@ -7,9 +7,11 @@ the working tree, each from its own `src/`, with BLAS limited to one thread:
 `bench` and `predict` on `--synthetic 160 --seed 3` with the same-bytes
 recipe (`tests/same_bytes_recipe.json`, the working tree's on both sides),
 `synth --rows 160 --seed 3`, `inject` of that table at `--rate 0.3 --seed 3
---exclude-label`, `impute --method knn` and `impute --method igain` (a deep
-method at its default epochs, built without the recipe's overrides) of the
-corrupted table, and `report` on bench's `report.json`. Prints every output
+--exclude-label`, `impute --method knn`, `impute --method igain` and
+`impute --method missforest` of the corrupted table (each built without the
+recipe's overrides: igain at its default epochs, MissForest at its default
+50 trees and up to 10 sweeps, so its final passes span several tree
+blocks), and `report` on bench's `report.json`. Prints every output
 file's sha256 per side and exits 1 if any file differs or is missing on one
 side, 0 otherwise. Run it from anywhere inside the repository. If git fails,
 as on a revision that does not exist, it prints git's message on one line
@@ -48,10 +50,13 @@ def commands(recipe: Path, out: Path) -> list:
             "impute", "--method", "knn", "--input", str(out / "inject.csv"),
             "--out", str(out / "impute.csv"),
         ],
-        [
-            "impute", "--method", "igain", "--input", str(out / "inject.csv"),
-            "--out", str(out / "impute_igain.csv"),
-        ],
+        *(
+            [
+                "impute", "--method", method, "--input", str(out / "inject.csv"),
+                "--out", str(out / f"impute_{method}.csv"),
+            ]
+            for method in ("igain", "missforest")
+        ),
         [
             "report", "--report", str(out / "bench" / "report.json"),
             "--out-dir", str(out / "report"),
