@@ -24,13 +24,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import forest as rf
-from .imputers import _check_int
 from .metrics import UndefinedMetricError, categorical_auroc, f1, normalized_rmse
 from .missingness import assign_folds, inject_mcar
 from .normal import ndtr
 from .registry import make_imputer
 from .resample import smote
-from .seeding import derive_seed, make_rng
+from .seeding import _check_int, derive_seed, make_rng
 from .tabular import (
     ColumnKind,
     MixedTable,
@@ -157,8 +156,7 @@ class ExperimentConfig:
         for name in ("folds", "repeats"):  # a plan axis's length must fit a C ssize_t
             if getattr(self, name) > sys.maxsize:
                 raise ValueError(f"{name} must be <= {sys.maxsize}, got {getattr(self, name)}")
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an int (not a bool), got {self.seed!r}")
+        _check_int("seed", self.seed, None)
         if not isinstance(self.method_overrides, dict) or not all(
             isinstance(v, dict) for v in self.method_overrides.values()
         ):

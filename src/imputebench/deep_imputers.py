@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imputers import ImputationResult, Imputer, _check_int, _finish, knn_fill
+from .imputers import ImputationResult, Imputer, _finish, knn_fill
 from .missingness import drop_cells
 from .nn import Adam, LayerSpec, Network, _activate, mixed_loss
-from .seeding import derive_seed, make_rng
+from .seeding import _check_int, derive_seed, make_rng
 from .tabular import MixedTable, Schema, denormalize, normalize
 
 __all__ = [

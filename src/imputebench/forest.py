@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import derive_seed, make_rng
+from .seeding import _check_int, derive_seed, make_rng
 from .split import map_blocks
 
 __all__ = [
@@ -477,8 +477,7 @@ def fit_forests(problems, config: TreeConfig, n_trees: int = 100) -> list:
     forests; a forked child may grow the later half of the blocks
     (`split.map_blocks`). Models that share a block hold the same `Tree`.
     """
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
+    _check_int("n_trees", n_trees)
     if not problems:
         return []
     checked = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forest as rf
-from .seeding import derive_seed
+from .seeding import _check_int, derive_seed
 from .split import map_blocks
 from .tabular import (
     MixedTable,
@@ -50,7 +50,7 @@ class Imputer:
 
     def __init__(self, schema: Schema, seed: int = 0):
         self.schema = schema
-        self.seed = seed
+        self.seed = _check_int("seed", seed, None)
 
     def fit(self, train: MixedTable) -> "Imputer":
         raise NotImplementedError
@@ -69,17 +69,6 @@ class Imputer:
         norm = normalize(train.values, self.params_)
         self.norm_stats_ = column_stats(norm, self.schema)
         return norm
-
-
-def _check_int(name: str, value, least: int = 1) -> int:
-    """`value` if it is an int >= `least`, else a ValueError naming `name`.
-
-    bool is an int subclass, so True would pass as 1; it is refused, as is
-    a float such as 2.5, which would otherwise fail only at the first cell.
-    """
-    if type(value) is not int or value < least:
-        raise ValueError(f"{name} must be >= {least} and an int (not a bool), got {value!r}")
-    return value
 
 
 def _finish(
@@ -366,8 +355,7 @@ def knn_fill(
     row-by-row search. With `_KNN_SPLIT_BLOCKS` blocks or more, a forked
     child may search the later half of them (`split.map_blocks`).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_int("k", k)
     if (
         train_norm.ndim != 2
         or target_norm.ndim != 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .seeding import make_rng
+from .seeding import _check_int, make_rng
 from .tabular import MixedTable
 
 __all__ = ["drop_cells", "inject_mcar", "assign_folds"]
@@ -49,9 +49,8 @@ def inject_mcar(table: MixedTable, rate: float, seed: int, exclude=()) -> MixedT
 
 def assign_folds(n_rows: int, k: int, seed: int) -> np.ndarray:
     """Each row's fold in 0..k-1: a seeded uniform shuffle, then a round-robin split."""
-    if k < 2:
-        raise ValueError("need at least 2 folds")
-    if n_rows < k:
+    _check_int("k", k, 2)
+    if _check_int("n_rows", n_rows) < k:
         raise ValueError(f"cannot split {n_rows} rows into {k} folds")
     rng = make_rng(seed, "folds")
     order = rng.permutation(n_rows)

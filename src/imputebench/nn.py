@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import make_rng
+from .seeding import _check_int, make_rng
 
 __all__ = [
     "LayerSpec",
@@ -39,8 +39,7 @@ class LayerSpec:
     batch_norm: bool = False
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("layer width must be >= 1")
+        _check_int("layer width", self.width)
         if self.activation not in ("relu", "sigmoid", "linear"):
             raise ValueError(f"unknown activation {self.activation!r}")
 

@@ -10,10 +10,21 @@ import hashlib
 import numpy as np
 
 
+def _check_int(name: str, value, least: int | None = 1) -> int:
+    """`value` if it is an int >= `least` (any int if `least` is None), else a
+    ValueError naming `name`. A bool, though an int subclass, is refused, and
+    so are a float such as 2.5, a string and a numpy integer.
+    """
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f">= {least} and "
+        raise ValueError(f"{name} must be {bound}an int (not a bool), got {value!r}")
+    return value
+
+
 def derive_seed(master: int, *tags) -> int:
     """Derive a 64-bit child seed from a master seed and a tag path."""
     h = hashlib.sha256()
-    h.update(str(int(master)).encode())
+    h.update(str(_check_int("seed", master, None)).encode())
     for tag in tags:
         h.update(b"/")
         h.update(str(tag).encode())
