@@ -162,12 +162,14 @@ def _pairwise_partial_distances(train: np.ndarray, row: np.ndarray) -> np.ndarra
 
 
 # Elements in each (target rows x training rows) temporary of knn_fill:
-# 2**16, 256 KiB per float32 bound array. Against 2**16 with the float32
-# bounds, perfbench's bench-knn-9310 (7,448 training rows) took 14 % longer
-# at 2**17 (median wall 1.00 against 0.88 s, slower in 8 of 10 alternating
-# seeds) and bench-deep-1000 (800) moved -4 %, within its spread (lower in
-# 4 of 10); peak RSS rose 1.4 and 2.1 MiB (2-CPU Xeon, one BLAS thread).
-# With float64 bounds, 2**15 took 20 % longer on bench-knn-9310.
+# 2**16, 256 KiB per float32 bound array. 2**17 is faster on the hold-out
+# call (7,448 x 1,862, rate 0.1, k 5: 127 -> 111 ms serial, faster in 19
+# of 20 interleaved calls; 98 -> 79 ms split, 18 of 20), but perfbench's
+# bench-knn-9310 runs cannot resolve a gain that size, and a flat 2**17
+# also doubles the blocks of the 800-row self-imputation calls: the peak
+# RSS of bench-deep-1000 rose 42.87 -> 44.96 MiB, lower in 0 of 10 pairs
+# (2-CPU Xeon, one BLAS thread). With float64 bounds, 2**15 took 20 %
+# longer on bench-knn-9310.
 _KNN_BLOCK = 1 << 16
 # Training rows shortlisted per target row, as a multiple of k. A hole whose
 # column fewer than k of them observe gets an infinite threshold, so its row
@@ -339,7 +341,9 @@ def knn_fill(
     neighbor mean, categorical cells the neighbor positive fraction as a
     score. Cells with no observing training row fall back to `stats`, the
     training column mean. A categorical cell is filled with score >= 0.5.
-    Returns (filled grid, categorical score grid, fallback count).
+    Returns (filled grid, categorical score grid, fallback count). An
+    infinite cell in either grid is a ValueError naming the grid, its row
+    and its column, counted from 0.
 
     Target rows go in blocks. One matrix product per block bounds every
     (target, training) distance from below and above (`_DistanceBounds`).
@@ -365,6 +369,10 @@ def knn_fill(
             f"knn_fill: train_norm has shape {train_norm.shape} and target_norm has "
             f"shape {target_norm.shape}; both must be 2-D with the same number of columns"
         )
+    for name, grid in (("train_norm", train_norm), ("target_norm", target_norm)):
+        if np.isinf(grid).any():
+            row, col = np.argwhere(np.isinf(grid))[0]
+            raise ValueError(f"knn_fill: {name} has an infinite entry at row {row}, column {col}")
     n_train, n_cols = train_norm.shape
     holes = np.isnan(target_norm)
     obs_train = ~np.isnan(train_norm)

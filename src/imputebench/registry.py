@@ -38,5 +38,5 @@ def make_imputer(name: str, schema: Schema, seed: int = 0, **overrides) -> Imput
         )
     try:
         return cls(schema, seed, **overrides)
-    except ValueError as exc:  # a bad value
-        raise ValueError(f"{label} rejects arguments {overrides}: {exc}") from None
+    except ValueError as exc:  # a bad seed or setting, which exc names
+        raise ValueError(f"{label}: {exc}") from None

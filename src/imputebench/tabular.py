@@ -30,7 +30,6 @@ __all__ = [
     "load_csv",
     "load_json_object",
     "load_schema",
-    "save_schema",
     "complete_subset",
     "fit_normalizer",
     "normalize",
@@ -205,9 +204,6 @@ class MixedTable:
             raise ValueError(f"rows must be integer positions or a boolean mask, not {rows.dtype}")
         return MixedTable(self.schema, self.values[rows])
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.schema.index_of(name)]
-
     def __eq__(self, other):
         return (
             isinstance(other, MixedTable)
@@ -282,16 +278,6 @@ def load_schema(path) -> Schema:
                 f"schema file {path}: columns[{j}] has the name {column.name!r}, not a string"
             )
     return Schema(columns, label=doc.get("label"))
-
-
-def save_schema(schema: Schema, path) -> None:
-    doc = {
-        "columns": [{"name": c.name, "kind": c.kind.value} for c in schema.columns],
-        "label": schema.label,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def load_csv(path, schema: Schema, missing_token: str = "") -> MixedTable:

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -25,6 +26,14 @@ def mixed_schema(n_num=3, n_cat=2, label=None):
     cols = [Column(f"n{i}", ColumnKind.NUMERICAL) for i in range(n_num)]
     cols += [Column(f"c{i}", ColumnKind.CATEGORICAL_BINARY) for i in range(n_cat)]
     return Schema(cols, label=label)
+
+
+def write_schema_file(path, schema):
+    """Write `schema` to `path` in the documented schema-file format, each
+    kind spelled as users write it, not through the package."""
+    kinds = {ColumnKind.NUMERICAL: "numerical", ColumnKind.CATEGORICAL_BINARY: "categorical"}
+    columns = [{"name": c.name, "kind": kinds[c.kind]} for c in schema.columns]
+    path.write_text(json.dumps({"columns": columns, "label": schema.label}))
 
 
 def random_table(schema, n_rows, seed, missing_rate=0.0):

@@ -30,7 +30,7 @@ from imputebench.tabular import (
 from imputebench.resample import smote
 from imputebench.cli import main as cli_main
 
-from conftest import make_rng, mixed_schema, random_table
+from conftest import make_rng, mixed_schema, random_table, write_schema_file
 from gradcheck import check_param_gradients, rel_err, squared_loss
 
 FRAMINGHAM = os.environ.get("FRAMINGHAM_CSV")
@@ -403,10 +403,8 @@ def test_criterion_13_smote_counts_and_betweenness():
 
 def test_criterion_14_full_pipeline_determinism(tmp_path):
     schema = mixed_schema(2, 1, label="c0")
-    from imputebench.tabular import save_schema
-
     schema_path = tmp_path / "schema.json"
-    save_schema(schema, schema_path)
+    write_schema_file(schema_path, schema)
     args = [
         "bench", "--schema", str(schema_path), "--synthetic", "60",
         "--methods", "simple,knn", "--rates", "0.2,0.4",

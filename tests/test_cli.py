@@ -9,13 +9,9 @@ import numpy as np
 import pytest
 
 from imputebench.cli import default_synthetic_spec, main
-from imputebench.tabular import (
-    FRAMINGHAM_SCHEMA,
-    load_csv,
-    save_schema,
-)
+from imputebench.tabular import FRAMINGHAM_SCHEMA, load_csv
 
-from conftest import mixed_schema
+from conftest import mixed_schema, write_schema_file
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 RECIPE = Path(__file__).with_name("same_bytes_recipe.json")
@@ -25,7 +21,7 @@ RECIPE = Path(__file__).with_name("same_bytes_recipe.json")
 def small_schema_file(tmp_path):
     schema = mixed_schema(2, 1, label="c0")
     path = tmp_path / "schema.json"
-    save_schema(schema, path)
+    write_schema_file(path, schema)
     return schema, str(path)
 
 
@@ -135,7 +131,7 @@ def test_inject_exclude_label(tmp_path, capsys, small_schema_file):
     holes.unlink()
     # a schema without a label: the flag is an error, not a corruption of every column
     unlabelled = tmp_path / "unlabelled.json"
-    save_schema(mixed_schema(2, 1), unlabelled)
+    write_schema_file(unlabelled, mixed_schema(2, 1))
     capsys.readouterr()
     assert main(["inject", "--schema", str(unlabelled), *flags]) == 1
     assert capsys.readouterr().err == (

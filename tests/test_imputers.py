@@ -498,7 +498,7 @@ def test_registry_unknown_name():
         ("inaa", {"variant": "naa"}, r"'inaa' \(InaaImputer\) has no setting 'variant'; .*'epochs'$"),
         ("igain", {"alpha": 5}, r"'igain' \(IgainImputer\) has no setting 'alpha'; .*'epochs'$"),
         ("missforest", {"max_depth": 8}, r"'missforest' \(MissForestImputer\) has no setting"),
-        ("missforest", {"n_trees": 0}, r"'missforest' \(MissForestImputer\) rejects .*n_trees"),
+        ("missforest", {"n_trees": 0}, r"'missforest' \(MissForestImputer\): n_trees must be >= 1"),
         ("simple", {"epochs": 5}, r"'simple' \(SimpleImputer\) .*; its settings: none$"),
         ("missforest", {"k": 5}, r"\(MissForestImputer\) .*; its settings: 'n_trees', 'max_iter'$"),
         ("naa", {"variant": "inaa"}, r"'naa' \(DaeImputer\) has no setting 'variant'; .*'epochs'$"),
@@ -510,3 +510,16 @@ def test_registry_names_the_method_class_and_setting(name, overrides, message):
     assert type(make_imputer(name, mixed_schema(), 1)).name == name
     with pytest.raises(ValueError, match=message):
         make_imputer(name, mixed_schema(), 1, **overrides)
+
+
+@pytest.mark.parametrize(
+    "name, seed, overrides",
+    [("missforest", True, {"n_trees": 4}), ("knn", 1.5, {}), ("inaa", "2", {"epochs": 3})],
+)
+def test_registry_blames_a_bad_seed_not_the_valid_settings(name, seed, overrides):
+    cls = type(make_imputer(name, mixed_schema(), 1)).__name__
+    with pytest.raises(ValueError) as caught:
+        make_imputer(name, mixed_schema(), seed, **overrides)
+    assert str(caught.value) == (
+        f"method {name!r} ({cls}): seed must be an int (not a bool), got {seed!r}"
+    )

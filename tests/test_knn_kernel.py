@@ -173,6 +173,21 @@ def test_bad_inputs_raise_named_errors(target_shape, k, message):
         knn_fill(train, np.zeros(target_shape), k, schema, column_stats(train, schema))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("grid", ["train_norm", "target_norm"])
+def test_an_infinite_cell_is_a_named_error(grid, value):
+    # NaN marks a missing cell; an infinite one has no distance to any row,
+    # so it is named rather than filled from the column mean
+    schema = mixed_schema(3, 1)
+    rng = make_rng(43)
+    train, target = _grid(schema, 12, rng, 0.0), _grid(schema, 5, rng, 0.0)
+    target[2, 0] = np.nan
+    stats = column_stats(train, schema)
+    {"train_norm": train, "target_norm": target}[grid][2, 1] = value
+    with pytest.raises(ValueError, match=f"^knn_fill: {grid} has an infinite entry at row 2, column 1$"):
+        knn_fill(train, target, 3, schema, stats)
+
+
 def _float32_extremes(rng, n_rows, scale):
     """Three numerical columns at `scale` beside a unit-range column observed in
     about 30 % of rows and a categorical column of zeros, with 30 % MCAR holes.

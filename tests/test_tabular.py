@@ -20,7 +20,6 @@ from imputebench.tabular import (
     load_schema,
     normalize,
     save_csv,
-    save_schema,
 )
 
 from conftest import mixed_schema, random_table
@@ -97,7 +96,7 @@ def test_load_csv_one_missing_cell(tmp_path):
     schema = Schema([Column("Glucose", ColumnKind.NUMERICAL), Column("Sex", ColumnKind.CATEGORICAL_BINARY)])
     t = load_csv(path, schema)
     assert t.n_rows == 3
-    assert np.isnan(t.column("Glucose")).sum() == 1
+    assert np.isnan(t.values[:, 0]).sum() == 1
     assert np.isnan(t.values).sum() == 1
 
 
@@ -182,9 +181,32 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path):
     assert load_csv(bom, schema) == load_csv(plain, schema)
 
 
-def test_schema_file_round_trip(tmp_path):
+HEART_SCHEMA_FILE = """{
+  "columns": [
+    {"name": "Sex", "kind": "categorical"},
+    {"name": "Totchol", "kind": "numerical"},
+    {"name": "Age", "kind": "numerical"},
+    {"name": "SysBP", "kind": "numerical"},
+    {"name": "Cursmoke", "kind": "categorical"},
+    {"name": "Cigpday", "kind": "numerical"},
+    {"name": "Bmi", "kind": "numerical"},
+    {"name": "Diabetes", "kind": "categorical"},
+    {"name": "Bpmeds", "kind": "categorical"},
+    {"name": "Heartrate", "kind": "numerical"},
+    {"name": "Glucose", "kind": "numerical"},
+    {"name": "Prevhyp", "kind": "categorical"},
+    {"name": "Prevstrk", "kind": "categorical"},
+    {"name": "DiaBP", "kind": "numerical"},
+    {"name": "CVD", "kind": "categorical"}
+  ],
+  "label": "CVD"
+}
+"""
+
+
+def test_load_schema_reads_the_documented_heart_schema(tmp_path):
     path = tmp_path / "schema.json"
-    save_schema(FRAMINGHAM_SCHEMA, path)
+    path.write_text(HEART_SCHEMA_FILE)
     assert load_schema(path) == FRAMINGHAM_SCHEMA
 
 

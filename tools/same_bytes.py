@@ -6,6 +6,8 @@ Runs every command that writes files, once on `git archive REV` and once on
 the working tree, each from its own `src/`, with BLAS limited to one thread:
 `bench` and `predict` on `--synthetic 160 --seed 3` with the same-bytes
 recipe (`tests/same_bytes_recipe.json`, the working tree's on both sides),
+`bench` again with `--schema` on a six-column schema file the tool writes
+in the documented format (`SCHEMA`, beside both sides' output folders),
 `synth --rows 160 --seed 3`, `inject` of that table at `--rate 0.3 --seed 3
 --exclude-label`, `impute --method knn`, `impute --method igain` and
 `impute --method missforest` of the corrupted table (each built without the
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -30,16 +33,33 @@ import tempfile
 from pathlib import Path
 
 ARGS = ("--synthetic", "160", "--seed", "3")
+# a schema file as users write it: a "columns" list of names and kinds, and a label
+SCHEMA = {
+    "columns": [
+        {"name": "Age", "kind": "numerical"},
+        {"name": "Sex", "kind": "categorical"},
+        {"name": "SysBP", "kind": "numerical"},
+        {"name": "Diabetes", "kind": "categorical"},
+        {"name": "Glucose", "kind": "numerical"},
+        {"name": "CVD", "kind": "categorical"},
+    ],
+    "label": "CVD",
+}
 
 
 def commands(recipe: Path, out: Path) -> list:
     """The command lines, in order, that write their files under ``out``;
-    `inject`, `impute` and `report` read what an earlier line wrote."""
+    `inject`, `impute` and `report` read what an earlier line wrote, and
+    `bench --schema` reads the `SCHEMA` file beside ``out``."""
     return [
         *(
             [protocol, *ARGS, "--config", str(recipe), "--out-dir", str(out / protocol)]
             for protocol in ("bench", "predict")
         ),
+        [
+            "bench", *ARGS, "--config", str(recipe), "--schema", str(out.parent / "schema.json"),
+            "--out-dir", str(out / "bench_schema"),
+        ],
         ["synth", "--rows", "160", "--seed", "3", "--out", str(out / "synth.csv")],
         [
             "inject", "--input", str(out / "synth.csv"), "--rate", "0.3", "--seed", "3",
@@ -102,6 +122,7 @@ def main(argv=None) -> int:
     recipe = root / "tests" / "same_bytes_recipe.json"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        (tmp / "schema.json").write_text(json.dumps(SCHEMA, indent=2) + "\n")
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "rev", filter="data")
         sides = {
