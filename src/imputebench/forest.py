@@ -300,33 +300,44 @@ def _best_splits(
     del order
     rises = rank[1:] > rank[:-1]
     del rank
-    # boundary b splits its segment into the b_offset elements before it and the rest
+    # boundary b splits its segment into the elements before it and the rest
     b = 1 + np.flatnonzero(rises & (offset[1:] > 0))
-    bseg, b_offset = seg[b], offset[b]
-    del rises, seg, offset
+    bseg = seg[b]
+    del rises, seg
     end = (seg_start + seg_len - 1)[bseg]
+    # the element and boundary arrays go as soon as the split sums exist
     if task == REGRESSION:
         n = seg_len[bseg].astype(float)
+        n_left = offset[b].astype(float)
+        del offset
         csum = np.empty((2, g.size))
         np.take(ys, g, out=csum[0])
         np.multiply(csum[0], csum[0], out=csum[1])
         _segment_cumsum(csum, seg_len)
         sum_left, sq_left = csum[:, b - 1]
-        n_left = b_offset.astype(float)
+        total = csum[:, end]
+        del csum, end
         n_right = n - n_left
         var_left = sq_left / n_left - (sum_left / n_left) ** 2
-        var_right = (csum[1, end] - sq_left) / n_right - ((csum[0, end] - sum_left) / n_right) ** 2
+        var_right = (total[1] - sq_left) / n_right - ((total[0] - sum_left) / n_right) ** 2
         child = (n_left * var_left + n_right * var_right) / n
     else:
         # weighted 0/1 partial sums are integers below 2**53: one running sum
         # minus the segment's start is exactly the sum a restarting cumsum of
         # the node's samples gives
-        n = sizes[bseg // m]
+        del offset
         csum = np.zeros((2, g.size + 1))
-        np.cumsum(np.stack([weights[g], ys[g]]), axis=1, out=csum[:, 1:])
+        np.cumsum(weights[g], out=csum[0, 1:])
+        np.cumsum(ys[g], out=csum[1, 1:])
         before = csum[:, seg_start[bseg]]
-        n_left, sum_left = csum[:, b] - before
-        child = _gini_child(n, n_left, sum_left, csum[1, end + 1] - before[1] - sum_left)
+        left = csum[:, b]
+        left -= before
+        n_left, sum_left = left
+        sum_right = csum[1, end + 1]
+        sum_right -= before[1]
+        sum_right -= sum_left
+        del csum, before, end
+        child = _gini_child(sizes[bseg // m], n_left, sum_left, sum_right)
     # first minimum per segment; a NaN minimum matches nothing, like a NaN gain
     seg_child = np.full(k * m, np.nan)
     seg_threshold = np.zeros(k * m)
@@ -338,6 +349,8 @@ def _best_splits(
         seg_child[bseg[hit]] = child[hit]
         at, feat = b[hit], cand.ravel()[bseg[hit]]
         seg_threshold[bseg[hit]] = 0.5 * (X[rows[g[at - 1]], feat] + X[rows[g[at]], feat])
+    # so the count path's temporaries do not stack on the sorted path's
+    del g, b, bseg, child
     if counted.any():
         s = np.flatnonzero(counted)
         seg_child[s], seg_threshold[s] = _counted_splits(

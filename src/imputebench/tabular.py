@@ -233,11 +233,19 @@ class NormParams:
 def load_json_object(path, what: str, error=ValueError) -> dict:
     """The JSON object in a UTF-8 file, a leading byte-order mark skipped. A file
     that is not JSON, holds NaN, Infinity, -Infinity or a number literal that
-    overflows a float, such as 1e400 or a 400-digit integer, or holds
-    anything but an object raises `error`, whose message starts with `what`
-    and the path."""
+    overflows a float, such as 1e400 or a 400-digit integer, repeats a key
+    within one object, or holds anything but an object raises `error`, whose
+    message starts with `what` and the path."""
     def refuse(token):
         raise error(f"{what} {path} holds {token}, which is not strict JSON")
+    # json keeps the last of a repeated key's values without a word
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise error(f"{what} {path} repeats the key {json.dumps(key)} in one object")
+            doc[key] = value
+        return doc
     def finite(literal, value):
         if not abs(value) <= sys.float_info.max:
             if len(literal) > 24:
@@ -250,7 +258,7 @@ def load_json_object(path, what: str, error=ValueError) -> dict:
     with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(
-                fh, parse_constant=refuse, parse_int=whole,
+                fh, object_pairs_hook=unique, parse_constant=refuse, parse_int=whole,
                 parse_float=lambda literal: finite(literal, float(literal)),
             )
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -263,6 +271,12 @@ def load_json_object(path, what: str, error=ValueError) -> dict:
 def load_schema(path) -> Schema:
     """Read a schema file: JSON with a column list and label designation."""
     doc = load_json_object(path, "schema file", SchemaError)
+    unknown = [key for key in doc if key not in ("columns", "label")]
+    if unknown:  # a misspelt "label" would load an unlabelled schema
+        raise SchemaError(
+            f"schema file {path} has the unknown key {json.dumps(unknown[0])}; "
+            'expected "columns" and an optional "label"'
+        )
     kinds = {k.value: k for k in ColumnKind}
     try:
         columns = [Column(c["name"], kinds[c["kind"]]) for c in doc["columns"]]
@@ -272,7 +286,13 @@ def load_schema(path) -> Schema:
             f"schema file {path}: {exc!r}; expected an object whose \"columns\" "
             "list holds objects with a \"name\" and a \"kind\""
         ) from exc
-    for j, column in enumerate(columns):
+    for j, (entry, column) in enumerate(zip(doc["columns"], columns)):
+        unknown = [key for key in entry if key not in ("name", "kind")]
+        if unknown:
+            raise SchemaError(
+                f"schema file {path}: columns[{j}] has the unknown key "
+                f'{json.dumps(unknown[0])}; expected "name" and "kind"'
+            )
         if not isinstance(column.name, str):
             raise SchemaError(
                 f"schema file {path}: columns[{j}] has the name {column.name!r}, not a string"

@@ -513,14 +513,19 @@ JSON_INPUTS = {
     ),
 }
 
-# a truncated file, bytes that are not UTF-8, a JSON list, a NaN token and
-# number literals that overflow a float (integers of 401 digits and of more
-# than int() reads), each with the text its error names
+# a truncated file, bytes that are not UTF-8, a JSON list, a NaN token, a
+# repeated key and number literals that overflow a float (integers of 401
+# digits and of more than int() reads), each with the text its error names
 NOT_JSON_OBJECTS = {
     "truncated": (b'{"config": {}, "records": [', "is not JSON: "),
     "not-utf8": (b"\xff\xfe{}", "is not JSON: "),
     "list": (b"[1, 2]", "must hold a JSON object, not a list"),
     "nan": (b'{"seed": NaN}', "holds NaN, which is not strict JSON"),
+    # json alone keeps the last value: a config would run 2 folds
+    "repeated-key": (
+        b'{"methods": ["simple"], "folds": 3, "folds": 2}',
+        'repeats the key "folds" in one object',
+    ),
     "overflow": (b'{"seed": 1e400}', "holds 1e400, which is not a finite number"),
     "int-overflow": (
         b'{"seed": 1' + b"0" * 400 + b"}",

@@ -1,5 +1,7 @@
 """The level-wise forest engine against the recursive reference grower."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,25 @@ def test_forests_of_a_shared_pass_share_each_block_tree(task, monkeypatch):
             holders.setdefault(id(tree), set()).add(i)
     assert sorted(map(len, holders.values()))[-2:] == [2, 2]
     _assert_roots_partition([pair for model in models for pair in trees(model)])
+
+
+def test_a_level_frees_its_arrays_as_it_goes(monkeypatch):
+    # the predict label model's size: 100 unbounded classification trees on
+    # 1,100 rows of 8 continuous and 6 two-valued columns, grown serially.
+    # With every array of a level's split search alive until the search
+    # returned, this fit's traced peak was 5.80 MiB; freed as the search goes,
+    # 4.68 MiB (numpy 2.4, CPython 3.11). The bound lies midway.
+    rng = make_rng(30)
+    X = np.c_[rng.normal(size=(1100, 8)), rng.integers(0, 2, size=(1100, 6))]
+    y = (X[:, 0] + X[:, 8] + rng.normal(size=1100) > 1.0).astype(float)
+    monkeypatch.setattr(split, "_split_pays", lambda n_items, minimum: False)
+    tracemalloc.start()
+    try:
+        rf.fit_forest(X, y, rf.TreeConfig(task=rf.CLASSIFICATION), n_trees=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 5.24
 
 
 def test_node_stats_equal_numpy_mean_and_var():

@@ -226,6 +226,30 @@ def test_schema_column_name_not_a_string_is_a_named_error(tmp_path):
         load_schema(path)
 
 
+TWO_COLUMNS = '{"name": "A", "kind": "numerical"}, {"name": "B", "kind": "categorical"}'
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        # json alone keeps the last value: label A, an unlabelled schema, column b
+        (f'{{"columns": [{TWO_COLUMNS}], "label": "B", "label": "A"}}',
+         ' repeats the key "label" in one object'),
+        (f'{{"columns": [{TWO_COLUMNS}], "lable": "B"}}', ' has the unknown key "lable"; '),
+        ('{"columns": [{"name": "a", "name": "b", "kind": "numerical"}]}',
+         ' repeats the key "name" in one object'),
+        (f'{{"columns": [{TWO_COLUMNS[:-1]}, "unit": "mg/dL"}}]}}',
+         ': columns[1] has the unknown key "unit"; '),
+    ],
+    ids=["repeated-label", "misspelt-label", "repeated-column-name", "unknown-column-key"],
+)
+def test_schema_file_with_a_repeated_or_unknown_key_is_a_named_error(tmp_path, text, named):
+    path = tmp_path / "schema.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match="^" + re.escape(f"schema file {path}{named}")):
+        load_schema(path)
+
+
 def test_complete_subset_identity_and_filter():
     full = random_table(mixed_schema(), 10, seed=3)
     assert complete_subset(full) is full  # read-only: nothing to copy
