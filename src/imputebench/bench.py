@@ -69,9 +69,11 @@ class SyntheticSpec:
     uniform. A numerical column maps u into its range, lo + (hi - lo) u; a
     binary column is 1 where u > 1 - prevalence, so imbalance is
     configurable. `generate_synthetic` rejects a key naming no schema
-    column, a non-finite range bound, a prevalence outside [0, 1], a
-    correlation entry that is not finite, not symmetric or a diagonal
-    other than 1, and fewer than one row.
+    column, a range for a categorical column or a prevalence for a
+    numerical one, a non-finite range bound or a low end above the high
+    end, a prevalence outside [0, 1], a correlation entry that is not
+    finite, not symmetric or a diagonal other than 1, and fewer than one
+    row.
     """
 
     schema: Schema
@@ -103,10 +105,20 @@ def generate_synthetic(spec: SyntheticSpec, n_rows: int, seed: int) -> MixedTabl
     stray = sorted((set(spec.numeric_ranges) | set(spec.prevalence)) - set(schema.names))
     if stray:
         raise ValueError(f"synthetic spec names columns not in the schema: {stray}")
+    kinds = {col.name: col.kind for col in schema.columns}
     for name, bounds in spec.numeric_ranges.items():
+        if kinds[name] is ColumnKind.CATEGORICAL_BINARY:
+            raise ValueError(f"numeric range given for categorical column {name!r}")
         if not np.isfinite(bounds).all():
             raise ValueError(f"numeric range of column {name!r} has a non-finite bound")
+        lo, hi = bounds
+        if lo > hi:
+            raise ValueError(
+                f"numeric range of column {name!r} has low end {lo} above high end {hi}"
+            )
     for name, prev in spec.prevalence.items():
+        if kinds[name] is ColumnKind.NUMERICAL:
+            raise ValueError(f"prevalence given for numerical column {name!r}")
         if not 0.0 <= prev <= 1.0:
             raise ValueError(f"prevalence of column {name!r} is {prev}, not in [0, 1]")
     rng = make_rng(seed, "synthetic")

@@ -35,9 +35,9 @@ def default_synthetic_spec(schema: Schema = FRAMINGHAM_SCHEMA) -> SyntheticSpec:
     c = schema.n_cols
     idx = np.arange(c)
     corr = 0.4 ** np.abs(idx[:, None] - idx[None, :])
-    ranges = {col.name: (0.0, 100.0) for col in schema.columns}
-    prevalence = {col.name: 0.3 for col in schema.columns}
-    if "Diabetes" in schema.names:
+    ranges = {schema.names[j]: (0.0, 100.0) for j in schema.numerical_indices}
+    prevalence = {schema.names[j]: 0.3 for j in schema.categorical_indices}
+    if "Diabetes" in prevalence:
         prevalence["Diabetes"] = 0.04
     return SyntheticSpec(schema, corr, ranges, prevalence)
 

@@ -147,16 +147,17 @@ def _pairwise_partial_distances(train: np.ndarray, row: np.ndarray) -> np.ndarra
     measured against every training row, or an array of target rows
     paired with the training rows one to one.
     """
-    obs_row = ~np.isnan(row)
-    obs_train = ~np.isnan(train)
-    both = obs_train & obs_row
-    diff = np.where(both, train - row, 0.0)
+    both = ~np.isnan(train)
+    both &= ~np.isnan(row)
+    diff = train - row
+    diff[~both] = 0.0
     count = both.sum(axis=1)
     n_features = train.shape[1]
     # a difference past about 1e154 squares to inf, and knn_fill skips an
     # infinite distance as it skips a pair that shares no observed feature
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d2 = (diff**2).sum(axis=1)
+        diff *= diff
+        d2 = diff.sum(axis=1)
         scaled = np.where(count > 0, d2 * n_features / np.maximum(count, 1), np.inf)
     return np.sqrt(scaled)
 
@@ -258,7 +259,8 @@ class _DistanceBounds:
     def _prescaled(self, values: np.ndarray) -> np.ndarray:
         """`values` times 2^e in float32, missing cells 0."""
         values0 = np.where(np.isnan(values), 0.0, values)
-        return np.ldexp(values0, self.exponent).astype(np.float32)
+        np.ldexp(values0, self.exponent, out=values0)
+        return values0.astype(np.float32)
 
     def __call__(self, rows: np.ndarray):
         c = self.n_cols
@@ -310,13 +312,19 @@ def _nearest_in_block(bounds, train_norm, obs_train, target_norm, holes, rows, k
         )
         kth.partition(k - 1, axis=1)
         thr[hr, hc] = kth[:, k - 1]
+        del short, kth
+    # a block holds one bound matrix at a time: upper dies with the
+    # thresholds, and lower once the kept pairs' bounds are gathered
+    del upper
     # one candidate filter per row; exact distances, once per pair; a pair
     # whose distance overflows float64 counts as sharing no feature. The
     # filter keeps few pairs, which a 1-D nonzero and divmod find about 10
     # times faster than a 2-D nonzero
     li, t = np.divmod(np.flatnonzero(lower <= thr.max(axis=1, keepdims=True)), n_train)
+    low = lower[li, t]
+    del lower
     dist = _pairwise_partial_distances(train_norm[t], target_norm[rows[li]])
-    keep = obs_train[t] & (lower[li, t][:, None] <= thr[li]) & np.isfinite(dist)[:, None]
+    keep = obs_train[t] & (low[:, None] <= thr[li]) & np.isfinite(dist)[:, None]
     pair, j = np.nonzero(keep)
     cell = rows[li[pair]] * n_cols + j
     t = t[pair]

@@ -110,6 +110,10 @@ def test_synthetic_bad_spec_is_a_named_error():
         ({"numeric_ranges": {"age": (0.0, 1.0)}}, "'age'"),
         ({"numeric_ranges": {"n0": (0.0, float("nan"))}}, "'n0'"),
         ({"numeric_ranges": {"n0": (-np.inf, 1.0)}}, "'n0'"),
+        # entries the generator would never read, and an inverted range
+        ({"numeric_ranges": {"c0": (0.0, 1.0)}}, "categorical column 'c0'"),
+        ({"prevalence": {"n0": 0.3}}, "numerical column 'n0'"),
+        ({"numeric_ranges": {"n0": (2.0, 1.0)}}, "'n0' has low end 2.0 above high end 1.0"),
     ]
     for fields, named in cases:
         with pytest.raises(ValueError, match=named):
