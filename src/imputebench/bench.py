@@ -389,7 +389,7 @@ def _label_index(table: MixedTable) -> int:
     schema = table.schema
     if schema.label is None:
         raise ValueError("schema designates no label column")
-    label_j = schema.label_index
+    label_j = schema.index_of(schema.label)
     label = table.values[:, label_j]
     bad = np.flatnonzero(~np.isin(label, (0.0, 1.0)) & ~np.isnan(label))
     if bad.size:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .imputers import ImputationResult, Imputer, _finish, knn_fill
 from .missingness import drop_cells
-from .nn import Adam, LayerSpec, Network, _activate, mixed_loss
+from .nn import CLAMP_EPS, Adam, LayerSpec, Network, _activate, mixed_loss
 from .seeding import _check_int, derive_seed, make_rng
 from .tabular import MixedTable, Schema, denormalize, normalize
 
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 NOISE_HIGH = 0.01
-CLIP_EPS = 1e-7
 CORRUPTION_RATE = 0.2  # share of training cells dropped by each internal corruption
 BATCH_SIZE = 128
 LEARNING_RATE = 1e-3  # Adam's step size, for every network
@@ -290,7 +289,7 @@ class GainImputer(_DeepImputer):
             if region.any():
                 # the discriminator never runs in eval mode: no running statistics
                 d_out, d_cache = self.disc_.forward(d_in, train=True, track_running=False)
-                p = np.clip(d_out, CLIP_EPS, 1.0 - CLIP_EPS)
+                p = np.clip(d_out, CLAMP_EPS, 1.0 - CLAMP_EPS)
                 d_grad = np.where(region, (p - m) / (p * (1.0 - p)) / region.sum(), 0.0)
                 d_param_grad, _ = self.disc_.backward(d_cache, d_grad, inputs=False)
                 opt_d.step(d_param_grad)
@@ -300,7 +299,7 @@ class GainImputer(_DeepImputer):
             n_miss = (1.0 - m).sum()
             if region.any() and n_miss > 0:
                 d_out2, d_cache2 = self.disc_.forward(d_in, train=True, track_running=False)
-                p2 = np.clip(d_out2, CLIP_EPS, 1.0 - CLIP_EPS)
+                p2 = np.clip(d_out2, CLAMP_EPS, 1.0 - CLAMP_EPS)
                 adv_grad = -(1.0 - m) / p2 / n_miss
                 _, d_input_grad = self.disc_.backward(d_cache2, adv_grad, params=False)
                 grad_gout += d_input_grad[:, : g_out.shape[1]] * (1.0 - m)

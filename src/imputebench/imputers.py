@@ -302,7 +302,8 @@ def _nearest_in_block(bounds, train_norm, obs_train, target_norm, holes, rows, k
         # a column, their k-th smallest is the column's, ties included, and
         # where fewer do it is inf, which keeps every candidate
         m = min(_SHORTLIST * k, n_train)
-        short = np.argpartition(upper, m - 1, axis=1)[:, :m]
+        # a copy of the m columns read, so the full index matrix dies at once
+        short = np.argpartition(upper, m - 1, axis=1)[:, :m].copy()
         # one row per hole: its row's shortlisted bounds, inf where its column is missing
         hr, hc = np.nonzero(hole)
         kth = np.where(
@@ -396,26 +397,24 @@ def knn_fill(
         range(0, rows_with_holes.size, block),
         _KNN_SPLIT_BLOCKS,
     )
-    cell = np.concatenate([c for c, _ in chosen])
-    vals = train_norm[np.concatenate([t for _, t in chosen]), cell % n_cols]
+    # the call peaks here, after its blocks: each pair list dies once read
+    cell, t = (np.concatenate(part) for part in zip(*chosen))
+    del chosen
+    vals = train_norm[t, cell % n_cols]
+    del t
     cells, starts, sizes = np.unique(cell, return_index=True, return_counts=True)
-    means = np.empty(cells.size)
+    del cell
+    # every hole: its neighbor mean, or the column mean where it has none
+    value = np.tile(stats, (target_norm.shape[0], 1))
     # ascending distinct sizes; a values-only np.unique would import numpy.ma
     for m in np.flatnonzero(np.bincount(sizes)):
         # equal-length rows reduce in the same order as a 1-D mean
         groups = np.flatnonzero(sizes == m)
-        means[groups] = vals[starts[groups, None] + np.arange(m)].mean(axis=1)
-    # every hole: its neighbor mean, or the column mean where it has none
-    hole_cells = np.flatnonzero(holes)
-    i, j = np.divmod(hole_cells, n_cols)
-    value = stats[j]
-    value[np.searchsorted(hole_cells, cells)] = means
-    is_cat = schema.is_categorical[j]
-    filled = target_norm.copy()
-    cat_scores = target_norm.copy()
-    filled[i, j] = np.where(is_cat, value >= 0.5, value)
-    cat_scores[i[is_cat], j[is_cat]] = value[is_cat]
-    return filled, cat_scores, hole_cells.size - cells.size
+        value.flat[cells[groups]] = vals[starts[groups, None] + np.arange(m)].mean(axis=1)
+    is_cat = schema.is_categorical
+    filled = np.where(holes, np.where(is_cat, value >= 0.5, value), target_norm)
+    cat_scores = np.where(holes & is_cat, value, target_norm)
+    return filled, cat_scores, np.count_nonzero(holes) - cells.size
 
 
 KNN_K = 5  # neighbours averaged per missing cell
@@ -536,14 +535,13 @@ class MissForestImputer(Imputer):
         # final forests for every column, trained on the converged iterate;
         # they are independent, so each task's grow in one shared pass
         observed = ~np.isnan(train.values)
-        forests = {}
+        self.forests_ = {}
         for config, columns in (
             (_REG_TREE, self.schema.numerical_indices),
             (_CLS_TREE, self.schema.categorical_indices),
         ):
             problems = [self._column_problem(converged, observed, j, "final") for j in columns]
-            forests.update(zip(columns, rf.fit_forests(problems, config, self.n_trees)))
-        self.forests_ = {j: forests[j] for j in range(train.n_cols)}
+            self.forests_.update(zip(columns, rf.fit_forests(problems, config, self.n_trees)))
         return self
 
     def impute(self, target: MixedTable) -> ImputationResult:

@@ -59,8 +59,7 @@ def smote(X, y, seed: int, categorical_indices=()):
         b = int(neighbor_ids[a, rng.integers(0, k)])
         u = rng.random()
         row = Xm[a] + u * (Xm[b] - Xm[a])
-        if cat.size:
-            row[cat] = Xm[a, cat]
+        row[cat] = Xm[a, cat]
         synthetic[s] = row
     X_out = np.vstack([X, synthetic])
     y_out = np.concatenate([y, np.full(n_needed, minority)])

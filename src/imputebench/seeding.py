@@ -31,8 +31,6 @@ def derive_seed(master: int, *tags) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def make_rng(seed: int, *tags) -> np.random.Generator:
-    """PCG64 generator for the given seed, optionally scoped by tags."""
-    if tags:
-        seed = derive_seed(seed, *tags)
-    return np.random.Generator(np.random.PCG64(seed))
+def make_rng(seed: int, tag, *tags) -> np.random.Generator:
+    """PCG64 generator for the given seed, scoped by a tag path of at least one tag."""
+    return np.random.Generator(np.random.PCG64(derive_seed(seed, tag, *tags)))

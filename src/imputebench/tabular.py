@@ -106,10 +106,6 @@ class Schema:
                 return i
         raise SchemaError(f"no column named {name!r}")
 
-    @property
-    def label_index(self) -> int | None:
-        return None if self.label is None else self.index_of(self.label)
-
     def __eq__(self, other):
         return (
             isinstance(other, Schema)

@@ -616,7 +616,7 @@ def test_post_imputation_counts_and_label_protected():
     )
     report = run_post_imputation(t, cfg)
     assert len(report.f1_records) == 2 * 3  # repeats x folds
-    label_j = t.schema.label_index
+    label_j = t.schema.index_of(t.schema.label)
     for tbl in RecordingImputer.fit_tables:
         assert not np.isnan(tbl.values[:, label_j]).any()
         assert np.isnan(np.delete(tbl.values, label_j, axis=1)).any()

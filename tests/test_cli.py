@@ -127,7 +127,7 @@ def test_inject_exclude_label(tmp_path, capsys, small_schema_file):
              "--out-mask", str(tmp_path / "m.csv")]
     assert main(["inject", "--schema", schema_path, *flags]) == 0
     corrupted = load_csv(str(holes), schema)
-    assert not np.isnan(corrupted.values[:, schema.label_index]).any()
+    assert not np.isnan(corrupted.values[:, schema.index_of(schema.label)]).any()
     holes.unlink()
     # a schema without a label: the flag is an error, not a corruption of every column
     unlabelled = tmp_path / "unlabelled.json"

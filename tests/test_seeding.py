@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imputebench import forest as rf
+from imputebench import seeding
 from imputebench.bench import ExperimentConfig, SyntheticSpec, generate_synthetic, predict_cv
 from imputebench.imputers import column_stats, knn_fill
 from imputebench.missingness import assign_folds, inject_mcar
@@ -93,3 +94,10 @@ def test_a_non_int_seed_or_count_is_a_named_error(setting, call, bad):
 def test_derive_seed_values_are_pinned(path, expected):
     assert derive_seed(*path) == expected
 
+
+def test_make_rng_needs_a_tag():
+    # every generator comes from a tag path; an untagged one has no path
+    with pytest.raises(TypeError):
+        seeding.make_rng(3)
+    expected = np.random.Generator(np.random.PCG64(derive_seed(3, "mcar", 1)))
+    assert seeding.make_rng(3, "mcar", 1).random() == expected.random()
