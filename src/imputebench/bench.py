@@ -406,9 +406,10 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
     column of 0s and 1s. Features are min-max normalized per training fold
     before SMOTE distances and forest fitting. SMOTE balances each training
     fold with k = 5 neighbours; the forest's `config.forest_trees` trees
-    grow unbounded on sqrt(features) per split. Returns per-fold F1 scores.
-    Each fold runs in its own frame, so its forest and arrays are freed
-    before the next fold grows its own.
+    grow unbounded on sqrt(features) per split. Returns per-fold F1 scores,
+    NaN with a warning for a fold where F1 is undefined. Each fold runs in
+    its own frame, so its arrays are freed before the next fold's; its forest
+    is never assembled (`forest.fit_predict_forest`).
     """
     schema = table.schema
     label_j = _label_index(table)
@@ -435,9 +436,10 @@ def predict_cv(table: MixedTable, seed: int, config: ExperimentConfig) -> list:
                 f"label column {schema.label!r}, training rows of fold {fold}: {exc}"
             ) from exc
         forest_seed = derive_seed(seed, "predict-forest", fold)
-        model = rf.fit_forest(X_bal, y_bal, tree_config, config.forest_trees, forest_seed)
-        preds = (rf.predict_forest(model, X_test) >= 0.5).astype(float)
-        return f1(preds, y_test)
+        scores = rf.fit_predict_forest(
+            X_bal, y_bal, X_test, tree_config, config.forest_trees, forest_seed
+        )
+        return _defined_or_nan("F1", f1, (scores >= 0.5).astype(float), y_test)
 
     return [fold_f1(fold) for fold in range(config.folds)]
 

@@ -34,7 +34,10 @@ would round its sequential and pairwise sums differently. Each tree's own
 generator draws the candidate features of its open nodes once per level, so
 a tree does not depend on the block it grew in. A block may hold
 trees of several forests (`fit_forests`), which amortises the per-level
-numpy calls over the trees of many small forests.
+numpy calls over the trees of many small forests. `fit_predict_forest`
+never assembles its forest: each block's trees predict the evaluation rows
+in the process that grew them and are dropped, and the outputs add up in
+tree order as `predict_forest` adds them.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "fit_forest",
     "fit_forests",
     "predict_forest",
+    "fit_predict_forest",
 ]
 
 REGRESSION = "regression"
@@ -478,21 +482,21 @@ def fit_forest(X, y, config: TreeConfig, n_trees: int = 100, seed: int = 0) -> F
     return fit_forests([(X, y, seed)], config, n_trees)[0]
 
 
-def fit_forests(problems, config: TreeConfig, n_trees: int = 100) -> list:
-    """One forest per ``(X, y, seed)`` problem, equal to `fit_forest` of each on its own.
+def _packed(problems, config: TreeConfig, n_trees: int):
+    """(n_features, blocks, grow): the problems' (problem, tree) pairs packed into
+    tree blocks, and the function that grows one block's trees as one `Tree`.
 
     The problems' X must have the same columns; they are stacked row-wise
     and ranked together, and ranks stay monotone within each problem's rows,
     so every segment sorts as it would alone. The trees of all problems, in
     ascending order of their problem's row count (each level's nodes must
-    come in ascending size, the roots included), grow in blocks of at most
-    `_FOREST_BLOCK` laid-out elements, so a block may hold trees of several
-    forests; a forked child may grow the later half of the blocks
-    (`split.map_blocks`). Models that share a block hold the same `Tree`.
+    come in ascending size, the roots included), are packed into blocks of at
+    most `_FOREST_BLOCK` laid-out elements, so a block may hold trees of
+    several problems.
     """
     _check_int("n_trees", n_trees)
     if not problems:
-        return []
+        return 0, [], None
     checked = []
     for i, (X, y, _) in enumerate(problems):
         try:
@@ -539,27 +543,72 @@ def fit_forests(problems, config: TreeConfig, n_trees: int = 100) -> list:
         rngs = [make_rng(s, "tree") for s in seeds]
         return _grow(X, ranks, y, np.concatenate(samples), weights, counts, rngs, config, m)
 
+    return n_features, blocks, grow_block
+
+
+def fit_forests(problems, config: TreeConfig, n_trees: int = 100) -> list:
+    """One forest per ``(X, y, seed)`` problem, equal to `fit_forest` of each on its own.
+
+    The trees grow in `_packed`'s blocks, the later half of them maybe in a
+    forked child (`split.map_blocks`); models that share a block hold the
+    same `Tree`.
+    """
+    n_features, blocks, grow = _packed(problems, config, n_trees)
     models = [ForestModel([], n_features) for _ in problems]
-    for block, tree in zip(blocks, map_blocks(grow_block, blocks, _FOREST_SPLIT_BLOCKS)):
+    for block, tree in zip(blocks, map_blocks(grow, blocks, _FOREST_SPLIT_BLOCKS)):
         owner = np.array([p for p, _ in block])
         for p in {p for p, _ in block}:  # a problem's trees lie in ascending t
             models[p].blocks.append((tree, np.flatnonzero(owner == p)))
     return models
 
 
+def _check_eval(X, n_features: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} features, got shape {X.shape}")
+    _check_finite(X)
+    return X
+
+
+def _tree_outputs(tree: Tree, roots, X: np.ndarray):
+    """(trees, rows) output chunks of the trees rooted at ``roots`` on X, in root
+    order; a chunk moves at most `_FOREST_BLOCK` (tree, row) pairs at once."""
+    per_block = max(1, _FOREST_BLOCK // max(1, X.shape[0]))
+    for lo in range(0, roots.size, per_block):
+        chunk = roots[lo : lo + per_block]
+        yield tree.value[_leaves(tree, chunk, X)].reshape(chunk.size, -1)
+
+
+def _mean_output(chunks, n_rows: int, n_trees: int) -> np.ndarray:
+    """Sum of the chunks' tree rows, added in tree order, over ``n_trees``."""
+    acc = np.zeros(n_rows)
+    for chunk in chunks:
+        for out in chunk:
+            acc += out
+    return acc / n_trees
+
+
 def predict_forest(model: ForestModel, X) -> np.ndarray:
     """Mean of tree outputs: regression value or positive-class probability."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValueError(
-            f"expected {model.n_features} features, got shape {X.shape}"
-        )
-    _check_finite(X)
-    acc = np.zeros(X.shape[0])
-    per_block = max(1, _FOREST_BLOCK // max(1, X.shape[0]))
-    for tree, roots in model.blocks:
-        for lo in range(0, roots.size, per_block):
-            chunk = roots[lo : lo + per_block]
-            for out in tree.value[_leaves(tree, chunk, X)].reshape(chunk.size, -1):
-                acc += out
-    return acc / model.n_trees
+    X = _check_eval(X, model.n_features)
+    chunks = (chunk for tree, roots in model.blocks for chunk in _tree_outputs(tree, roots, X))
+    return _mean_output(chunks, X.shape[0], model.n_trees)
+
+
+def fit_predict_forest(X, y, X_eval, config: TreeConfig, n_trees: int = 100, seed: int = 0):
+    """`predict_forest(fit_forest(X, y, config, n_trees, seed), X_eval)`, bit for
+    bit, without assembling the forest.
+
+    Each tree block's trees predict ``X_eval`` in the process that grew them
+    and are dropped, so a forked child returns a (trees, rows) array per
+    block, not its `Tree`; the rows are added in tree order, as
+    `predict_forest` adds them. ``X_eval`` is checked before any tree grows.
+    """
+    n_features, blocks, grow = _packed([(X, y, seed)], config, n_trees)
+    X_eval = _check_eval(X_eval, n_features)
+
+    def predict_block(block):
+        return np.concatenate(list(_tree_outputs(grow(block), np.arange(len(block)), X_eval)))
+
+    outputs = map_blocks(predict_block, blocks, _FOREST_SPLIT_BLOCKS)
+    return _mean_output(outputs, X_eval.shape[0], n_trees)

@@ -82,7 +82,7 @@ def categorical_auroc(truth: MixedTable, scores: np.ndarray, mask: np.ndarray) -
 
 
 def f1(predictions, labels) -> float:
-    """F1 of the positive class; 0 when there are no positives anywhere."""
+    """F1 of the positive class; undefined when there are no positives anywhere."""
     p = np.asarray(predictions, dtype=float)
     y = np.asarray(labels, dtype=float)
     if p.shape != y.shape or p.size == 0:
@@ -91,4 +91,6 @@ def f1(predictions, labels) -> float:
     fp = float(np.sum((p == 1) & (y == 0)))
     fn = float(np.sum((p == 0) & (y == 1)))
     denom = 2 * tp + fp + fn
-    return 0.0 if denom == 0 else 2 * tp / denom
+    if denom == 0:
+        raise UndefinedMetricError("F1 needs a positive label or prediction")
+    return 2 * tp / denom

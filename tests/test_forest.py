@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from imputebench import forest as rf
-from imputebench import seeding
+from imputebench import seeding, split
 
 from conftest import make_rng
 from forest_reference import lone_tree, trees
@@ -246,3 +246,45 @@ def test_a_forest_on_no_feature_predicts_its_bootstrap_means(task):
     np.testing.assert_allclose(
         rf.predict_forest(model, np.empty((3, 0))), np.full(3, np.mean(means)), rtol=1e-12
     )
+
+
+@pytest.mark.parametrize("splits", [False, True])
+@pytest.mark.parametrize("task", [rf.CLASSIFICATION, rf.REGRESSION])
+def test_fit_predict_forest_equals_predicting_the_fitted_forest(monkeypatch, task, splits):
+    # 100 trees on 1,100 rows x 14 columns (3 candidates a split) pack as five
+    # blocks of 19 trees and one of 5; the split side grows the last three in
+    # a forked child, which returns their outputs on the eval rows
+    monkeypatch.setattr(split, "_split_pays", lambda n_items, minimum: splits and n_items >= 2)
+    rng = make_rng(30)
+    X = np.c_[rng.normal(size=(1100, 8)), rng.integers(0, 2, size=(1100, 6))]
+    y = X[:, 0] + X[:, 8] + rng.normal(size=1100)
+    if task == rf.CLASSIFICATION:  # unbounded, as predict_cv grows them
+        y, config = (y > 1.0).astype(float), rf.TreeConfig(task)
+    else:
+        config = rf.TreeConfig(task, max_depth=8)
+    model = rf.fit_forest(X, y, config, n_trees=100, seed=4)
+    assert [roots.size for _, roots in model.blocks] == [19] * 5 + [5]
+    for n_eval in (0, 1, 200):
+        X_eval = rng.normal(size=(n_eval, 14))
+        got = rf.fit_predict_forest(X, y, X_eval, config, n_trees=100, seed=4)
+        assert got.shape == (n_eval,)
+        assert got.tobytes() == rf.predict_forest(model, X_eval).tobytes(), n_eval
+
+
+@pytest.mark.parametrize(
+    "X_eval, message",
+    [
+        (np.ones((3, 2)), r"^expected 1 features, got shape \(3, 2\)$"),
+        (np.ones(3), r"^expected 1 features, got shape \(3,\)$"),
+        (np.array([[0.5], [np.nan]]), "^X has a missing entry at row 1, column 0$"),
+        (np.array([[-np.inf]]), "^X has an infinite entry at row 0, column 0$"),
+    ],
+)
+def test_fit_predict_forest_checks_eval_rows_before_any_tree_grows(monkeypatch, X_eval, message):
+    X, y = np.arange(4.0)[:, None], np.array([0.0, 0.0, 1.0, 1.0])
+    model = rf.fit_forest(X, y, rf.TreeConfig(task=rf.CLASSIFICATION), n_trees=2)
+    with pytest.raises(ValueError, match=message):
+        rf.predict_forest(model, X_eval)
+    monkeypatch.setattr(rf, "_grow", None)
+    with pytest.raises(ValueError, match=message):
+        rf.fit_predict_forest(X, y, X_eval, rf.TreeConfig(task=rf.CLASSIFICATION), n_trees=2)

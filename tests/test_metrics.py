@@ -149,7 +149,10 @@ def test_f1_cases():
     assert f1([1, 0, 1], [1, 0, 1]) == 1.0
     # TP=2 FP=1 FN=1
     assert f1([1, 1, 1, 0, 0], [1, 1, 0, 1, 0]) == pytest.approx(2 * 2 / (2 * 2 + 1 + 1))
-    assert f1([0, 0], [0, 0]) == 0.0
+    # no positive label and no positive prediction: 0/0, not a score of 0
+    with pytest.raises(UndefinedMetricError, match="F1 needs a positive label or prediction"):
+        f1([0, 0], [0, 0])
+    assert f1([1, 0], [0, 0]) == 0.0  # a false positive alone scores 0
 
 
 def test_f1_confusion_oracle_and_permutation():
