@@ -250,16 +250,47 @@ def test_repeated_self_imputation_reuses_freed_blocks():
     assert faults / calls < 200
 
 
-def test_a_call_frees_its_pair_lists_before_its_means(monkeypatch):
+def test_a_block_holds_one_bound_matrix_at_a_time(monkeypatch):
     # the deep methods' refill shape: 800 x 800 self-imputation, 15 columns,
-    # 20 % missing, k 15, serial. With both bound matrices, the shortlist's
-    # index matrix and the distance step's temporaries alive together in
-    # each block, this call's traced peak was 2.62 MiB; with a block holding
-    # one bound matrix at a time, 2.21 MiB, set after its blocks, where the
+    # 20 % missing, k 15, serial, ten blocks of 81 rows. With both bound
+    # matrices, the shortlist's index matrix and the distance step's
+    # temporaries alive together in each block, this call's traced peak was
+    # 2.62 MiB; with upper freed at the thresholds and lower before the
+    # distances, 2.21 MiB. The call now peaks at its pair lists, so this
+    # test reads each block's own peak above what was alive when it began:
+    # 1.24 MiB with both bound matrices kept to the block's end, 1.03 MiB
+    # with upper freed at the thresholds (numpy 2.4, CPython 3.11). The
+    # bound lies midway.
+    schema = mixed_schema(8, 7)
+    values = _grid(schema, 800, make_rng(46), 0.2)
+    stats = column_stats(values, schema)
+    monkeypatch.setattr(split, "_split_pays", lambda n_items, minimum: False)
+    inner = imputers._nearest_in_block
+    block_peaks = []
+
+    def traced_block(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = inner(*args)
+        block_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(imputers, "_nearest_in_block", traced_block)
+    tracemalloc.start()
+    try:
+        knn_fill(values, values, 15, schema, stats)
+    finally:
+        tracemalloc.stop()
+    assert len(block_peaks) == 10
+    assert max(block_peaks) / 2**20 < 1.14
+
+
+def test_a_call_frees_its_pair_lists_before_its_means(monkeypatch):
+    # the same serial k 15 call. The call peaks after its blocks: with the
     # block pair lists, the full shortlist index matrix and the gathered
-    # training rows were alive through np.unique. With the lists
-    # freed before the gather but the training rows alive through np.unique
-    # it read 1.94 MiB; with each freed as soon as it is read, 1.67 MiB
+    # training rows alive through np.unique it read 2.21 MiB; with the
+    # lists freed before the gather but the training rows alive through
+    # np.unique, 1.94 MiB; with each freed as soon as it is read, 1.67 MiB
     # (numpy 2.4, CPython 3.11). The bound lies between the last two.
     schema = mixed_schema(8, 7)
     values = _grid(schema, 800, make_rng(46), 0.2)
