@@ -233,13 +233,22 @@ def _draw_candidates(node_tree, rngs, m, n_features):
 
 
 def _gini_child(n, n_left, sum_left, sum_right):
-    """Size-weighted Gini impurity of the two children of a split of n samples."""
+    """Size-weighted Gini impurity of the two children of a split of n samples.
+
+    Overwrites its three boundary sums: the terms are formed in place, in the
+    operation order of ``(n_left * 2.0 * p_left * (1.0 - p_left) + n_right *
+    2.0 * p_right * (1.0 - p_right)) / n``, so each value is that expression's.
+    """
     n_right = n - n_left
-    p_left = sum_left / n_left
-    p_right = sum_right / n_right
-    return (
-        n_left * 2.0 * p_left * (1.0 - p_left) + n_right * 2.0 * p_right * (1.0 - p_right)
-    ) / n
+    for size, p in ((n_left, sum_left), (n_right, sum_right)):
+        p /= size
+        size *= 2.0
+        size *= p
+        np.subtract(1.0, p, out=p)
+        size *= p
+    n_left += n_right
+    n_left /= n
+    return n_left
 
 
 def _counted_splits(ranks, midpoint, rows, ys, weights, members, starts, counts, sizes, node, feat):
@@ -328,19 +337,23 @@ def _best_splits(
     else:
         # weighted 0/1 partial sums are integers below 2**53: one running sum
         # minus the segment's start is exactly the sum a restarting cumsum of
-        # the node's samples gives
+        # the node's samples gives. One buffer holds the weights' running sum,
+        # then the targets'
         del offset
-        csum = np.zeros((2, g.size + 1))
-        np.cumsum(weights[g], out=csum[0, 1:])
-        np.cumsum(ys[g], out=csum[1, 1:])
-        before = csum[:, seg_start[bseg]]
-        left = csum[:, b]
-        left -= before
-        n_left, sum_left = left
-        sum_right = csum[1, end + 1]
-        sum_right -= before[1]
+        begin = seg_start[bseg]
+        run = np.zeros(g.size + 1)
+        np.take(weights, g, out=run[1:])
+        np.cumsum(run, out=run)
+        n_left = run[b]
+        n_left -= run[begin]
+        np.take(ys, g, out=run[1:])
+        np.cumsum(run, out=run)
+        sum_left = run[b]
+        sum_left -= run[begin]
+        sum_right = run[end + 1]
+        sum_right -= run[begin]
         sum_right -= sum_left
-        del csum, before, end
+        del run, begin, end
         child = _gini_child(sizes[bseg // m], n_left, sum_left, sum_right)
     # first minimum per segment; a NaN minimum matches nothing, like a NaN gain
     seg_child = np.full(k * m, np.nan)

@@ -19,13 +19,25 @@ class UndefinedMetricError(ValueError):
     """The metric has no value on the given inputs (e.g. empty cell set)."""
 
 
+def _refuse_nan(table, values, scored, schema, idx):
+    """Raise a ValueError naming the first NaN among ``values[:, idx]``'s scored cells."""
+    bad = scored & np.isnan(values[:, idx])
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{table} has NaN at a scored cell: column {schema.columns[idx[j]].name!r}, "
+            f"row {i + 1}"
+        )
+
+
 def normalized_rmse(
     truth: MixedTable, imputed: MixedTable, mask: np.ndarray, params: NormParams
 ) -> float:
     """RMSE over originally-missing numerical cells, in min-max units.
 
     Both tables are normalized with `params` first, so the score is
-    comparable across columns with different physical ranges.
+    comparable across columns with different physical ranges. A NaN at a
+    scored cell is a ValueError, not an undefined metric.
     """
     mask = np.asarray(mask)
     t = normalize(truth.values, params)
@@ -34,6 +46,8 @@ def normalized_rmse(
     sel = mask[:, idx] == 0
     if not sel.any():
         raise UndefinedMetricError("no missing numerical cells to score")
+    _refuse_nan("truth", truth.values, sel, truth.schema, idx)
+    _refuse_nan("imputed", imputed.values, sel, truth.schema, idx)
     diff = (t[:, idx] - p[:, idx])[sel]
     return float(np.sqrt(np.mean(diff**2)))
 
@@ -59,22 +73,24 @@ def categorical_auroc(truth: MixedTable, scores: np.ndarray, mask: np.ndarray) -
     """AUROC of imputation scores over missing categorical cells.
 
     The macro mean of per-column AUROCs, over the columns with both classes
-    among their missing cells.
+    among their missing cells. A NaN label or score at a scored cell is a
+    ValueError, not an undefined metric.
     """
     mask = np.asarray(mask)
     scores = np.asarray(scores, dtype=float)
+    idx = truth.schema.categorical_indices
+    scored = mask[:, idx] == 0
+    _refuse_nan("truth", truth.values, scored, truth.schema, idx)
+    _refuse_nan("scores", scores, scored, truth.schema, idx)
     per_column = []
-    any_missing = False
-    for j in truth.schema.categorical_indices:
-        rows = mask[:, j] == 0
+    for j, rows in zip(idx, scored.T):
         if not rows.any():
             continue
-        any_missing = True
         try:
             per_column.append(auroc(scores[rows, j], truth.values[rows, j]))
         except UndefinedMetricError:
             continue  # single-class column: excluded from the mean
-    if not any_missing:
+    if not scored.any():
         raise UndefinedMetricError("no missing categorical cells to score")
     if not per_column:
         raise UndefinedMetricError("every categorical column is single-class among missing cells")

@@ -572,8 +572,10 @@ def test_a_fold_forest_is_never_held_whole(monkeypatch):
     # serial, on the perfbench predict workload's 1,000-row table: 100 trees
     # per fold on about 1,100 SMOTE-balanced rows. With each fold's forest
     # assembled before it predicted, the call's traced peak was 5.77 MiB;
-    # with each tree block predicting the test fold and freed, 4.70 MiB
-    # (numpy 2.4, CPython 3.11). The bound lies between them.
+    # with each tree block predicting the test fold and freed, 4.70 MiB;
+    # with the split search's one running-sum buffer and in-place Gini
+    # terms, 3.87 MiB (numpy 2.4, CPython 3.11). The bound lies midway
+    # between the last two.
     table = complete_subset(generate_synthetic(default_synthetic_spec(), 1000, 3))
     monkeypatch.setattr(split, "_split_pays", lambda n_items, minimum: False)
     tracemalloc.start()
@@ -582,7 +584,7 @@ def test_a_fold_forest_is_never_held_whole(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 2**20 < 5.2
+    assert peak / 2**20 < 4.29
 
 
 def test_a_fold_with_no_positive_anywhere_records_nan(monkeypatch):

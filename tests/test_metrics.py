@@ -116,6 +116,35 @@ def test_auroc_random_oracle_and_invariances():
         assert auroc(tf, labels) + auroc(tf, 1 - labels) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "metric, table, column",
+    [
+        ("nRMSE", "truth", "n1"),
+        ("nRMSE", "imputed", "n1"),
+        ("AUROC", "truth", "c1"),
+        ("AUROC", "scores", "c1"),
+    ],
+)
+def test_a_nan_at_a_scored_cell_is_a_named_error(metric, table, column):
+    # a NaN is not an undefined metric: it names its table, column and row
+    schema = mixed_schema(2, 2)
+    full = random_table(schema, 6, seed=23)
+    mask = np.zeros(full.values.shape, dtype=int)
+    holed = full.values.copy()
+    holed[3, schema.index_of(column)] = np.nan
+    params, holed_table = fit_normalizer(full), MixedTable(schema, holed)
+    score = {
+        ("nRMSE", "truth"): lambda: normalized_rmse(holed_table, full, mask, params),
+        ("nRMSE", "imputed"): lambda: normalized_rmse(full, holed_table, mask, params),
+        ("AUROC", "truth"): lambda: categorical_auroc(holed_table, full.values, mask),
+        ("AUROC", "scores"): lambda: categorical_auroc(full, holed, mask),
+    }[metric, table]
+    message = rf"^{table} has NaN at a scored cell: column '{column}', row 4$"
+    with pytest.raises(ValueError, match=message) as info:
+        score()
+    assert not isinstance(info.value, UndefinedMetricError)
+
+
 def test_categorical_auroc_perfect_and_ties():
     schema = mixed_schema(0, 2)
     truth = random_table(schema, 40, seed=20)
