@@ -25,16 +25,24 @@ Classification targets are 0 or 1, so every partial sum is an integer below
 distinct rows of its bootstrap draw, each weighted by its number of draws
 (about 63 % of n rows), and every count and sum is a weighted one that
 equals the duplicated sample's: node means take one `reduceat` and prefix
-sums one running sum per level minus each segment's start. A column with at
-most two distinct values is not sorted at all. Its one midpoint is scored
-from per-node counts of high samples and of positives on each side, SPRINT's
-count matrix (Shafer, Agrawal & Mehta 1996), which are the sums at the
-sorted segment's one boundary. Regression keeps the duplicates: a weight
-would round its sequential and pairwise sums differently. Each tree's own
-generator draws the candidate features of its open nodes once per level, so
-a tree does not depend on the block it grew in. A block may hold
-trees of several forests (`fit_forests`), which amortises the per-level
-numpy calls over the trees of many small forests. `fit_predict_forest`
+sums one running sum per level minus each segment's start. Regression keeps
+the duplicates: a weight would round its sequential and pairwise sums
+differently.
+A column with at most two distinct values is not sorted at all, for either
+task. Its one midpoint is scored from per-node tables of each side's
+samples and target sums, SPRINT's count matrix (Shafer, Agrawal & Mehta
+1996), which are the sorted segment's sums at its one boundary. A
+regression sum is a float sum, so its order matters: `np.bincount` adds in
+input order, so a pass over the node's samples in sample order gives the low
+side's sum as the sequential prefix sum reaches it, and a second pass that
+starts each total from that sum and adds the high side gives the segment's
+full sum as that prefix sum ends it; every child variance is then bit for
+bit the sorted path's. A fitted tree keeps its node ids and features in
+the narrowest signed integer types that hold them (`Tree`).
+Each tree's own generator draws the candidate features of its open nodes
+once per level, so a tree does not depend on the block it grew in. A block
+may hold trees of several forests (`fit_forests`), which amortises the
+per-level numpy calls over the trees of many small forests. `fit_predict_forest`
 never assembles its forest: each block's trees predict the evaluation rows
 in the process that grew them and are dropped, and the outputs add up in
 tree order as `predict_forest` adds them.
@@ -97,7 +105,11 @@ class Tree:
     ``left[i] == -1`` marks a leaf, whose ``feature`` is -1. A row at an
     inner node goes to ``left[i]`` when ``x[feature[i]] <= threshold[i]``
     and to ``right[i]`` otherwise. ``value[i]`` is the mean target of the
-    node's training rows.
+    node's training rows. ``feature`` is of the smallest signed type that
+    holds the feature count, ``left`` and ``right`` of the smallest that
+    holds twice the block's element count, which exceeds its node count: a
+    split parts a node's elements into two non-empty sets. With int32 ids a
+    node takes 25 bytes, not 40.
     """
 
     feature: np.ndarray
@@ -162,6 +174,11 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
     ranks = np.empty_like(sorted_ranks)
     np.put_along_axis(ranks, order, sorted_ranks, axis=0)
     return ranks
+
+
+def _signed(limit):
+    """The smallest signed integer type that holds ``limit``."""
+    return np.min_scalar_type(-limit - 1)
 
 
 def _size_groups(lengths):
@@ -251,28 +268,81 @@ def _gini_child(n, n_left, sum_left, sum_right):
     return n_left
 
 
+def _variance_child(n, n_left, sum_left, sq_left, sum_all, sq_all):
+    """Size-weighted variance of the two children of a split of n samples,
+    from the low side's and the whole segment's sums of targets and squares.
+
+    Overwrites its four sums: the terms are formed in place, in the
+    operation order of ``(n_left * (sq_left / n_left - (sum_left / n_left)
+    ** 2) + n_right * ((sq_all - sq_left) / n_right - ((sum_all - sum_left)
+    / n_right) ** 2)) / n``, so each value is that expression's.
+    """
+    n_right = n - n_left
+    sq_all -= sq_left
+    sum_all -= sum_left
+    for size, total, sq in ((n_left, sum_left, sq_left), (n_right, sum_all, sq_all)):
+        sq /= size
+        total /= size
+        total *= total
+        sq -= total
+        sq *= size
+    sq_left += sq_all
+    sq_left /= n
+    return sq_left
+
+
 def _counted_splits(ranks, midpoint, rows, ys, weights, members, starts, counts, sizes, node, feat):
-    """(child Gini impurity, threshold) of each two-valued (node, feature) pair's one split.
+    """(child impurity, threshold) of each two-valued (node, feature) pair's one split.
 
     Pair p is node ``node[p]`` on feature ``feat[p]``, a column with at most
-    two distinct values. Its sorted segment would hold the node's
-    low-value samples, then its high ones, so its one boundary splits off the
-    low side. Sample and positive counts per side are the prefix sums at that
-    boundary, exactly, since weighted 0/1 sums are integers. NaN where a side
-    is empty.
+    two distinct values. Its sorted segment would hold the node's low-value
+    elements, then its high ones, each in element order, so its one boundary
+    splits off the low side, and each side's counts and sums are the prefix
+    sums there: weighted 0/1 sums exactly in any order, regression sums in
+    the sequential prefix sum's order (see the module docstring). NaN where
+    a side is empty.
     """
     length = counts[node]
     pair = np.repeat(np.arange(node.size), length)
-    shift = np.repeat(starts[node] - (np.cumsum(length) - length), length)
-    g = members[shift + np.arange(pair.size)]
-    side = 2 * pair + ranks.ravel()[rows[g] * ranks.shape[1] + feat[pair]]
-    n_side = np.bincount(side, weights=weights[g], minlength=2 * node.size).reshape(-1, 2)
-    pos_side = np.bincount(side, weights=ys[g], minlength=2 * node.size).reshape(-1, 2)
+    # index arrays built in place: the pairs' elements' slots in members,
+    # then their ranks' places in ranks, which become their (pair, side) bins
+    at = np.repeat(starts[node] - (np.cumsum(length) - length), length)
+    at += np.arange(at.size)
+    g = members[at]
+    at = rows[g]
+    at *= ranks.shape[1]
+    at += feat[pair]
+    high = ranks.ravel()[at] > 0
+    side = np.multiply(pair, 2, out=at)
+    side += high
+    n_bins = 2 * node.size
+    n_side = np.bincount(
+        side, weights=None if weights is None else weights[g], minlength=n_bins
+    ).reshape(-1, 2)
     both = (n_side[:, 0] > 0) & (n_side[:, 1] > 0)
     child = np.full(node.size, np.nan)
-    child[both] = _gini_child(
-        sizes[node[both]], n_side[both, 0], pos_side[both, 0], pos_side[both, 1]
-    )
+    if weights is None:  # regression: an element is one sample
+        carry = np.concatenate([np.arange(node.size), pair[high]])
+        del pair
+
+        def low_and_total(v):
+            low = np.bincount(side, weights=v, minlength=n_bins)[0::2]
+            carried = np.concatenate([low, v[high]])
+            return low, np.bincount(carry, weights=carried, minlength=node.size)
+
+        yv = ys[g]
+        del g
+        sum_left, sum_all = low_and_total(yv)
+        sq_left, sq_all = low_and_total(yv * yv)
+        child[both] = _variance_child(
+            sizes[node[both]].astype(float), n_side[both, 0].astype(float),
+            sum_left[both], sq_left[both], sum_all[both], sq_all[both],
+        )
+    else:
+        pos_side = np.bincount(side, weights=ys[g], minlength=n_bins).reshape(-1, 2)
+        child[both] = _gini_child(
+            sizes[node[both]], n_side[both, 0], pos_side[both, 0], pos_side[both, 1]
+        )
     return child, np.where(both, midpoint[feat], 0.0)
 
 
@@ -287,8 +357,8 @@ def _best_splits(
     i = s // m holds those elements sorted by the dense rank of feature
     ``cand[i, s % m]``, ties in element order, as a per-node stable argsort
     would leave them. A candidate whose ``midpoint`` is not NaN is a
-    two-valued classification column: `_counted_splits` scores it and its
-    segment is left empty.
+    two-valued column: `_counted_splits` scores it and its segment is left
+    empty.
     """
     k, m = cand.shape
     n_features = X.shape[1]
@@ -302,11 +372,15 @@ def _best_splits(
     # distinct (segment, value rank, element order) keys: segment s owns the
     # keys span * [start, start + len), so ties on value keep element order
     # under any sort kind. The span is a Python int: 255 + 1 wraps in a uint8.
-    # The per-element temporaries are dropped once used: at a block's full
-    # size they set the fit's peak memory.
-    key = seg_start[seg] * (int(ranks.max()) + 1)
-    key += rank * seg_len[seg]
+    # The keys are built in place, and the per-element temporaries are
+    # dropped once used: at a block's full size they set the fit's peak memory.
+    key = seg_len[seg]
+    key *= rank
     key += offset
+    start = seg_start[seg]
+    start *= int(ranks.max()) + 1
+    key += start
+    del start
     order = np.argsort(key)
     del key
     g, rank = g[order], rank[order]
@@ -316,30 +390,26 @@ def _best_splits(
     # boundary b splits its segment into the elements before it and the rest
     b = 1 + np.flatnonzero(rises & (offset[1:] > 0))
     bseg = seg[b]
-    del rises, seg
-    end = (seg_start + seg_len - 1)[bseg]
+    # a boundary's offset in its segment is b - seg_start[bseg]
+    del rises, seg, offset
     # the element and boundary arrays go as soon as the split sums exist
     if task == REGRESSION:
-        n = seg_len[bseg].astype(float)
-        n_left = offset[b].astype(float)
-        del offset
         csum = np.empty((2, g.size))
         np.take(ys, g, out=csum[0])
         np.multiply(csum[0], csum[0], out=csum[1])
-        _segment_cumsum(csum, seg_len)
+        _segment_cumsum(csum, seg_len[seg_len > 0])
         sum_left, sq_left = csum[:, b - 1]
-        total = csum[:, end]
-        del csum, end
-        n_right = n - n_left
-        var_left = sq_left / n_left - (sum_left / n_left) ** 2
-        var_right = (total[1] - sq_left) / n_right - ((total[0] - sum_left) / n_right) ** 2
-        child = (n_left * var_left + n_right * var_right) / n
+        sum_all, sq_all = csum[:, (seg_start + seg_len - 1)[bseg]]  # at each segment's end
+        del csum
+        n_left = np.subtract(b, seg_start[bseg], dtype=float)
+        n = seg_len[bseg].astype(float)
+        child = _variance_child(n, n_left, sum_left, sq_left, sum_all, sq_all)
     else:
         # weighted 0/1 partial sums are integers below 2**53: one running sum
         # minus the segment's start is exactly the sum a restarting cumsum of
         # the node's samples gives. One buffer holds the weights' running sum,
-        # then the targets'
-        del offset
+        # then the targets'; a segment's start is ``run[begin]`` and its end
+        # ``run[begin + seg_len[bseg]]``
         begin = seg_start[bseg]
         run = np.zeros(g.size + 1)
         np.take(weights, g, out=run[1:])
@@ -350,10 +420,10 @@ def _best_splits(
         np.cumsum(run, out=run)
         sum_left = run[b]
         sum_left -= run[begin]
-        sum_right = run[end + 1]
+        sum_right = run[begin + seg_len[bseg]]
         sum_right -= run[begin]
         sum_right -= sum_left
-        del run, begin, end
+        del run, begin
         child = _gini_child(sizes[bseg // m], n_left, sum_left, sum_right)
     # first minimum per segment; a NaN minimum matches nothing, like a NaN gain
     seg_child = np.full(k * m, np.nan)
@@ -408,12 +478,13 @@ def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig, m: int) 
     classify = config.task == CLASSIFICATION
     # a classification element carries its samples' target sum
     ys = weights * y[rows] if classify else y[rows]
-    # a classification column with at most two values has one midpoint,
-    # scored from counts; NaN marks the columns scored from sorted segments
+    # a column with at most two values has one midpoint, scored from counts;
+    # NaN marks the columns scored from sorted segments
     midpoint = np.full(n_features, np.nan)
-    if classify:
-        two = ranks.max(axis=0) <= 1
-        midpoint[two] = 0.5 * (X[:, two].min(axis=0) + X[:, two].max(axis=0))
+    two = ranks.max(axis=0) <= 1
+    midpoint[two] = 0.5 * (X[:, two].min(axis=0) + X[:, two].max(axis=0))
+    # fitted nodes in narrow types (see `Tree`)
+    feature_type, id_type = _signed(n_features), _signed(2 * rows.size)
     node_tree = np.arange(counts.size)
     members = np.arange(rows.size)  # open elements, grouped by node, in element order
     # elements per node slice members; samples per node (sizes) count for all else
@@ -464,7 +535,10 @@ def _grow(X, ranks, y, rows, weights, counts, rngs, config: TreeConfig, m: int) 
         right = np.full(counts.size, -1)
         left[split] = next_id + slot[0::2]
         right[split] = next_id + slot[1::2]
-        levels.append((feature, threshold, left, right, value))
+        levels.append((
+            feature.astype(feature_type), threshold,
+            left.astype(id_type), right.astype(id_type), value,
+        ))
         # slots in their smallest unsigned type: up to 2**16 children radix-sort
         by_slot = slot.astype(np.min_scalar_type(max(slot.size - 1, 0)))[child]
         members = g[keep][np.argsort(by_slot, kind="stable")]

@@ -68,14 +68,28 @@ def test_two_valued_columns_match_reference(task, max_depth):
 DRAWS = pytest.mark.parametrize("width", [1, 5, 9], ids=["all", "2", "sqrt"])
 
 
-@DRAWS
-def test_counted_splits_equal_sorted_splits(width, monkeypatch):
+@pytest.mark.parametrize(
+    "task, width, signed_zero",
+    [(rf.CLASSIFICATION, width, False) for width in (1, 5, 9)]
+    + [(rf.REGRESSION, width, False) for width in (1, 5, 9)]
+    + [(rf.REGRESSION, 5, True)],
+    ids=[
+        "all", "2", "sqrt",
+        "regression-all", "regression-2", "regression-sqrt", "regression-signed-zero",
+    ],
+)
+def test_counted_splits_equal_sorted_splits(task, width, signed_zero, monkeypatch):
     # doubled ranks keep every sort order but leave no column with ranks <= 1,
     # so every split is then scored from sorted segments
-    X, y = _two_valued_data(rf.CLASSIFICATION, 90, 21)
+    X, y = _two_valued_data(task, 90, 21)
+    if signed_zero:
+        # half the targets -0.0 and the rest rounded, 0.0 and -0.0 among
+        # them: a side's sequential sum may start at -0.0, a bincount's at 0.0
+        y = np.where(make_rng(23).random(90) < 0.5, -0.0, np.round(y))
+        assert np.signbit(y[y == 0.0]).any() and not np.signbit(y[y == 0.0]).all()
     # one column: the last, two-valued; nine: the five and four noise columns
     X = np.c_[X, make_rng(22).normal(size=(90, width - 5))] if width >= 5 else X[:, -width:]
-    config = rf.TreeConfig(task=rf.CLASSIFICATION)
+    config = rf.TreeConfig(task=task)
     calls = []
     counted_splits = rf._counted_splits
 
@@ -268,7 +282,10 @@ def test_a_fit_over_k_blocks_keeps_the_k_grown_trees(task, monkeypatch):
     grown = []
     real_grow = rf._grow
 
+    elements = []
+
     def counted_grow(*args):
+        elements.append(args[3].size)  # the block's element rows
         grown.append(real_grow(*args))
         return grown[-1]
 
@@ -281,6 +298,14 @@ def test_a_fit_over_k_blocks_keeps_the_k_grown_trees(task, monkeypatch):
     assert [roots.tolist() for _, roots in model.blocks] == [[0, 1, 2]] * 3 + [[0, 1]]
     assert all(tree is block for (tree, _), block in zip(model.blocks, grown))
     assert sum(tree.left.size for tree, _ in model.blocks) == sum(t.left.size for t in grown)
+    # fitted nodes in narrow types: 5 features fit an int8, and every split
+    # parts a node's elements, so fewer than twice the elements are nodes.
+    # A regression block of 3 trees of 40 samples (120 elements) takes int16
+    # ids; the last classification block, 2 trees' 48 distinct rows, int8
+    for tree, n in zip(grown, elements):
+        assert tree.feature.dtype == np.int8
+        assert tree.left.dtype == tree.right.dtype == np.min_scalar_type(-2 * n - 1)
+        assert tree.left.dtype.itemsize < 8 and tree.left.size < 2 * n
 
 
 @pytest.mark.parametrize("task", TASKS)
@@ -352,6 +377,30 @@ def test_gini_child_equals_its_one_expression_bit_for_bit(high):
     got = rf._gini_child(n[both], n_side[both, 0], pos_side[both, 0], pos_side[both, 1])
     assert np.array_equal(got.view(np.uint64), expected[both].view(np.uint64))
     assert np.array_equal(n_side, tables[0]) and np.array_equal(pos_side, tables[1])
+
+
+def _variance_child_expression(n, n_left, sum_left, sq_left, sum_all, sq_all):
+    # the one expression the regression split search evaluated before
+    # _variance_child formed its terms in place, as tests/forest_reference.py does
+    n_right = n - n_left
+    var_left = sq_left / n_left - (sum_left / n_left) ** 2
+    var_right = (sq_all - sq_left) / n_right - ((sum_all - sum_left) / n_right) ** 2
+    return (n_left * var_left + n_right * var_right) / n
+
+
+def test_variance_child_equals_its_one_expression_bit_for_bit():
+    # boundary sums of raw-scale targets with 0 < n_left < n, whose variances
+    # cancel: every rounding step shows in the result
+    rng = make_rng(41)
+    n = rng.integers(2, 5000, size=4000)
+    n_left = rng.integers(1, n)
+    y = rng.normal(250.0, 30.0, size=(4000, 2))
+    sums = (n_left * y[:, 0], n_left * (y[:, 0] ** 2 + 900.0))
+    totals = (sums[0] + (n - n_left) * y[:, 1], sums[1] + (n - n_left) * (y[:, 1] ** 2 + 900.0))
+    args = (n.astype(float), n_left.astype(float), sums[0], sums[1], totals[0], totals[1])
+    expected = _variance_child_expression(*args)
+    got = rf._variance_child(*(a.copy() for a in args))
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_node_stats_equal_numpy_mean_and_var():
